@@ -217,13 +217,17 @@ def same_representation(a: ConvexSet, b: ConvexSet) -> bool:
 
 
 def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) -> float:
-    """Exact Hausdorff distance between two polytopes.
+    """Hausdorff distance between two polytopes.
 
     Both one-sided sups are attained at generators because the distance to
-    a convex set is convex.
+    a convex set is convex, so the value is the largest distance_evaluator
+    value at the generators.  It is exact when both polytopes take the
+    face-enumeration route; a larger polytope's distances come from the
+    batched Wolfe solver, each certified by its Wolfe gap g to within
+    sqrt(2 g) (see distance_evaluator).
     """
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
-        raise HyperconvexError("hausdorff is exact for polytope pairs only")
+        raise HyperconvexError("hausdorff takes polytope pairs only")
     check_same_ambient(a, b)
     d_ab = float(distance_evaluator(b)(a.points).max())
     d_ba = float(distance_evaluator(a)(b.points).max())
@@ -243,16 +247,9 @@ def _flat_pair_cap(a: ConvexSet, b: ConvexSet, radius: float) -> float:
     return off + eta * (radius + float(np.linalg.norm(fb.base)))
 
 
-def _gap_cap(a: ConvexSet, b: ConvexSet, radius: float) -> float:
-    if isinstance(a, Polytope) and isinstance(b, Polytope):
-        return hausdorff(a, b)
-    if not isinstance(a, Polytope) and not isinstance(b, Polytope):
-        return _flat_pair_cap(a, b, radius)
-    return np.inf
-
-
 def _radius_free_cap(a: ConvexSet, b: ConvexSet) -> float:
-    """Bound valid for every radius at once (inf when none is known)."""
+    """Bound valid for every radius at once (inf when none is known): the
+    Hausdorff distance of a polytope pair, the offset of two translates."""
     if isinstance(a, Polytope) and isinstance(b, Polytope):
         return hausdorff(a, b)
     if not isinstance(a, Polytope) and not isinstance(b, Polytope):
@@ -260,6 +257,14 @@ def _radius_free_cap(a: ConvexSet, b: ConvexSet) -> float:
         if np.array_equal(fa.basis, fb.basis):
             return _flat_pair_cap(a, b, 0.0)
     return np.inf
+
+
+def _gap_cap(a: ConvexSet, b: ConvexSet, radius: float, free_cap: float) -> float:
+    """Bound for sup over the radius-ball of |d(.,a) - d(.,b)|, given
+    free_cap = _radius_free_cap(a, b)."""
+    if free_cap < np.inf or isinstance(a, Polytope) or isinstance(b, Polytope):
+        return free_cap
+    return _flat_pair_cap(a, b, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +409,8 @@ def _one_sided_sup(
 def _ambient_sup_estimate(
     a: ConvexSet,
     b: ConvexSet,
+    fa: Callable[[np.ndarray], np.ndarray],
+    fb: Callable[[np.ndarray], np.ndarray],
     r: float,
     eps: float,
     *,
@@ -412,9 +419,9 @@ def _ambient_sup_estimate(
     budget: int,
     hub: float,
 ) -> SupEstimate:
+    """sup over the r-ball of |fa - fb|, with fa and fb the distance
+    evaluators of a and b."""
     n = check_same_ambient(a, b)
-    fa = distance_evaluator(a)
-    fb = distance_evaluator(b)
 
     def obj(X: np.ndarray) -> np.ndarray:
         return np.abs(fa(X) - fb(X))
@@ -432,13 +439,15 @@ def _th_estimate(
     r: float,
     eps: float,
     cfg: ToleranceConfig,
+    free_cap: float,
     *,
     stop_below: float = -np.inf,
     stop_above: float = np.inf,
     budget: int = 1_500_000,
 ) -> SupEstimate:
     """Hausdorff distance between a∩rB and b∩rB, both sets containing the
-    origin (callers check).  Dispatches to the cheapest sound route."""
+    origin (callers check), given free_cap = _radius_free_cap(a, b).
+    Dispatches to the cheapest sound route."""
     if same_representation(a, b):
         return SupEstimate(0.0, 0.0, True, 0)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
@@ -451,14 +460,15 @@ def _th_estimate(
         ) > r
 
     if isinstance(a, Polytope) and isinstance(b, Polytope) and not cut(a) and not cut(b):
-        v = hausdorff(a, b)
+        v = free_cap  # the Hausdorff distance of the pair
         return SupEstimate(v, v, True, a.points.shape[0] + b.points.shape[0])
     if cut(a) or cut(b):
         # ball cuts a hull: fall back on the ambient identity, which equals
         # the truncated Hausdorff distance for origin-containing sets
-        hub = min(_gap_cap(a, b, r), r + cfg.tau_geom)
+        hub = min(_gap_cap(a, b, r, free_cap), r + cfg.tau_geom)
         return _ambient_sup_estimate(
-            a, b, r, eps, stop_below=stop_below, stop_above=stop_above, budget=budget, hub=hub
+            a, b, distance_evaluator(a), distance_evaluator(b), r, eps,
+            stop_below=stop_below, stop_above=stop_above, budget=budget, hub=hub,
         )
     e1 = _one_sided_sup(
         a, b, r, eps, stop_below=stop_below, stop_above=stop_above, budget=budget // 2
@@ -494,7 +504,7 @@ def truncated_hausdorff(
     for s in (a, b):
         if not contains(s, np.zeros(s.ambient_dim), cfg.tau_geom):
             raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
-    est = _th_estimate(a, b, radius, eps, cfg, budget=budget)
+    est = _th_estimate(a, b, radius, eps, cfg, _radius_free_cap(a, b), budget=budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -523,12 +533,14 @@ def sup_distance_gap(
         raise HyperconvexError("eps must be positive")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
+    free_cap = _radius_free_cap(a, b)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(a, b, radius, eps, cfg, budget=budget)
+        est = _th_estimate(a, b, radius, eps, cfg, free_cap, budget=budget)
         return Interval(est.lo, est.hi, est.certified)
-    hub = _gap_cap(a, b, radius)
     est = _ambient_sup_estimate(
-        a, b, radius, eps, stop_below=-np.inf, stop_above=np.inf, budget=budget, hub=hub
+        a, b, distance_evaluator(a), distance_evaluator(b), radius, eps,
+        stop_below=-np.inf, stop_above=np.inf, budget=budget,
+        hub=_gap_cap(a, b, radius, free_cap),
     )
     return Interval(est.lo, est.hi, est.certified)
 
@@ -607,12 +619,12 @@ def attouch_wets(
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _ambient_sup_estimate(
-            a, b, float(j), p.eps_sup,
+            a, b, fa, fb, float(j), p.eps_sup,
             stop_below=stop_below, stop_above=stop_above,
-            budget=p.budget, hub=_gap_cap(a, b, float(j)),
+            budget=p.budget, hub=_gap_cap(a, b, float(j), h_const),
         )
 
-    return _j_sweep(term, lambda r: _gap_cap(a, b, r), h_const, p, run_lo0)
+    return _j_sweep(term, lambda r: _gap_cap(a, b, r, h_const), h_const, p, run_lo0)
 
 
 def _origin_samples(s: ConvexSet, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -684,8 +696,8 @@ def aw_origin(
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _th_estimate(
-            a, b, float(j), p.eps_sup, cfg,
+            a, b, float(j), p.eps_sup, cfg, h_const,
             stop_below=stop_below, stop_above=stop_above, budget=p.budget,
         )
 
-    return _j_sweep(term, lambda r: _gap_cap(a, b, r), h_const, p, run_lo0)
+    return _j_sweep(term, lambda r: _gap_cap(a, b, r, h_const), h_const, p, run_lo0)
