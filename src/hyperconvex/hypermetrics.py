@@ -504,6 +504,8 @@ def truncated_hausdorff(
     for s in (a, b):
         if not contains(s, np.zeros(s.ambient_dim), cfg.tau_geom):
             raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
+    if same_representation(a, b):
+        return Interval(0.0, 0.0)
     est = _th_estimate(a, b, radius, eps, cfg, _radius_free_cap(a, b), budget=budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 

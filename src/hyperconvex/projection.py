@@ -10,9 +10,9 @@ Batched polytope distances (distance_evaluator) take one of two routes,
 chosen by the number of generator subsets that face enumeration examines
 (_face_pieces): up to _ENUM_MAX_PIECES they enumerate every candidate face,
 which is exact per point; above it they run the same Wolfe scheme on a block
-of rows in lockstep (_min_norm_rows), certified by each row's Wolfe gap.  On
-one core at 1k-16k rows the two cost the same between 25 and 50 pieces, so
-the switch sits at 40.
+of rows in lockstep (_min_norm_rows), certified by each row's Wolfe gap.  The
+switch sits at 25 pieces, where the measured evaluator traffic of the tests,
+demos and benchmark rounds costs least (see _ENUM_MAX_PIECES).
 Single points (metric_projection, Dykstra) stay on the scalar min_norm_point.
 
 Ball-truncated sets (set intersected with a centered closed ball) are needed
@@ -132,9 +132,35 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
 # Rows solved together by _min_norm_rows: its arrays hold about
 # _WOLFE_ROWS * m * n floats, however many rows the caller passes.
 _WOLFE_ROWS = 1024
-# Affine coefficients this large come from a (nearly) singular bordered
-# system; such rows are solved again by pseudo-inverse, as lstsq would.
-_ALPHA_MAX = 1e8
+# Affine coefficients above this come from a nearly singular bordered
+# system; such rows are solved again by pseudo-inverse, with lstsq's cutoff.
+# LU stays the first solve: pinv on every row made the polytope-batch
+# benchmark 1.5x slower (330 against 495 ops/s, two runs each, 2-vCPU Xeon
+# VM).  On random, flat and integer-lattice polytopes no system exceeds 1e3.
+# On polytopes 1e-9 thick in R^4 (16 seeds of 17 points, 60 rows each), the
+# batched route failed 3 blocks at 1e3, each where the scalar min_norm_point
+# failed on some row too, and 6 blocks at 1e8.
+_ALPHA_MAX = 1e3
+
+
+def _solve_e0(A: np.ndarray) -> np.ndarray:
+    """x_i with A[i] x_i = e_0 for every matrix of the stack A (rows, s, s).
+
+    e_0 goes in as one column per matrix: numpy before 2.0 reads a 1-D
+    right-hand side as a matrix whenever A is a stack.
+    """
+    B = np.zeros(A.shape[:-1] + (1,))
+    B[:, 0] = 1.0
+    return np.linalg.solve(A, B)[..., 0]
+
+
+def _slot_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the slot axis 1, one slot after another.
+
+    Zero padding slots then leave a row's sum bit for bit as it is; a plain
+    sum would switch to pairwise grouping once the padded width reaches 8.
+    """
+    return a.cumsum(axis=1)[:, -1]
 
 
 def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -154,19 +180,17 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
         A = np.ones((rows.size, c + 1, c + 1))
         A[:, 0, 0] = 0.0
         A[:, 1:, 1:] = S @ S.transpose(0, 2, 1)
-        rhs = np.zeros(c + 1)
-        rhs[0] = 1.0
         try:
-            sol = np.linalg.solve(A, rhs)
+            sol = _solve_e0(A)
         except np.linalg.LinAlgError:
             # some system is exactly singular: solve the others by LU
             sol = np.full((rows.size, c + 1), np.nan)
             regular = np.linalg.slogdet(A)[0] != 0
             if regular.any():
-                sol[regular] = np.linalg.solve(A[regular], rhs)
+                sol[regular] = _solve_e0(A[regular])
         bad = ~(np.abs(sol[:, 1:]) <= _ALPHA_MAX).all(axis=1)
         if bad.any():
-            sol[bad] = np.linalg.pinv(A[bad], rcond=_EPS * (c + 1)) @ rhs
+            sol[bad] = np.linalg.pinv(A[bad], rcond=_EPS * (c + 1))[:, :, 0]
         alpha[rows, :c] = sol[:, 1:]
     return alpha
 
@@ -255,9 +279,9 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
             corral = ((alpha > -1e-13) | ~valid).all(axis=1)
             if corral.any():
                 c = np.clip(alpha[corral], 0.0, None)
-                c /= c.sum(axis=1, keepdims=True)
+                c /= _slot_sum(c)[:, None]
                 lam[pend[corral], :k] = c
-                W[pend[corral]] = (c[:, :, None] * Qs[corral]).sum(axis=1)
+                W[pend[corral]] = _slot_sum(c[:, :, None] * Qs[corral])
             pend, sub, valid, alpha = pend[~corral], sub[~corral], valid[~corral], alpha[~corral]
             if pend.size == 0:
                 break
@@ -279,7 +303,7 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
             order = np.argsort(~keep, axis=1, kind="stable")
             lm = np.take_along_axis(np.where(keep, lm, 0.0), order, axis=1)
             idx[pend, :k] = np.take_along_axis(sub, order, axis=1)
-            lam[pend, :k] = lm / lm.sum(axis=1, keepdims=True)
+            lam[pend, :k] = lm / _slot_sum(lm)[:, None]
             cnt[pend] = keep.sum(axis=1)
         else:
             raise _block_error("minor cycle failed to restore a corral", Q, W, pend)
@@ -419,16 +443,24 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 
 
 # Face pieces above which distance_evaluator runs _min_norm_rows instead of
-# enumerating faces.  Per-row cost at 1k, 4k and 16k rows on one Xeon core,
-# OpenBLAS on one thread, enumerated vs batched Wolfe in us (repeat runs on
-# a shared VM moved these by up to 25%):
+# enumerating faces.  Enumeration builds its faces once per evaluator, about
+# 55 us a piece (0.6 ms at n3m4, 2.8 ms at n3m6), and then pays per row;
+# the batched solver pays per row and per Wolfe iteration.  Per-row cost at
+# 1k, 4k and 16k rows on one Xeon core, OpenBLAS on one thread, enumerated
+# vs batched in us (repeat runs on a shared VM moved these by up to 25%):
 #   n3m4 (11 pieces)  1.1-1.4 vs 1.9-2.4    n2m5 (20)  1.8-1.9 vs 1.9-2.5
 #   n3m5 (25)         2.2-2.5 vs 2.3-2.6    n2m6 (35)  2.7-3.1 vs 2.7-3.3
 #   n3m6 (50)         5.3-6.9 vs 4.8-6.0    n2m7 (56)  4.4-5.7 vs 2.5-3.1
 #   n4m8 (210)       20-24    vs 4.2-4.8    n6m12 (3289) 388-482 vs 7.4-11
-# Enumeration grows with the pieces, the batched solver with the Wolfe
-# iterations; they cross between 25 and 50 pieces.
-_ENUM_MAX_PIECES = 40
+# Calls of 1-64 rows (hausdorff, single evaluations) are ruled by the face
+# build and favour the batched solver at 20 pieces and more.  Of the evaluator
+# calls that meet 12-50 pieces in the test suite, the demos and four rounds
+# each of aw-sweep and polytope-batch, ball_sup batches of 5k-55k rows on
+# n2m5 carry 99% of the rows; the rest are calls of 1-64 rows on n2m6,
+# n3m5, n3m6 and n4m5-n6m5.  Replayed on both routes, that traffic cost
+# 6-13% less with the switch at 20-25 pieces than at 40 (three replays),
+# and the benchmark rounds' share cost the same for any switch from 11 to 40.
+_ENUM_MAX_PIECES = 25
 
 
 def _face_pieces(m: int, n: int) -> int:

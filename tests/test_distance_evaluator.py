@@ -98,7 +98,7 @@ def test_single_point(rng):
         np.testing.assert_allclose(d, np.linalg.norm(X - p, axis=1), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n,m", [(2, 5), (4, 17)])
+@pytest.mark.parametrize("n,m", [(2, 5), (4, 17), (8, 17)])
 def test_row_alone_equals_row_in_batch(n, m, rng):
     pts = rng.normal(size=(m, n))
     X = 1.5 * rng.normal(size=(_WOLFE_ROWS + 37, n))
@@ -107,14 +107,16 @@ def test_row_alone_equals_row_in_batch(n, m, rng):
     d = f(X)
     assert d.shape == (X.shape[0],)
     picks = np.concatenate([np.arange(20), rng.choice(X.shape[0], 20, replace=False), [X.shape[0] - 1]])
-    alone = np.concatenate([f(X[i]) for i in picks])
     if _face_pieces(m, n) > _ENUM_MAX_PIECES:
-        # the batched solver works on each row apart: bit for bit
-        np.testing.assert_array_equal(alone, d[picks])
+        # the batched solver works on each row apart: bit for bit, also
+        # where the other rows of the block hold 8 or more active slots
+        alone = np.concatenate([f(x) for x in X])
+        np.testing.assert_array_equal(alone, d)
         cap = max(10 * m * n, 50)
         ref = [np.linalg.norm(min_norm_point(pts - X[i], 1e-18, cap)[0]) for i in picks]
         np.testing.assert_allclose(d[picks], ref, rtol=0, atol=1e-12)
     else:
+        alone = np.concatenate([f(X[i]) for i in picks])
         # enumeration multiplies the whole block at once, and BLAS may
         # round a one-row product differently
         np.testing.assert_allclose(alone, d[picks], rtol=1e-14, atol=1e-15)
@@ -135,6 +137,46 @@ def test_singular_bordered_systems(rng):
     for a, S in zip(alpha, stacks):
         np.testing.assert_allclose(a @ S, _affine_minimizer(S) @ S, atol=1e-10)
     np.testing.assert_array_equal(alpha[0], _affine_minimizer_rows(stacks[:1], np.full(1, 3))[0])
+
+
+def test_batched_route_under_numpy1_solve_rules(monkeypatch, rng):
+    # numpy before 2.0 reads b as one vector per matrix only when
+    # b.ndim == a.ndim - 1; any other 1-D b fails against a stack
+    solve = np.linalg.solve
+
+    def solve_numpy1(a, b):
+        if np.ndim(b) == 1 and np.ndim(a) > 2:
+            raise ValueError("solve: Input operand 1 does not have enough dimensions")
+        return solve(a, b)
+
+    pts = rng.normal(size=(17, 4))
+    X = _queries(rng, pts)
+    expected = distance_evaluator(Polytope(pts))(X)
+    monkeypatch.setattr(np.linalg, "solve", solve_numpy1)
+    np.testing.assert_array_equal(distance_evaluator(Polytope(pts))(X), expected)
+    Q = rng.normal(size=(3, 3))
+    stacks = np.stack([Q, np.stack([Q[0], Q[1], Q[1]])])  # one exactly singular
+    alpha = _affine_minimizer_rows(stacks, np.full(2, 3))
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_thin_polytopes_solve_where_the_scalar_solver_does():
+    # generators 1e-9 thick in their last coordinate make nearly singular
+    # bordered systems; wherever min_norm_point solves every row, so must
+    # the batched route
+    solved = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(17, 4))
+        pts[:, -1] *= 1e-9
+        X = np.concatenate([rng.dirichlet(np.ones(17), size=20) @ pts, 3.0 * rng.normal(size=(40, 4))])
+        try:
+            ref = [np.linalg.norm(min_norm_point(pts - x, 1e-18, 170)[0]) for x in X]
+        except ConvergenceError:
+            continue
+        np.testing.assert_allclose(distance_evaluator(Polytope(pts))(X), ref, rtol=0, atol=1e-8)
+        solved += 1
+    assert solved >= 8
 
 
 def test_wolfe_gap_certifies_distance(rng):

@@ -215,6 +215,17 @@ class TestThresholdRules:
         iv = truncated_hausdorff(a, b, 11.0, 1e-3)
         assert iv.contains(1.0, slack=1e-3)
 
+    def test_truncated_hausdorff_of_equal_polytopes_computes_no_distance(self, monkeypatch):
+        import hyperconvex.hypermetrics as hm
+
+        def no_hausdorff(a, b, tol=None):
+            raise AssertionError("hausdorff called on an equal pair")
+
+        monkeypatch.setattr(hm, "hausdorff", no_hausdorff)
+        a = poly((-1, -1), (2, 0), (0, 3))
+        iv = truncated_hausdorff(a, poly((-1, -1), (2, 0), (0, 3)), 1.0)
+        assert (iv.lo, iv.hi, iv.certified) == (0.0, 0.0, True)
+
 
 coord = st.floats(-10, 10, allow_nan=False, width=32)
 
