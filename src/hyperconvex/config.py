@@ -1,9 +1,8 @@
 """Tolerance configuration shared by every numerical routine.
 
 All geometric predicates in this package are tolerance-explicit: nothing is
-compared with ``==`` on floats.  The four knobs below cover the distinct
-failure modes (orthonormality drift, rank decisions, geometric residuals,
-and certified-supremum widths).
+compared with ``==`` on floats.  The three knobs below cover the distinct
+failure modes (orthonormality drift, rank decisions, geometric residuals).
 """
 
 from __future__ import annotations
@@ -24,16 +23,14 @@ class ToleranceConfig:
     tau_rank : relative singular-value cutoff for rank decisions
     tau_geom : geometric residual tolerance (projection certificates,
                set membership, subspace equality via the gap)
-    eps_sup  : default target width for certified supremum enclosures
     """
 
     tau_orth: float = 1e-9
     tau_rank: float = 1e-8
     tau_geom: float = 1e-9
-    eps_sup: float = 1e-3
 
     def __post_init__(self) -> None:
-        for name in ("tau_orth", "tau_rank", "tau_geom", "eps_sup"):
+        for name in ("tau_orth", "tau_rank", "tau_geom"):
             v = getattr(self, name)
             if not (v > 0.0):
                 raise ValueError(f"{name} must be positive, got {v!r}")

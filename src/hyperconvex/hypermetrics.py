@@ -33,14 +33,7 @@ from .projection import (
     flat_min_norm_point,
     truncated_distance_evaluator,
 )
-from .sets import (
-    ConvexSet,
-    Flat,
-    Polytope,
-    Subspace,
-    as_flat,
-    check_same_ambient,
-)
+from .sets import ConvexSet, Flat, Polytope, Subspace, check_same_ambient
 
 
 @dataclass(frozen=True)
@@ -206,14 +199,12 @@ def _canonical_points(p: Polytope) -> np.ndarray:
 
 def same_representation(a: ConvexSet, b: ConvexSet) -> bool:
     """True when the two descriptions are literally the same set data."""
-    if isinstance(a, Polytope) and isinstance(b, Polytope):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Polytope):
         pa, pb = _canonical_points(a), _canonical_points(b)
         return pa.shape == pb.shape and np.array_equal(pa, pb)
-    if isinstance(a, Subspace) and isinstance(b, Subspace):
-        return np.array_equal(a.basis, b.basis)
-    if isinstance(a, Flat) and isinstance(b, Flat):
-        return np.array_equal(a.basis, b.basis) and np.array_equal(a.base, b.base)
-    return False
+    return np.array_equal(a.basis, b.basis) and np.array_equal(a.base, b.base)
 
 
 def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) -> float:
@@ -234,37 +225,26 @@ def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) ->
     return max(d_ab, d_ba)
 
 
-def _flat_pair_cap(a: ConvexSet, b: ConvexSet, radius: float) -> float:
-    """Sound bound for sup over the radius-ball of |d(.,a) - d(.,b)|,
-    flats/subspaces only.  Exact for translates (identical direction data)."""
-    fa, fb = as_flat(a), as_flat(b)
-    Pa = fa.basis.T @ fa.basis
-    Pb = fb.basis.T @ fb.basis
-    off = float(np.linalg.norm((fb.base - fa.base) - Pa @ (fb.base - fa.base)))
-    if np.array_equal(fa.basis, fb.basis):
-        return off
+def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], float]]:
+    """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
+
+    h holds for every radius at once (inf when none is known): the Hausdorff
+    distance of a polytope pair, the offset of two translate flats.  cap(r)
+    holds for one radius; for flats with different directions it is the
+    offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.
+    """
+    pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
+    if pa or pb:
+        h = hausdorff(a, b) if pa and pb else np.inf
+        return h, lambda r: h
+    Pa = a.basis.T @ a.basis
+    Pb = b.basis.T @ b.basis
+    off = float(np.linalg.norm((b.base - a.base) - Pa @ (b.base - a.base)))
+    if np.array_equal(a.basis, b.basis):
+        return off, lambda r: off
     eta = float(np.linalg.norm(Pa - Pb, 2))
-    return off + eta * (radius + float(np.linalg.norm(fb.base)))
-
-
-def _radius_free_cap(a: ConvexSet, b: ConvexSet) -> float:
-    """Bound valid for every radius at once (inf when none is known): the
-    Hausdorff distance of a polytope pair, the offset of two translates."""
-    if isinstance(a, Polytope) and isinstance(b, Polytope):
-        return hausdorff(a, b)
-    if not isinstance(a, Polytope) and not isinstance(b, Polytope):
-        fa, fb = as_flat(a), as_flat(b)
-        if np.array_equal(fa.basis, fb.basis):
-            return _flat_pair_cap(a, b, 0.0)
-    return np.inf
-
-
-def _gap_cap(a: ConvexSet, b: ConvexSet, radius: float, free_cap: float) -> float:
-    """Bound for sup over the radius-ball of |d(.,a) - d(.,b)|, given
-    free_cap = _radius_free_cap(a, b)."""
-    if free_cap < np.inf or isinstance(a, Polytope) or isinstance(b, Polytope):
-        return free_cap
-    return _flat_pair_cap(a, b, radius)
+    reach = float(np.linalg.norm(b.base))
+    return np.inf, lambda r: off + eta * (r + reach)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +261,11 @@ def _unit_directions(a: ConvexSet, b: ConvexSet, n: int, rng: np.random.Generato
         if isinstance(s, Polytope):
             rows.append(s.points)
         else:
-            fl = as_flat(s)
-            if fl.basis.size:
-                rows.append(fl.basis)
-                rows.append(-fl.basis)
-            if fl.base.any():
-                rows.append(fl.base[None, :])
+            if s.basis.size:
+                rows.append(s.basis)
+                rows.append(-s.basis)
+            if s.base.any():
+                rows.append(s.base[None, :])
     if isinstance(a, Polytope) and isinstance(b, Polytope):
         diff = (a.points[:, None, :] - b.points[None, :, :]).reshape(-1, n)
         rows.append(diff)
@@ -306,7 +285,7 @@ def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
         if isinstance(s, Polytope):
             rows.append(s.points)
         else:
-            rows.append(as_flat(s).base[None, :])
+            rows.append(s.base[None, :])
     rows.append(np.zeros((1, n)))
     ball = rng.standard_normal((96, n))
     ball /= np.linalg.norm(ball, axis=1, keepdims=True)
@@ -342,9 +321,6 @@ def _explore_terms(
 def _coord_map(src: Flat | Subspace, r: float):
     """(dim, coord radius, embed) presenting src ∩ rB as an isometric image
     of a coordinate ball."""
-    if isinstance(src, Subspace):
-        B = src.basis
-        return B.shape[0], r, lambda C: np.atleast_2d(C) @ B
     p = flat_min_norm_point(src)
     nu = float(np.linalg.norm(p))
     rho = math.sqrt(max(r * r - nu * nu, 0.0))
@@ -439,15 +415,16 @@ def _th_estimate(
     r: float,
     eps: float,
     cfg: ToleranceConfig,
-    free_cap: float,
+    cap: float,
     *,
     stop_below: float = -np.inf,
     stop_above: float = np.inf,
     budget: int = 1_500_000,
 ) -> SupEstimate:
     """Hausdorff distance between a∩rB and b∩rB, both sets containing the
-    origin (callers check), given free_cap = _radius_free_cap(a, b).
-    Dispatches to the cheapest sound route."""
+    origin (callers check), given cap = _gap_caps(a, b)[1](r), which is the
+    Hausdorff distance of a polytope pair.  Dispatches to the cheapest sound
+    route."""
     if same_representation(a, b):
         return SupEstimate(0.0, 0.0, True, 0)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
@@ -455,17 +432,15 @@ def _th_estimate(
         return SupEstimate(v, v, True, 0)
 
     def cut(s: ConvexSet) -> bool:
-        return isinstance(s, Polytope) and float(
-            np.linalg.norm(_canonical_points(s), axis=1).max()
-        ) > r
+        return isinstance(s, Polytope) and float(np.linalg.norm(s.points, axis=1).max()) > r
 
     if isinstance(a, Polytope) and isinstance(b, Polytope) and not cut(a) and not cut(b):
-        v = free_cap  # the Hausdorff distance of the pair
+        v = cap  # the Hausdorff distance of the pair
         return SupEstimate(v, v, True, a.points.shape[0] + b.points.shape[0])
     if cut(a) or cut(b):
         # ball cuts a hull: fall back on the ambient identity, which equals
         # the truncated Hausdorff distance for origin-containing sets
-        hub = min(_gap_cap(a, b, r, free_cap), r + cfg.tau_geom)
+        hub = min(cap, r + cfg.tau_geom)
         return _ambient_sup_estimate(
             a, b, distance_evaluator(a), distance_evaluator(b), r, eps,
             stop_below=stop_below, stop_above=stop_above, budget=budget, hub=hub,
@@ -506,7 +481,8 @@ def truncated_hausdorff(
             raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    est = _th_estimate(a, b, radius, eps, cfg, _radius_free_cap(a, b), budget=budget)
+    _, cap = _gap_caps(a, b)
+    est = _th_estimate(a, b, radius, eps, cfg, cap(radius), budget=budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -535,15 +511,14 @@ def sup_distance_gap(
         raise HyperconvexError("eps must be positive")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    free_cap = _radius_free_cap(a, b)
+    _, cap = _gap_caps(a, b)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(a, b, radius, eps, cfg, free_cap, budget=budget)
-        return Interval(est.lo, est.hi, est.certified)
-    est = _ambient_sup_estimate(
-        a, b, distance_evaluator(a), distance_evaluator(b), radius, eps,
-        stop_below=-np.inf, stop_above=np.inf, budget=budget,
-        hub=_gap_cap(a, b, radius, free_cap),
-    )
+        est = _th_estimate(a, b, radius, eps, cfg, cap(radius), budget=budget)
+    else:
+        est = _ambient_sup_estimate(
+            a, b, distance_evaluator(a), distance_evaluator(b), radius, eps,
+            stop_below=-np.inf, stop_above=np.inf, budget=budget, hub=cap(radius),
+        )
     return Interval(est.lo, est.hi, est.certified)
 
 
@@ -617,16 +592,16 @@ def attouch_wets(
         return np.abs(fa(X) - fb(X))
 
     run_lo0 = _explore_terms(obj, a, b, p.j_cap)
-    h_const = _radius_free_cap(a, b)
+    h_const, cap = _gap_caps(a, b)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _ambient_sup_estimate(
             a, b, fa, fb, float(j), p.eps_sup,
             stop_below=stop_below, stop_above=stop_above,
-            budget=p.budget, hub=_gap_cap(a, b, float(j), h_const),
+            budget=p.budget, hub=cap(float(j)),
         )
 
-    return _j_sweep(term, lambda r: _gap_cap(a, b, r, h_const), h_const, p, run_lo0)
+    return _j_sweep(term, cap, h_const, p, run_lo0)
 
 
 def _origin_samples(s: ConvexSet, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -638,19 +613,18 @@ def _origin_samples(s: ConvexSet, r: float, rng: np.random.Generator) -> np.ndar
         nrm = np.linalg.norm(P, axis=1)
         scale = np.minimum(1.0, r / np.maximum(nrm, 1e-300))
         return P * scale[:, None]
-    fl = as_flat(s)
-    p = flat_min_norm_point(fl)
+    p = flat_min_norm_point(s)
     nu = float(np.linalg.norm(p))
     if nu > r:
         return np.zeros((0, n))
-    k = fl.dim
+    k = s.dim
     if k == 0:
         return p[None, :]
     rho = math.sqrt(max(r * r - nu * nu, 0.0))
     extra = rng.standard_normal((2 * k + 8, k))
     extra *= rho / np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-12)
     C = np.concatenate([rho * np.eye(k), -rho * np.eye(k), extra])
-    return p + C @ fl.basis
+    return p + C @ s.basis
 
 
 def _explore_origin(a: ConvexSet, b: ConvexSet, j_cap: int) -> float:
@@ -694,12 +668,12 @@ def aw_origin(
         return Interval(0.0, 0.0)
 
     run_lo0 = _explore_origin(a, b, p.j_cap)
-    h_const = _radius_free_cap(a, b)
+    h_const, cap = _gap_caps(a, b)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _th_estimate(
-            a, b, float(j), p.eps_sup, cfg, h_const,
+            a, b, float(j), p.eps_sup, cfg, cap(float(j)),
             stop_below=stop_below, stop_above=stop_above, budget=p.budget,
         )
 
-    return _j_sweep(term, lambda r: _gap_cap(a, b, r, h_const), h_const, p, run_lo0)
+    return _j_sweep(term, cap, h_const, p, run_lo0)

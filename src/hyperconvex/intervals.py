@@ -38,7 +38,3 @@ class Interval:
 
     def overlaps(self, other: "Interval", slack: float = 0.0) -> bool:
         return self.lo <= other.hi + slack and other.lo <= self.hi + slack
-
-    @staticmethod
-    def point(value: float) -> "Interval":
-        return Interval(value, value)

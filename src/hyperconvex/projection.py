@@ -1,10 +1,12 @@
 """Metric projections and distances onto the representable convex sets.
 
-Flats and subspaces project by orthogonal linear algebra.  Polytopes project
-via the minimum-norm point of the shifted generator set, computed with a
-Wolfe-style active-set scheme whose duality gap doubles as the certificate:
-the variational-inequality residual of the returned point is bounded by the
-final gap.
+Flats and subspaces project by orthogonal linear algebra, through the same
+closed forms: a subspace is the flat through the origin (Subspace.base), so
+each routine has one branch for polytopes and one for the rest.  Polytopes
+project via the minimum-norm point of the shifted generator set, computed
+with a Wolfe-style active-set scheme whose duality gap doubles as the
+certificate: the variational-inequality residual of the returned point is
+bounded by the final gap.
 
 Batched polytope distances (distance_evaluator) take one of two routes,
 chosen by the number of generator subsets that face enumeration examines
@@ -16,9 +18,12 @@ demos and benchmark rounds costs least (see _ENUM_MAX_PIECES).
 Single points (metric_projection, Dykstra) stay on the scalar min_norm_point.
 
 Ball-truncated sets (set intersected with a centered closed ball) are needed
-by the hyperspace metrics; flats and subspaces admit exact closed forms for
-those, polytopes fall back to Dykstra's alternating projections, which
-converge to the metric projection onto the intersection.
+by the hyperspace metrics.  One builder (_truncated_rows) makes their batch
+distance map for every kind: a closed form for flats and subspaces, the plain
+distance_evaluator for a polytope inside the ball, and Dykstra's alternating
+projections, which converge to the metric projection onto the intersection,
+for a ball-cut polytope.  truncated_distance_evaluator returns that map and
+truncated_distance evaluates it at one point.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
     EmptyIntersectionError,
     HyperconvexError,
 )
-from .sets import ConvexSet, Flat, Polytope, Subspace, check_same_ambient
+from .sets import ConvexSet, Flat, Polytope, check_same_ambient
 
 _EPS = float(np.finfo(float).eps)
 
@@ -314,8 +319,13 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
 # projections
 
 
-def _project_flat(base: np.ndarray, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return base + (basis @ (x - base)) @ basis
+def _query(s: ConvexSet, x) -> np.ndarray:
+    """x as a float vector in the ambient space of s; rejects non-finite x."""
+    x = np.asarray(x, dtype=float)
+    check_same_ambient(s, x)
+    if not np.isfinite(x).all():
+        raise HyperconvexError("query point must be finite")
+    return x
 
 
 def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
@@ -326,24 +336,20 @@ def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
     bounds the variational-inequality residual.
     """
     cfg = resolve(tol)
-    x = np.asarray(x, dtype=float)
-    check_same_ambient(s, x)
+    x = _query(s, x)
     if isinstance(s, Polytope):
         pts = np.unique(s.points, axis=0)
         cap = max(10 * pts.shape[0] * s.ambient_dim, 50)
         w, _ = min_norm_point(pts - x, gap_tol=cfg.tau_geom**2, max_iter=cap)
         return x + w, float(np.linalg.norm(w))
-    if isinstance(s, Flat):
-        point = _project_flat(s.base, s.basis, x)
-        return point, float(np.linalg.norm(x - point))
-    point = (s.basis @ x) @ s.basis
+    base = s.base
+    point = base + (s.basis @ (x - base)) @ s.basis
     return point, float(np.linalg.norm(x - point))
 
 
 def nearest_point(s: ConvexSet, tol: ToleranceConfig | None = None):
     """(p, nu): the point of the set closest to the origin and its norm."""
-    p, nu = metric_projection(s, np.zeros(s.ambient_dim), tol)
-    return p, nu
+    return metric_projection(s, np.zeros(s.ambient_dim), tol)
 
 
 def project_hyperplane(a, x) -> np.ndarray:
@@ -359,8 +365,7 @@ def project_hyperplane(a, x) -> np.ndarray:
 
 def contains(s: ConvexSet, x, tol: float) -> bool:
     """True iff d(x, set) <= tol."""
-    _, dist = metric_projection(s, x)
-    return dist <= tol
+    return metric_projection(s, x)[1] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -403,39 +408,13 @@ def _dykstra_polytope_ball(pts, x, radius, move_tol, max_iter=20000):
 
 
 def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = None) -> float:
-    """d(x, set ∩ closed ball of radius L around the origin)."""
-    cfg = resolve(tol)
-    x = np.asarray(x, dtype=float)
-    check_same_ambient(s, x)
-    if not L > 0:
-        raise HyperconvexError("truncation radius must be positive")
-    if isinstance(s, Subspace):
-        point = _clamp_rows((s.basis @ x) @ s.basis, L)
-        return float(np.linalg.norm(x - point))
-    if isinstance(s, Flat):
-        p = flat_min_norm_point(s)
-        nu = float(np.linalg.norm(p))
-        if nu > L + cfg.tau_geom:
-            raise EmptyIntersectionError(
-                f"flat misses the ball: d(0, flat) = {nu:.6g} > {L:.6g}"
-            )
-        rho = float(np.sqrt(max(L * L - nu * nu, 0.0)))
-        v = (s.basis @ (x - p)) @ s.basis
-        point = p + _clamp_rows(v, rho)
-        return float(np.linalg.norm(x - point))
-    # polytope
-    pts = np.unique(s.points, axis=0)
-    if float(np.linalg.norm(pts, axis=1).max()) <= L:
-        # ball does not cut the hull
-        _, dist = metric_projection(s, x, cfg)
-        return dist
-    _, nu = nearest_point(s, cfg)
-    if nu > L + cfg.tau_geom:
-        raise EmptyIntersectionError(
-            f"polytope misses the ball: d(0, hull) = {nu:.6g} > {L:.6g}"
-        )
-    point = _dykstra_polytope_ball(pts, x, L, move_tol=max(cfg.tau_geom, 1e-12))
-    return float(np.linalg.norm(x - point))
+    """d(x, set ∩ closed ball of radius L around the origin).
+
+    The value is x's row of the batch map truncated_distance_evaluator
+    builds, with the caller's tolerances.
+    """
+    x = _query(s, x)
+    return float(_truncated_rows(s, L, resolve(tol))(x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +422,26 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 
 
 # Face pieces above which distance_evaluator runs _min_norm_rows instead of
-# enumerating faces.  Enumeration builds its faces once per evaluator, about
-# 55 us a piece (0.6 ms at n3m4, 2.8 ms at n3m6), and then pays per row;
-# the batched solver pays per row and per Wolfe iteration.  Per-row cost at
+# enumerating faces.  Enumeration builds its faces once per evaluator and then
+# pays per row; the batched solver pays per row and per Wolfe iteration.  The
+# switch was set with a face build of 55 us a piece (0.6 ms at n3m4, 2.8 ms
+# at n3m6); the stacked build now takes 7-17 us a piece, which favours
+# enumeration on small calls and is not yet replayed.  Per-row cost at
 # 1k, 4k and 16k rows on one Xeon core, OpenBLAS on one thread, enumerated
 # vs batched in us (repeat runs on a shared VM moved these by up to 25%):
 #   n3m4 (11 pieces)  1.1-1.4 vs 1.9-2.4    n2m5 (20)  1.8-1.9 vs 1.9-2.5
 #   n3m5 (25)         2.2-2.5 vs 2.3-2.6    n2m6 (35)  2.7-3.1 vs 2.7-3.3
 #   n3m6 (50)         5.3-6.9 vs 4.8-6.0    n2m7 (56)  4.4-5.7 vs 2.5-3.1
 #   n4m8 (210)       20-24    vs 4.2-4.8    n6m12 (3289) 388-482 vs 7.4-11
-# Calls of 1-64 rows (hausdorff, single evaluations) are ruled by the face
-# build and favour the batched solver at 20 pieces and more.  Of the evaluator
-# calls that meet 12-50 pieces in the test suite, the demos and four rounds
-# each of aw-sweep and polytope-batch, ball_sup batches of 5k-55k rows on
-# n2m5 carry 99% of the rows; the rest are calls of 1-64 rows on n2m6,
-# n3m5, n3m6 and n4m5-n6m5.  Replayed on both routes, that traffic cost
-# 6-13% less with the switch at 20-25 pieces than at 40 (three replays),
-# and the benchmark rounds' share cost the same for any switch from 11 to 40.
+# Calls of 1-64 rows (hausdorff, single evaluations) were ruled by the old
+# face build and favoured the batched solver at 20 pieces and more.  Of the
+# evaluator calls that meet 12-50 pieces in the test suite, the demos and
+# four rounds each of aw-sweep and polytope-batch, ball_sup batches of
+# 5k-55k rows on n2m5 carry 99% of the rows; the rest are calls of 1-64 rows
+# on n2m6, n3m5, n3m6 and n4m5-n6m5.  Replayed on both routes, that traffic
+# cost 6-13% less with the switch at 20-25 pieces than at 40 (three
+# replays), and the benchmark rounds' share cost the same for any switch
+# from 11 to 40.
 _ENUM_MAX_PIECES = 25
 
 
@@ -480,13 +462,15 @@ def _polytope_pieces(pts: np.ndarray):
     m, n = pts.shape
     pieces = []
     for size in range(2, min(m, n + 1) + 1):
-        for idx in itertools.combinations(range(m), size):
-            p0 = pts[idx[0]]
-            D = (pts[list(idx[1:])] - p0).T  # (n, size-1)
-            sv = np.linalg.svd(D, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(float(sv[0]), 1.0):
-                continue
-            pieces.append((p0, D, np.linalg.pinv(D)))
+        # every subset of this size at once: one stacked SVD and pinv
+        idx = np.array(list(itertools.combinations(range(m), size)))
+        P0 = pts[idx[:, 0]]
+        Dt = pts[idx[:, 1:]] - P0[:, None, :]  # (subsets, size-1, n)
+        sv = np.linalg.svd(Dt.transpose(0, 2, 1), compute_uv=False)
+        keep = ~(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0))
+        P0, Dt = P0[keep], Dt[keep]
+        Ms = np.linalg.pinv(Dt.transpose(0, 2, 1))
+        pieces += [(p0, D.T, M) for p0, D, M in zip(P0, Dt, Ms)]
     return pieces
 
 
@@ -501,15 +485,7 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     stalls at rounding level.  Property tests compare both routes with
     metric_projection.
     """
-    if isinstance(s, Subspace):
-        P = s.basis.T @ s.basis
-
-        def f_sub(X: np.ndarray) -> np.ndarray:
-            X = np.atleast_2d(X)
-            return np.linalg.norm(X - X @ P, axis=1)
-
-        return f_sub
-    if isinstance(s, Flat):
+    if not isinstance(s, Polytope):
         P = s.basis.T @ s.basis
         base = s.base
 
@@ -551,40 +527,55 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     return f_poly
 
 
-def truncated_distance_evaluator(s: ConvexSet, radius: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch map X -> d(x_i, set ∩ radius-ball); exact closed forms where
-    available, row-wise Dykstra for ball-cut polytopes."""
-    if isinstance(s, Subspace):
-        P = s.basis.T @ s.basis
+def _truncated_rows(
+    s: ConvexSet, radius: float, cfg: ToleranceConfig
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch map X -> d(x_i, set ∩ radius-ball), behind truncated_distance
+    and truncated_distance_evaluator.
 
-        def f_sub(X: np.ndarray) -> np.ndarray:
+    Flats and subspaces use the closed form; a polytope inside the ball is
+    its distance_evaluator; a ball-cut polytope runs Dykstra row by row.  The
+    ball may miss the set by tau_geom before EmptyIntersectionError.
+    """
+    if not radius > 0:
+        raise HyperconvexError("truncation radius must be positive")
+    if isinstance(s, Polytope):
+        if float(np.linalg.norm(s.points, axis=1).max()) <= radius:
+            return distance_evaluator(s)
+        pts = np.unique(s.points, axis=0)
+        _, nu = nearest_point(s, cfg)
+        if nu > radius + cfg.tau_geom:
+            raise EmptyIntersectionError(
+                f"polytope misses the ball: d(0, hull) = {nu:.6g} > {radius:.6g}"
+            )
+        move_tol = max(cfg.tau_geom, 1e-12)
+
+        def f_cut(X: np.ndarray) -> np.ndarray:
             X = np.atleast_2d(X)
-            return np.linalg.norm(X - _clamp_rows(X @ P, radius), axis=1)
+            out = np.empty(X.shape[0])
+            for i, x in enumerate(X):
+                out[i] = np.linalg.norm(x - _dykstra_polytope_ball(pts, x, radius, move_tol))
+            return out
 
-        return f_sub
-    if isinstance(s, Flat):
-        p = flat_min_norm_point(s)
-        nu = float(np.linalg.norm(p))
-        if nu > radius:
-            raise EmptyIntersectionError("flat misses the ball")
-        rho = float(np.sqrt(max(radius * radius - nu * nu, 0.0)))
-        P = s.basis.T @ s.basis
+        return f_cut
+    p = flat_min_norm_point(s)
+    nu = float(np.linalg.norm(p))
+    if nu > radius + cfg.tau_geom:
+        raise EmptyIntersectionError(
+            f"flat misses the ball: d(0, flat) = {nu:.6g} > {radius:.6g}"
+        )
+    rho = float(np.sqrt(max(radius * radius - nu * nu, 0.0)))
+    P = s.basis.T @ s.basis
 
-        def f_flat(X: np.ndarray) -> np.ndarray:
-            X = np.atleast_2d(X)
-            V = (X - p) @ P
-            return np.linalg.norm(X - (p + _clamp_rows(V, rho)), axis=1)
-
-        return f_flat
-    pts = np.unique(s.points, axis=0)
-    if float(np.linalg.norm(pts, axis=1).max()) <= radius:
-        return distance_evaluator(s)
-
-    def f_cut(X: np.ndarray) -> np.ndarray:
+    def f_flat(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            out[i] = truncated_distance(s, row, radius)
-        return out
+        V = (X - p) @ P
+        return np.linalg.norm(X - (p + _clamp_rows(V, rho)), axis=1)
 
-    return f_cut
+    return f_flat
+
+
+def truncated_distance_evaluator(s: ConvexSet, radius: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch map X -> d(x_i, set ∩ radius-ball); exact closed forms for
+    flats and subspaces, row-wise Dykstra for ball-cut polytopes."""
+    return _truncated_rows(s, radius, resolve(None))

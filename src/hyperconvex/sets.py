@@ -4,7 +4,12 @@ Three closed convex representations in R^n, kept as a tagged union:
 
 * ``Polytope``  -- convex hull of finitely many generator points (V-rep),
 * ``Flat``     -- affine subspace, base point plus orthonormal direction rows,
-* ``Subspace`` -- linear subspace, orthonormal basis rows (a Flat with base 0).
+* ``Subspace`` -- linear subspace, orthonormal basis rows.
+
+A subspace is the flat through the origin: its read-only ``base`` property
+returns the origin, so every routine that reads ``base`` and ``basis``
+serves flats and subspaces alike, and only polytopes need a branch of their
+own.
 
 Instances are frozen and their arrays are made read-only, so values can be
 shared freely across threads; every operation returns new objects.
@@ -107,6 +112,13 @@ class Subspace:
         return self.basis.shape[1]
 
     @property
+    def base(self) -> np.ndarray:
+        """The origin, read-only: a subspace is the flat through it."""
+        origin = np.zeros(self.ambient_dim)
+        origin.setflags(write=False)
+        return origin
+
+    @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
@@ -116,17 +128,6 @@ ConvexSet = Union[Polytope, Flat, Subspace]
 
 def zero_subspace(n: int) -> Subspace:
     return Subspace(np.zeros((0, n)))
-
-
-def as_flat(s: Subspace | Flat) -> Flat:
-    """View a subspace as the flat through the origin (flats pass through)."""
-    if isinstance(s, Flat):
-        return s
-    return Flat(np.zeros(s.ambient_dim), s.basis)
-
-
-def ambient_dim(s: ConvexSet) -> int:
-    return s.ambient_dim
 
 
 def check_same_ambient(*sets_or_vectors) -> int:
@@ -173,11 +174,9 @@ def translate(s: ConvexSet, v: np.ndarray) -> ConvexSet:
     check_same_ambient(s, v)
     if isinstance(s, Polytope):
         return Polytope(s.points + v)
-    if isinstance(s, Flat):
-        return Flat(s.base + v, s.basis)
-    if not v.any():
+    if isinstance(s, Subspace) and not v.any():
         return s
-    return Flat(v, s.basis)
+    return Flat(s.base + v, s.basis)
 
 
 def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
@@ -200,9 +199,3 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
         "minkowski_sum supports polytope+polytope and set+singleton pairs only"
     )
 
-
-def generators(s: ConvexSet) -> np.ndarray:
-    """Generator points for a polytope; raises otherwise."""
-    if not isinstance(s, Polytope):
-        raise HyperconvexError("only polytopes have generator points")
-    return s.points

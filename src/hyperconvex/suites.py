@@ -163,8 +163,7 @@ def _point_on(rng, s: ConvexSet) -> np.ndarray:
         lam = rng.dirichlet(np.ones(s.points.shape[0]))
         return lam @ s.points
     coords = rng.normal(size=s.basis.shape[0]) * 1.5
-    base = s.base if isinstance(s, Flat) else np.zeros(s.basis.shape[1])
-    return base + coords @ s.basis
+    return s.base + coords @ s.basis
 
 
 def _tilted_subspace(rng, w: Subspace, lo: float = 0.05, hi: float = 0.7) -> Subspace:
@@ -227,9 +226,8 @@ def _grid_distance(s: ConvexSet, x: np.ndarray) -> tuple[float, float]:
         gridmin = float(np.min(np.linalg.norm(cloud - x, axis=1)))
         spread = float(np.max(np.linalg.norm(pts - pts[0], axis=1)))
         return gridmin, m / g * spread
-    basis = s.basis
+    basis, base = s.basis, s.base
     k = basis.shape[0]
-    base = s.base if isinstance(s, Flat) else np.zeros(basis.shape[1])
     if k == 0:
         return float(np.linalg.norm(x - base)), 0.0
     center = basis @ (x - base)
