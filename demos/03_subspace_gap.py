@@ -1,9 +1,11 @@
-"""The gap metric on subspaces and its two independent computations.
+"""The gap metric on subspaces and its two formulas.
 
 The gap between subspaces is the Hausdorff distance between their unit
-balls.  It has a spectral formula (largest singular value of projector
-compositions) and a direct certified estimate through the ball-supremum
-machinery; the two must agree, and the second cross-checks the first.
+balls.  gap() computes it as the largest singular value of projector
+compositions.  gap_direct() computes it as the truncated Hausdorff distance
+of the unit-ball slices; on subspaces that is also a closed-form operator
+norm, ||B_v (I - P_w)||, not the ball-supremum estimator.  The two must
+agree, but they are two spectral formulas, not two independent methods.
 """
 
 import math
@@ -30,9 +32,9 @@ for deg in (0, 30, 45, 90):
     print(f"  angle {deg:3d}: gap = {gap(line(0), line(deg)):.6f}, sin = {math.sin(math.radians(deg)):.6f}")
 print()
 
-print("The direct estimate agrees within its certified width:")
+print("The slice formula agrees with the projector formula:")
 iv = gap_direct(line(0), line(30), 1e-3)
-print(f"  spectral {gap(line(0), line(30)):.6f} vs direct [{iv.lo:.6f}, {iv.hi:.6f}]")
+print(f"  projectors {gap(line(0), line(30)):.6f} vs slices [{iv.lo:.6f}, {iv.hi:.6f}]")
 print()
 
 print("Taking orthogonal complements is an isometry for the gap:")

@@ -75,10 +75,15 @@ def gap_direct(
     eps: float = 1e-3,
     tol: ToleranceConfig | None = None,
 ) -> Interval:
-    """Certified interval for the gap computed through set geometry: the
-    Hausdorff distance between the unit-ball slices of the two subspaces,
-    which the distance-gap estimator evaluates without forming the
-    projector difference used by gap()."""
+    """Interval for the gap as the Hausdorff distance between the unit-ball
+    slices of the two subspaces, through sup_distance_gap at radius 1.
+
+    On a subspace pair sup_distance_gap evaluates the closed-form operator
+    norm ||B_v (I - P_w)||, the larger of both orders, not the ball_sup
+    estimator; the interval is that one value.  It forms no projector
+    difference, unlike gap(), but it is a second spectral formula rather
+    than an independent numerical oracle.  eps is not used on this route.
+    """
     check_same_ambient(v, w)
     return sup_distance_gap(v, w, 1.0, eps, tol)
 

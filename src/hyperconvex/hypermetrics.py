@@ -1,14 +1,30 @@
 """Hyperspace metrics on convex sets, reported as enclosing intervals.
 
-Exact routes are used wherever the geometry admits one: generator-based
-Hausdorff distance for polytope pairs, and a spectral reduction for a pair
-of subspaces cut by a common ball (inside the ball the truncated distance
-to a subspace coincides with the plain orthogonal residual, so the
-one-sided sup is an operator norm).  Everything else runs through a
-hierarchical branch-and-bound over box covers of the ball: boxes are
-evaluated at centers clamped into the domain, bounded above through
-Lipschitz slack, corner values (for convex objectives) and global caps,
-then split along their widest axis until the requested width is certified.
+The truncations behind the Attouch-Wets metric rest on one lemma.  For a
+closed convex C containing the origin, proj_C is non-expansive and fixes 0,
+so |proj_C(x)| <= |x|; on the r-ball this gives d(x, C ∩ rB) = d(x, C), and
+so, for a pair A, B of such sets,
+
+    hausdorff(A ∩ rB, B ∩ rB) = sup over the r-ball of |d(., A) - d(., B)|
+
+(Beer, Topologies on Closed and Closed Convex Sets, 1993).  The truncated
+Hausdorff distance (truncated_hausdorff, and the j-terms of aw_origin)
+therefore takes one of three routes, none of which truncates a set:
+
+* a pair without a polytope (subspaces, and flats that contain the origin
+  up to tau_geom) takes the spectral formula on the direction spans, an
+  operator norm; a flat's offset from the origin widens the interval;
+* a pair of polytopes inside the ball is its Hausdorff distance, attained
+  at generators because the distance to a convex set is convex;
+* every other pair takes the ambient sup of the lemma (for a set that
+  misses the origin by up to tau_geom, the lemma holds to within about
+  that much).
+
+Ambient sups run through a hierarchical branch-and-bound over box covers of
+the ball: boxes are evaluated at centers clamped into the domain, bounded
+above through Lipschitz slack, corner values (for convex objectives) and
+global caps, then split along their widest axis until the requested width
+is certified.
 
 Every interval returned encloses the true value.  certified=False marks a
 width request missed because an evaluation budget ran out; the enclosure
@@ -17,7 +33,6 @@ itself still holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,9 +46,8 @@ from .projection import (
     contains,
     distance_evaluator,
     flat_min_norm_point,
-    truncated_distance_evaluator,
 )
-from .sets import ConvexSet, Flat, Polytope, Subspace, check_same_ambient
+from .sets import ConvexSet, Polytope, Subspace, check_same_ambient
 
 
 @dataclass(frozen=True)
@@ -193,16 +207,12 @@ def ball_sup(
 # exact pieces
 
 
-def _canonical_points(p: Polytope) -> np.ndarray:
-    return np.unique(p.points, axis=0)
-
-
 def same_representation(a: ConvexSet, b: ConvexSet) -> bool:
     """True when the two descriptions are literally the same set data."""
     if type(a) is not type(b):
         return False
     if isinstance(a, Polytope):
-        pa, pb = _canonical_points(a), _canonical_points(b)
+        pa, pb = np.unique(a.points, axis=0), np.unique(b.points, axis=0)
         return pa.shape == pb.shape and np.array_equal(pa, pb)
     return np.array_equal(a.basis, b.basis) and np.array_equal(a.base, b.base)
 
@@ -220,22 +230,29 @@ def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) ->
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
         raise HyperconvexError("hausdorff takes polytope pairs only")
     check_same_ambient(a, b)
-    d_ab = float(distance_evaluator(b)(a.points).max())
-    d_ba = float(distance_evaluator(a)(b.points).max())
-    return max(d_ab, d_ba)
+    return _generator_hausdorff(a, b, distance_evaluator(a), distance_evaluator(b))
 
 
-def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], float]]:
+def _generator_hausdorff(a: Polytope, b: Polytope, fa, fb) -> float:
+    """hausdorff(a, b) from the distance evaluators fa and fb of a and b."""
+    return max(float(fb(a.points).max()), float(fa(b.points).max()))
+
+
+def _gap_caps(
+    a: ConvexSet, b: ConvexSet, fa=None, fb=None
+) -> tuple[float, Callable[[float], float]]:
     """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
 
     h holds for every radius at once (inf when none is known): the Hausdorff
     distance of a polytope pair, the offset of two translate flats.  cap(r)
     holds for one radius; for flats with different directions it is the
-    offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.
+    offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.  A
+    polytope pair needs fa and fb, the distance evaluators of a and b, for
+    its Hausdorff distance.
     """
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if pa or pb:
-        h = hausdorff(a, b) if pa and pb else np.inf
+        h = _generator_hausdorff(a, b, fa, fb) if pa and pb else np.inf
         return h, lambda r: h
     Pa = a.basis.T @ a.basis
     Pb = b.basis.T @ b.basis
@@ -295,9 +312,14 @@ def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
 
 
 def _explore_terms(
-    obj: Callable[[np.ndarray], np.ndarray], a: ConvexSet, b: ConvexSet, j_cap: int
+    a: ConvexSet,
+    b: ConvexSet,
+    fa: Callable[[np.ndarray], np.ndarray],
+    fb: Callable[[np.ndarray], np.ndarray],
+    j_cap: int,
 ) -> float:
-    """Sound lower bound for max_j min(1/j, sup over jB of obj)."""
+    """Sound lower bound for max_j min(1/j, sup over jB of |fa - fb|), with
+    fa and fb the distance evaluators of a and b."""
     n = check_same_ambient(a, b)
     rng = np.random.default_rng(_PROBE_SEED)
     dirs = _unit_directions(a, b, n, rng)
@@ -307,7 +329,7 @@ def _explore_terms(
         if isinstance(s, Polytope):
             rows.append(s.points)
     X = _clamp_rows(np.concatenate(rows), float(j_cap))
-    vals = _eval_chunked(obj, X)
+    vals = np.abs(_eval_chunked(fa, X) - _eval_chunked(fb, X))
     nrm = np.linalg.norm(X, axis=1)
     j_of = np.clip(np.ceil(nrm - 1e-9), 1, j_cap)
     best = np.minimum(1.0 / j_of, vals)
@@ -315,21 +337,12 @@ def _explore_terms(
 
 
 # ---------------------------------------------------------------------------
-# one-sided sups over truncated sets
+# truncated Hausdorff distance of origin-containing sets
 
 
-def _coord_map(src: Flat | Subspace, r: float):
-    """(dim, coord radius, embed) presenting src ∩ rB as an isometric image
-    of a coordinate ball."""
-    p = flat_min_norm_point(src)
-    nu = float(np.linalg.norm(p))
-    rho = math.sqrt(max(r * r - nu * nu, 0.0))
-    B = src.basis
-    return B.shape[0], rho, lambda C: p + np.atleast_2d(C) @ B
-
-
-def _subspace_pair_one_sided(src: Subspace, dst: Subspace, r: float) -> float:
-    """Exact sup_{x in src∩rB} d(x, dst∩rB).
+def _subspace_pair_one_sided(src: ConvexSet, dst: ConvexSet, r: float) -> float:
+    """Exact sup_{x in src∩rB} d(x, dst∩rB) for two subspaces, read off the
+    direction spans (basis) of src and dst.
 
     Inside the ball the projection onto dst stays inside the ball, so the
     truncated distance equals the orthogonal residual and the sup is r
@@ -340,46 +353,6 @@ def _subspace_pair_one_sided(src: Subspace, dst: Subspace, r: float) -> float:
     n = src.ambient_dim
     N = src.basis @ (np.eye(n) - dst.basis.T @ dst.basis)
     return r * float(np.linalg.norm(N, 2))
-
-
-def _one_sided_sup(
-    src: ConvexSet,
-    dst: ConvexSet,
-    r: float,
-    eps: float,
-    *,
-    stop_below: float,
-    stop_above: float,
-    budget: int,
-) -> SupEstimate:
-    """sup_{x in src∩rB} d(x, dst∩rB) for src a flat, subspace, or polytope
-    contained in the ball (the objective is convex, so polytope sups sit at
-    generators)."""
-    g = truncated_distance_evaluator(dst, r)
-    if isinstance(src, Polytope):
-        pts = _canonical_points(src)
-        v = float(g(pts).max())
-        return SupEstimate(v, v, True, pts.shape[0])
-    dim, rho, embed = _coord_map(src, r)
-    n = src.ambient_dim
-    g0 = float(g(np.zeros((1, n)))[0])
-    hub = r + g0
-
-    def f(C: np.ndarray) -> np.ndarray:
-        return g(embed(C))
-
-    rng = np.random.default_rng(_PROBE_SEED)
-    if dim:
-        extra = rng.standard_normal((2 * dim + 16, dim))
-        extra *= rho / np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-12)
-        seeds = np.concatenate([np.zeros((1, dim)), rho * np.eye(dim), -rho * np.eye(dim), extra])
-    else:
-        seeds = None
-    return ball_sup(
-        f, dim, rho, lip=1.0, eps=eps, hub=hub,
-        stop_below=stop_below, stop_above=stop_above,
-        convex=True, budget=budget, seeds=seeds,
-    )
 
 
 def _ambient_sup_estimate(
@@ -412,6 +385,8 @@ def _ambient_sup_estimate(
 def _th_estimate(
     a: ConvexSet,
     b: ConvexSet,
+    fa: Callable[[np.ndarray], np.ndarray],
+    fb: Callable[[np.ndarray], np.ndarray],
     r: float,
     eps: float,
     cfg: ToleranceConfig,
@@ -421,43 +396,30 @@ def _th_estimate(
     stop_above: float = np.inf,
     budget: int = 1_500_000,
 ) -> SupEstimate:
-    """Hausdorff distance between a∩rB and b∩rB, both sets containing the
-    origin (callers check), given cap = _gap_caps(a, b)[1](r), which is the
-    Hausdorff distance of a polytope pair.  Dispatches to the cheapest sound
-    route."""
-    if same_representation(a, b):
-        return SupEstimate(0.0, 0.0, True, 0)
-    if isinstance(a, Subspace) and isinstance(b, Subspace):
+    """Hausdorff distance between a∩rB and b∩rB for two sets that contain
+    the origin up to tau_geom (callers check), with fa and fb their distance
+    evaluators and cap = _gap_caps(a, b)[1](r).
+
+    Pairs without a polytope take the spectral formula on their direction
+    spans.  The r-ball slice of a flat at distance nu from the origin lies
+    within Hausdorff distance nu (1 + nu / r) of its direction span's slice,
+    so the interval widens by that much per flat; subspaces widen by
+    exactly 0.  A polytope pair inside the ball is its
+    Hausdorff distance, which cap holds.  Every other pair takes the
+    ambient identity: the truncated Hausdorff distance of origin-containing
+    sets is sup over the r-ball of |d(., a) - d(., b)|.
+    """
+    pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
+    if not (pa or pb):
         v = max(_subspace_pair_one_sided(a, b, r), _subspace_pair_one_sided(b, a, r))
-        return SupEstimate(v, v, True, 0)
-
-    def cut(s: ConvexSet) -> bool:
-        return isinstance(s, Polytope) and float(np.linalg.norm(s.points, axis=1).max()) > r
-
-    if isinstance(a, Polytope) and isinstance(b, Polytope) and not cut(a) and not cut(b):
-        v = cap  # the Hausdorff distance of the pair
-        return SupEstimate(v, v, True, a.points.shape[0] + b.points.shape[0])
-    if cut(a) or cut(b):
-        # ball cuts a hull: fall back on the ambient identity, which equals
-        # the truncated Hausdorff distance for origin-containing sets
-        hub = min(cap, r + cfg.tau_geom)
-        return _ambient_sup_estimate(
-            a, b, distance_evaluator(a), distance_evaluator(b), r, eps,
-            stop_below=stop_below, stop_above=stop_above, budget=budget, hub=hub,
-        )
-    e1 = _one_sided_sup(
-        a, b, r, eps, stop_below=stop_below, stop_above=stop_above, budget=budget // 2
-    )
-    if e1.lo >= stop_above:
-        return SupEstimate(e1.lo, max(e1.hi, 2 * r), e1.certified, e1.evals)
-    e2 = _one_sided_sup(
-        b, a, r, eps,
-        stop_below=max(stop_below, e1.lo),
-        stop_above=stop_above,
-        budget=max(budget - e1.evals, budget // 2),
-    )
-    return SupEstimate(
-        max(e1.lo, e2.lo), max(e1.hi, e2.hi), e1.certified and e2.certified, e1.evals + e2.evals
+        nus = [float(np.linalg.norm(flat_min_norm_point(s))) for s in (a, b)]
+        slack = sum(nu * (1.0 + nu / r) for nu in nus)
+        return SupEstimate(max(v - slack, 0.0), v + slack, True, 0)
+    if pa and pb and max(float(np.linalg.norm(s.points, axis=1).max()) for s in (a, b)) <= r:
+        return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
+    return _ambient_sup_estimate(
+        a, b, fa, fb, r, eps, stop_below=stop_below, stop_above=stop_above,
+        budget=budget, hub=min(cap, r + cfg.tau_geom),
     )
 
 
@@ -471,18 +433,21 @@ def truncated_hausdorff(
 ) -> Interval:
     """Certified interval for the Hausdorff distance between a ∩ rB and
     b ∩ rB.  Requires both sets to contain the origin (up to tau_geom),
-    which makes the exact dispatch routes valid."""
+    which makes the routes of the module docstring valid."""
     cfg = resolve(tol)
     check_same_ambient(a, b)
     if not radius > 0:
         raise HyperconvexError("radius must be positive")
+    if not eps > 0:
+        raise HyperconvexError("eps must be positive")
     for s in (a, b):
         if not contains(s, np.zeros(s.ambient_dim), cfg.tau_geom):
             raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    _, cap = _gap_caps(a, b)
-    est = _th_estimate(a, b, radius, eps, cfg, cap(radius), budget=budget)
+    fa, fb = distance_evaluator(a), distance_evaluator(b)
+    _, cap = _gap_caps(a, b, fa, fb)
+    est = _th_estimate(a, b, fa, fb, radius, eps, cfg, cap(radius), budget=budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -511,12 +476,13 @@ def sup_distance_gap(
         raise HyperconvexError("eps must be positive")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    _, cap = _gap_caps(a, b)
+    fa, fb = distance_evaluator(a), distance_evaluator(b)
+    _, cap = _gap_caps(a, b, fa, fb)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(a, b, radius, eps, cfg, cap(radius), budget=budget)
+        est = _th_estimate(a, b, fa, fb, radius, eps, cfg, cap(radius), budget=budget)
     else:
         est = _ambient_sup_estimate(
-            a, b, distance_evaluator(a), distance_evaluator(b), radius, eps,
+            a, b, fa, fb, radius, eps,
             stop_below=-np.inf, stop_above=np.inf, budget=budget, hub=cap(radius),
         )
     return Interval(est.lo, est.hi, est.certified)
@@ -585,14 +551,9 @@ def attouch_wets(
     check_same_ambient(a, b)
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    fa = distance_evaluator(a)
-    fb = distance_evaluator(b)
-
-    def obj(X: np.ndarray) -> np.ndarray:
-        return np.abs(fa(X) - fb(X))
-
-    run_lo0 = _explore_terms(obj, a, b, p.j_cap)
-    h_const, cap = _gap_caps(a, b)
+    fa, fb = distance_evaluator(a), distance_evaluator(b)
+    run_lo0 = _explore_terms(a, b, fa, fb, p.j_cap)
+    h_const, cap = _gap_caps(a, b, fa, fb)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _ambient_sup_estimate(
@@ -602,44 +563,6 @@ def attouch_wets(
         )
 
     return _j_sweep(term, cap, h_const, p, run_lo0)
-
-
-def _origin_samples(s: ConvexSet, r: float, rng: np.random.Generator) -> np.ndarray:
-    """A few points of s ∩ rB (valid for origin-containing s: scaling a
-    generator toward the origin stays inside the hull)."""
-    n = s.ambient_dim
-    if isinstance(s, Polytope):
-        P = _canonical_points(s)
-        nrm = np.linalg.norm(P, axis=1)
-        scale = np.minimum(1.0, r / np.maximum(nrm, 1e-300))
-        return P * scale[:, None]
-    p = flat_min_norm_point(s)
-    nu = float(np.linalg.norm(p))
-    if nu > r:
-        return np.zeros((0, n))
-    k = s.dim
-    if k == 0:
-        return p[None, :]
-    rho = math.sqrt(max(r * r - nu * nu, 0.0))
-    extra = rng.standard_normal((2 * k + 8, k))
-    extra *= rho / np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-12)
-    C = np.concatenate([rho * np.eye(k), -rho * np.eye(k), extra])
-    return p + C @ s.basis
-
-
-def _explore_origin(a: ConvexSet, b: ConvexSet, j_cap: int) -> float:
-    rng = np.random.default_rng(_PROBE_SEED)
-    best = 0.0
-    js = [j for j in _LADDER if j <= j_cap] + [j_cap]
-    for j in js:
-        r = float(j)
-        for src, dst in ((a, b), (b, a)):
-            pts = _origin_samples(src, r, rng)
-            if pts.shape[0] == 0:
-                continue
-            v = float(truncated_distance_evaluator(dst, r)(pts).max())
-            best = max(best, min(1.0 / j, v))
-    return best
 
 
 def aw_origin(
@@ -654,9 +577,12 @@ def aw_origin(
         sup over j >= 1 of min(1/j, hausdorff(a ∩ jB, b ∩ jB)).
 
     For origin-containing sets this equals the ambient-grid value computed
-    by attouch_wets; the two implementations share no estimation route for
-    subspace and contained-polytope pairs, which makes their agreement a
-    meaningful cross-check.
+    by attouch_wets (see the module docstring).  Both start from the same
+    exploration lower bound, but the j-terms of subspace, flat and
+    contained-polytope pairs come from the spectral formula and the
+    Hausdorff distance, which share no estimation route with attouch_wets;
+    that keeps their agreement a meaningful cross-check.  Pairs with a
+    ball-cut polytope take the ambient estimate, as attouch_wets does.
     """
     cfg = resolve(tol)
     p = params or AWParams()
@@ -666,13 +592,13 @@ def aw_origin(
             raise HyperconvexError("aw_origin requires both sets to contain the origin")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-
-    run_lo0 = _explore_origin(a, b, p.j_cap)
-    h_const, cap = _gap_caps(a, b)
+    fa, fb = distance_evaluator(a), distance_evaluator(b)
+    run_lo0 = _explore_terms(a, b, fa, fb, p.j_cap)
+    h_const, cap = _gap_caps(a, b, fa, fb)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _th_estimate(
-            a, b, float(j), p.eps_sup, cfg, cap(float(j)),
+            a, b, fa, fb, float(j), p.eps_sup, cfg, cap(float(j)),
             stop_below=stop_below, stop_above=stop_above, budget=p.budget,
         )
 

@@ -17,12 +17,12 @@ switch sits at 25 pieces, where the measured evaluator traffic of the tests,
 demos and benchmark rounds costs least (see _ENUM_MAX_PIECES).
 Single points (metric_projection, Dykstra) stay on the scalar min_norm_point.
 
-Ball-truncated sets (set intersected with a centered closed ball) are needed
-by the hyperspace metrics.  One builder (_truncated_rows) makes their batch
-distance map for every kind: a closed form for flats and subspaces, the plain
-distance_evaluator for a polytope inside the ball, and Dykstra's alternating
-projections, which converge to the metric projection onto the intersection,
-for a ball-cut polytope.  truncated_distance_evaluator returns that map and
+Ball-truncated sets (set intersected with a centered closed ball) get their
+batch distance map from one builder (_truncated_rows) for every kind: a
+closed form for flats and subspaces, the plain distance_evaluator for a
+polytope inside the ball, and Dykstra's alternating projections, which
+converge to the metric projection onto the intersection, for a ball-cut
+polytope.  truncated_distance_evaluator returns that map and
 truncated_distance evaluates it at one point.
 """
 
@@ -47,6 +47,11 @@ _EPS = float(np.finfo(float).eps)
 
 # ---------------------------------------------------------------------------
 # minimum-norm point (Wolfe active set)
+
+
+def _wolfe_cap(pts: np.ndarray) -> int:
+    """Major-iteration cap of the Wolfe solvers for the generators pts."""
+    return max(10 * pts.shape[0] * pts.shape[1], 50)
 
 
 def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
@@ -339,8 +344,7 @@ def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
     x = _query(s, x)
     if isinstance(s, Polytope):
         pts = np.unique(s.points, axis=0)
-        cap = max(10 * pts.shape[0] * s.ambient_dim, 50)
-        w, _ = min_norm_point(pts - x, gap_tol=cfg.tau_geom**2, max_iter=cap)
+        w, _ = min_norm_point(pts - x, gap_tol=cfg.tau_geom**2, max_iter=_wolfe_cap(pts))
         return x + w, float(np.linalg.norm(w))
     base = s.base
     point = base + (s.basis @ (x - base)) @ s.basis
@@ -390,7 +394,7 @@ def _dykstra_polytope_ball(pts, x, radius, move_tol, max_iter=20000):
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     gap_tol = move_tol**2
-    cap = max(10 * pts.shape[0] * pts.shape[1], 50)
+    cap = _wolfe_cap(pts)
     for _ in range(max_iter):
         z = b + p
         w, _ = min_norm_point(pts - z, gap_tol=gap_tol, max_iter=cap)
@@ -503,7 +507,7 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
 
         return f_point
     if _face_pieces(*pts.shape) > _ENUM_MAX_PIECES:
-        cap = max(10 * pts.shape[0] * pts.shape[1], 50)
+        cap = _wolfe_cap(pts)
 
         def f_wolfe(X: np.ndarray) -> np.ndarray:
             W, _ = _min_norm_rows(pts, np.atleast_2d(X), gap_tol=1e-18, max_iter=cap)
