@@ -20,11 +20,10 @@ therefore takes one of three routes, none of which truncates a set:
   misses the origin by up to tau_geom, the lemma holds to within about
   that much).
 
-Ambient sups run through a hierarchical branch-and-bound over box covers of
-the ball: boxes are evaluated at centers clamped into the domain, bounded
-above through Lipschitz slack, corner values (for convex objectives) and
-global caps, then split along their widest axis until the requested width
-is certified.
+Ambient sups (ball_sup) run through a hierarchical branch-and-bound over box
+covers of the ball: boxes are evaluated at centers clamped into the domain,
+bounded above through Lipschitz slack and the pair's cap, then split along
+their widest axis until the requested width is certified.
 
 Every interval returned encloses the true value.  certified=False marks a
 width request missed because an evaluation budget ran out; the enclosure
@@ -43,9 +42,9 @@ from .errors import HyperconvexError
 from .intervals import Interval
 from .projection import (
     _clamp_rows,
-    contains,
     distance_evaluator,
     flat_min_norm_point,
+    nearest_point,
 )
 from .sets import ConvexSet, Polytope, Subspace, check_same_ambient
 
@@ -94,69 +93,47 @@ def _eval_chunked(f: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> np.nd
     return np.concatenate(parts)
 
 
-def _corner_signs(dim: int) -> np.ndarray:
-    grid = np.indices((2,) * dim).reshape(dim, -1).T
-    return grid * 2.0 - 1.0
-
-
 def ball_sup(
-    f: Callable[[np.ndarray], np.ndarray],
-    dim: int,
+    a: ConvexSet,
+    b: ConvexSet,
+    fa: Callable[[np.ndarray], np.ndarray],
+    fb: Callable[[np.ndarray], np.ndarray],
     radius: float,
-    *,
-    lip: float,
     eps: float,
-    hub: float = np.inf,
-    stop_below: float = -np.inf,
-    stop_above: float = np.inf,
-    convex: bool = False,
-    budget: int = 1_500_000,
-    seeds: np.ndarray | None = None,
+    *,
+    stop_below: float,
+    stop_above: float,
+    budget: int,
+    hub: float,
 ) -> SupEstimate:
-    """Certified estimate of sup f over the closed radius-ball in R^dim.
-
-    f maps row batches to values and must be lip-Lipschitz on R^dim (it is
-    evaluated outside the ball only for the convex corner bound).  hub is an
-    optional known upper bound for the sup.  Early exits: once the lower
-    bound reaches stop_above, or once the upper bound drops to stop_below,
-    the estimate returns without tightening further; both exits still
-    return a valid enclosure.
+    """Certified estimate of sup over the closed radius-ball of |fa - fb|,
+    with fa and fb the distance evaluators of a and b, starting from the
+    pair's probe points; |fa - fb| is 2-Lipschitz and hub (inf when none is
+    known) bounds the sup.  Early exits: once the lower bound reaches
+    stop_above, or once the upper bound drops to stop_below, the estimate
+    returns without tightening further; both still return an enclosure.
 
     Soundness of the center evaluation: clamping a box center into the ball
     is non-expansive, so the clamped center is within the box half-diagonal
     of every domain point of the box.
     """
-    if dim == 0:
-        v = float(_eval_chunked(f, np.zeros((1, 0)))[0])
-        return SupEstimate(v, v, True, 1)
+    dim = check_same_ambient(a, b)
 
-    signs = _corner_signs(dim) if convex and dim <= 8 else None
+    def f(X: np.ndarray) -> np.ndarray:
+        return np.abs(fa(X) - fb(X))
+
     C = np.zeros((1, dim))
     H = np.full((1, dim), float(radius))
-    lb = -np.inf
     resolved = -np.inf
-    evals = 0
-
-    if seeds is not None and seeds.size:
-        Y = _clamp_rows(np.asarray(seeds, dtype=float).reshape(-1, dim), radius)
-        lb = float(_eval_chunked(f, Y).max())
-        evals += Y.shape[0]
+    Y = _clamp_rows(_ambient_probes(a, b, radius), radius)
+    lb = float(_eval_chunked(f, Y).max())
+    evals = Y.shape[0]
 
     while True:
-        m = C.shape[0]
         vals = _eval_chunked(f, _clamp_rows(C, radius))
-        evals += m
+        evals += C.shape[0]
         lb = max(lb, float(vals.max()))
-
-        rho = np.linalg.norm(H, axis=1)
-        ub = vals + lip * rho
-        if signs is not None and m * signs.shape[0] <= (1 << 18):
-            corners = (C[:, None, :] + signs[None, :, :] * H[:, None, :]).reshape(-1, dim)
-            cvals = _eval_chunked(f, corners).reshape(m, -1).max(axis=1)
-            evals += corners.shape[0]
-            np.minimum(ub, cvals, out=ub)
-        if hub < np.inf:
-            np.minimum(ub, hub, out=ub)
+        ub = np.minimum(vals + 2.0 * np.linalg.norm(H, axis=1), hub)
 
         hi_now = max(resolved, float(ub.max()), lb)
         if lb >= stop_above:
@@ -165,8 +142,7 @@ def ball_sup(
         threshold = max(lb + eps, stop_below)
         active = ub > threshold
         if not active.all():
-            inactive_max = float(ub[~active].max()) if (~active).any() else -np.inf
-            resolved = max(resolved, inactive_max)
+            resolved = max(resolved, float(ub[~active].max()))
         if not active.any():
             return SupEstimate(lb, max(resolved, lb), True, evals)
         if evals >= budget:
@@ -355,33 +331,6 @@ def _subspace_pair_one_sided(src: ConvexSet, dst: ConvexSet, r: float) -> float:
     return r * float(np.linalg.norm(N, 2))
 
 
-def _ambient_sup_estimate(
-    a: ConvexSet,
-    b: ConvexSet,
-    fa: Callable[[np.ndarray], np.ndarray],
-    fb: Callable[[np.ndarray], np.ndarray],
-    r: float,
-    eps: float,
-    *,
-    stop_below: float,
-    stop_above: float,
-    budget: int,
-    hub: float,
-) -> SupEstimate:
-    """sup over the r-ball of |fa - fb|, with fa and fb the distance
-    evaluators of a and b."""
-    n = check_same_ambient(a, b)
-
-    def obj(X: np.ndarray) -> np.ndarray:
-        return np.abs(fa(X) - fb(X))
-
-    return ball_sup(
-        obj, n, r, lip=2.0, eps=eps, hub=hub,
-        stop_below=stop_below, stop_above=stop_above,
-        convex=False, budget=budget, seeds=_ambient_probes(a, b, r),
-    )
-
-
 def _th_estimate(
     a: ConvexSet,
     b: ConvexSet,
@@ -417,7 +366,7 @@ def _th_estimate(
         return SupEstimate(max(v - slack, 0.0), v + slack, True, 0)
     if pa and pb and max(float(np.linalg.norm(s.points, axis=1).max()) for s in (a, b)) <= r:
         return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
-    return _ambient_sup_estimate(
+    return ball_sup(
         a, b, fa, fb, r, eps, stop_below=stop_below, stop_above=stop_above,
         budget=budget, hub=min(cap, r + cfg.tau_geom),
     )
@@ -441,7 +390,7 @@ def truncated_hausdorff(
     if not eps > 0:
         raise HyperconvexError("eps must be positive")
     for s in (a, b):
-        if not contains(s, np.zeros(s.ambient_dim), cfg.tau_geom):
+        if nearest_point(s, cfg)[1] > cfg.tau_geom:
             raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
@@ -481,7 +430,7 @@ def sup_distance_gap(
     if isinstance(a, Subspace) and isinstance(b, Subspace):
         est = _th_estimate(a, b, fa, fb, radius, eps, cfg, cap(radius), budget=budget)
     else:
-        est = _ambient_sup_estimate(
+        est = ball_sup(
             a, b, fa, fb, radius, eps,
             stop_below=-np.inf, stop_above=np.inf, budget=budget, hub=cap(radius),
         )
@@ -556,7 +505,7 @@ def attouch_wets(
     h_const, cap = _gap_caps(a, b, fa, fb)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
-        return _ambient_sup_estimate(
+        return ball_sup(
             a, b, fa, fb, float(j), p.eps_sup,
             stop_below=stop_below, stop_above=stop_above,
             budget=p.budget, hub=cap(float(j)),
@@ -588,7 +537,7 @@ def aw_origin(
     p = params or AWParams()
     check_same_ambient(a, b)
     for s in (a, b):
-        if not contains(s, np.zeros(s.ambient_dim), cfg.tau_geom):
+        if nearest_point(s, cfg)[1] > cfg.tau_geom:
             raise HyperconvexError("aw_origin requires both sets to contain the origin")
     if same_representation(a, b):
         return Interval(0.0, 0.0)

@@ -15,15 +15,16 @@ which is exact per point; above it they run the same Wolfe scheme on a block
 of rows in lockstep (_min_norm_rows), certified by each row's Wolfe gap.  The
 switch sits at 25 pieces, where the measured evaluator traffic of the tests,
 demos and benchmark rounds costs least (see _ENUM_MAX_PIECES).
-Single points (metric_projection, Dykstra) stay on the scalar min_norm_point.
+Single points stay on the scalar min_norm_point.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
-closed form for flats and subspaces, the plain distance_evaluator for a
-polytope inside the ball, and Dykstra's alternating projections, which
-converge to the metric projection onto the intersection, for a ball-cut
-polytope.  truncated_distance_evaluator returns that map and
-truncated_distance evaluates it at one point.
+closed form for flats and subspaces, and the multiplier identity for
+polytopes.  When C meets the r-ball, the nearest point of C ∩ rB to x is
+P_C(t* x) with t* = 1 / (1 + mu), mu the ball's KKT multiplier, and the t in
+[0, 1] with |P_C(t x)| <= r form [0, t*] (Bauschke and Combettes, Convex
+Analysis and Monotone Operator Theory, 2011).  truncated_distance_evaluator
+returns that map and truncated_distance evaluates it at one point.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
     s = Q.shape[0]
     if s == 1:
         return np.ones(1)
+    # Q Q^T grows like scale^2 beside the border of ones, which then falls
+    # below lstsq's cutoff; alpha is the same for every positive multiple of Q
+    big = float(np.abs(Q).max())
+    if big > 0:
+        Q = Q / big
     bordered = np.zeros((s + 1, s + 1))
     bordered[0, 1:] = 1.0
     bordered[1:, 0] = 1.0
@@ -388,29 +394,6 @@ def flat_min_norm_point(f: Flat) -> np.ndarray:
     return f.base - (f.basis @ f.base) @ f.basis
 
 
-def _dykstra_polytope_ball(pts, x, radius, move_tol, max_iter=20000):
-    """Projection of x onto conv(pts) ∩ radius-ball via Dykstra."""
-    b = x.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    gap_tol = move_tol**2
-    cap = _wolfe_cap(pts)
-    for _ in range(max_iter):
-        z = b + p
-        w, _ = min_norm_point(pts - z, gap_tol=gap_tol, max_iter=cap)
-        a = z + w
-        p = z - a
-        z = a + q
-        b_next = _clamp_rows(z, radius)
-        q = z - b_next
-        if np.linalg.norm(b_next - b) < move_tol and np.linalg.norm(a - b_next) < move_tol:
-            return b_next
-        b = b_next
-    raise ConvergenceError(
-        "alternating projections did not converge", best=b, residual=float(np.linalg.norm(a - b))
-    )
-
-
 def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = None) -> float:
     """d(x, set ∩ closed ball of radius L around the origin).
 
@@ -531,37 +514,75 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     return f_poly
 
 
+def _ball_cut_point(project, x, p0, y1, radius, tol):
+    """P_C(lo x) within tol of P_C(t* x), for a row whose y1 = P_C(x) leaves
+    the ball, with project(y) = P_C(y) and p0 = P_C(0) in the ball.
+
+    The bracket [lo, hi] keeps P_C(lo x) in the ball and P_C(hi x) outside
+    until |x| (hi - lo) <= tol, as P_C is 1-Lipschitz.  P_C(t x) is affine in
+    t on a face, so a step goes where the chord from P_C(lo x) to P_C(hi x)
+    leaves the ball (t* once both ends share its face), tol / 3 toward the
+    longer end so the next step can close the bracket.  A step after one
+    that did not halve the bracket bisects.
+    """
+    lo, hi, y_lo, y_hi = 0.0, 1.0, p0, y1
+    step = tol / float(np.linalg.norm(x))
+    last = np.inf
+    while hi - lo > step:
+        width = hi - lo
+        # larger root s of |y_lo + s d| = radius, in [0, 1) as |y_lo| <= radius
+        d = y_hi - y_lo
+        a, b, c = d @ d, y_lo @ d, min(y_lo @ y_lo - radius * radius, 0.0)
+        root = math.sqrt(b * b - a * c)
+        t = lo + width * (-c / (b + root) if b > 0 else (root - b) / a)
+        t += step / 3 if hi - t > t - lo else -step / 3
+        if width > 0.5 * last or not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        last = width
+        y = project(t * x)
+        if float(np.linalg.norm(y)) <= radius:
+            lo, y_lo = t, y
+        else:
+            hi, y_hi = t, y
+    return y_lo
+
+
 def _truncated_rows(
     s: ConvexSet, radius: float, cfg: ToleranceConfig
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batch map X -> d(x_i, set ∩ radius-ball), behind truncated_distance
     and truncated_distance_evaluator.
 
-    Flats and subspaces use the closed form; a polytope inside the ball is
-    its distance_evaluator; a ball-cut polytope runs Dykstra row by row.  The
-    ball may miss the set by tau_geom before EmptyIntersectionError.
+    Flats and subspaces use the closed form.  A polytope row is its metric
+    projection when that lies in the ball, else _ball_cut_point's point.
+    The ball may miss the set by tau_geom before EmptyIntersectionError,
+    and then meets it in the set's nearest point to the origin.
     """
     if not radius > 0:
         raise HyperconvexError("truncation radius must be positive")
     if isinstance(s, Polytope):
-        if float(np.linalg.norm(s.points, axis=1).max()) <= radius:
-            return distance_evaluator(s)
-        pts = np.unique(s.points, axis=0)
-        _, nu = nearest_point(s, cfg)
+        p0, nu = nearest_point(s, cfg)
         if nu > radius + cfg.tau_geom:
             raise EmptyIntersectionError(
                 f"polytope misses the ball: d(0, hull) = {nu:.6g} > {radius:.6g}"
             )
-        move_tol = max(cfg.tau_geom, 1e-12)
+        if nu > radius:
+            return lambda X: np.linalg.norm(np.atleast_2d(X) - p0, axis=1)
+        pts = np.unique(s.points, axis=0)
+        gap_tol, cap, tol = cfg.tau_geom**2, _wolfe_cap(pts), max(cfg.tau_geom, 1e-12)
 
-        def f_cut(X: np.ndarray) -> np.ndarray:
-            X = np.atleast_2d(X)
-            out = np.empty(X.shape[0])
-            for i, x in enumerate(X):
-                out[i] = np.linalg.norm(x - _dykstra_polytope_ball(pts, x, radius, move_tol))
-            return out
+        def project(y: np.ndarray) -> np.ndarray:
+            return y + min_norm_point(pts - y, gap_tol=gap_tol, max_iter=cap)[0]
 
-        return f_cut
+        def row(x: np.ndarray) -> float:
+            w, _ = min_norm_point(pts - x, gap_tol=gap_tol, max_iter=cap)
+            if float(np.linalg.norm(x + w)) > radius:
+                w = _ball_cut_point(project, x, p0, x + w, radius, tol) - x
+            return float(np.linalg.norm(w))
+
+        return lambda X: np.array([row(x) for x in np.atleast_2d(X)], dtype=float)
     p = flat_min_norm_point(s)
     nu = float(np.linalg.norm(p))
     if nu > radius + cfg.tau_geom:
@@ -580,6 +601,6 @@ def _truncated_rows(
 
 
 def truncated_distance_evaluator(s: ConvexSet, radius: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch map X -> d(x_i, set ∩ radius-ball); exact closed forms for
-    flats and subspaces, row-wise Dykstra for ball-cut polytopes."""
+    """Batch map X -> d(x_i, set ∩ radius-ball): closed forms for flats and
+    subspaces, the multiplier point to max(tau_geom, 1e-12) for polytopes."""
     return _truncated_rows(s, radius, resolve(None))

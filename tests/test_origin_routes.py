@@ -31,7 +31,7 @@ from hyperconvex import (
 from conftest import poly, span
 
 TAU = ToleranceConfig().tau_geom
-# Dykstra stops once both of its moves are below max(tau_geom, 1e-12)
+# a ball-cut polytope row is certified to within max(tau_geom, 1e-12)
 MOVE_TOL = max(TAU, 1e-12)
 
 
@@ -129,7 +129,7 @@ def test_line_against_polytope_agrees_with_attouch_wets():
 @pytest.mark.parametrize("r", [1.0, 2.5, 5.0])
 def test_line_against_polytope_truncated_hausdorff_bounds_sampled_distances(r):
     # points of either set inside the ball, measured against the other set's
-    # truncation by the Dykstra evaluator, bound the Hausdorff distance below
+    # truncation by truncated_distance_evaluator, bound the Hausdorff distance below
     line = span((1, 2))
     P = np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])
     tri = Polytope(P)
@@ -198,3 +198,12 @@ def test_truncated_hausdorff_rejects_non_positive_eps(eps):
     P = np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])
     with pytest.raises(HyperconvexError, match="eps must be positive"):
         truncated_hausdorff(Polytope(P), Polytope(1.1 * P), 1.0, eps=eps)
+
+
+def test_origin_checks_take_the_callers_tolerances(monkeypatch):
+    # with an explicit config, a malformed HYPERCONVEX_TOL is never read
+    monkeypatch.setenv("HYPERCONVEX_TOL", "oops")
+    a, b = ORIGIN_PAIRS["polytopes"]
+    cfg = ToleranceConfig()
+    assert truncated_hausdorff(a, b, 2.0, eps=1e-2, tol=cfg).certified
+    assert aw_origin(a, b, AWParams(eps_sup=1e-2), tol=cfg).certified

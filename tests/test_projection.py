@@ -208,3 +208,19 @@ def test_projection_laws_property(pts, x, y):
     assert np.max((s.points - px) @ (xv - px)) < 1e-8
     assert np.linalg.norm(px - py) <= np.linalg.norm(xv - yv) + 1e-8
     assert abs(dx - np.linalg.norm(xv - px)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e8]))
+def test_polytope_projection_is_scale_equivariant(seed, c):
+    # scaling the hull and the query by c scales the nearest point and the
+    # distance by c; below c = 1e-3 the absolute floors of min_norm_point
+    # take over
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+    pts, x = rng.normal(size=(m, n)), 2.0 * rng.normal(size=n)
+    p1, d1 = metric_projection(Polytope(pts), x)
+    pc, dc = metric_projection(Polytope(c * pts), c * x)
+    ref = max(float(np.linalg.norm(x)), float(np.linalg.norm(pts, axis=1).max()))
+    assert np.abs(pc / c - p1).max() <= 1e-12 * ref
+    assert abs(dc / c - d1) <= 1e-12 * ref

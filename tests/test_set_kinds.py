@@ -1,6 +1,7 @@
 """One dispatch per set kind: a subspace is served as the flat through the
-origin, truncated_distance is one row of truncated_distance_evaluator, query
-points are validated at the API boundary, and the pair caps behind the
+origin, truncated_distance is one row of truncated_distance_evaluator, whose
+ball-cut polytope rows sit between weight-grid bounds, query points are
+validated at the API boundary, and the pair caps behind the
 localized-convergence estimators are sound."""
 
 import numpy as np
@@ -15,13 +16,17 @@ from hyperconvex import (
     HyperconvexError,
     Polytope,
     Subspace,
+    ToleranceConfig,
     contains,
     distance_evaluator,
     metric_projection,
+    nearest_point,
     truncated_distance,
     truncated_distance_evaluator,
 )
 from hyperconvex.hypermetrics import _gap_caps
+
+from conftest import grid_distance, weight_grid
 
 
 def _frame(rng, n, k):
@@ -103,7 +108,7 @@ def test_scalar_truncated_distance_is_the_evaluator_row_on_polytopes(seed):
     far = float(np.linalg.norm(pts, axis=1).max())
     X = 2.0 * rng.normal(size=(4, n))
     _assert_rows_match(s, X, 2.0 * far)  # not cut: the plain distance
-    _assert_rows_match(s, X[:2], 0.5 * far)  # cut: Dykstra
+    _assert_rows_match(s, X[:2], 0.5 * far)  # cut: the multiplier search
 
 
 def test_flat_grazing_the_ball_within_tau_geom_is_served_by_both():
@@ -139,6 +144,94 @@ def test_cut_polytope_checks_emptiness_once_per_build(monkeypatch):
     f(X)
     f(X[:2])
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# ball-cut polytopes against a weight-grid oracle
+
+# weight-grid subdivisions per generator count: about 2k grid points each
+_GRID = {2: 300, 3: 60, 4: 22, 5: 13, 6: 10}
+_CUT_TOL = max(ToleranceConfig().tau_geom, 1e-12)
+
+
+def _cut_polytope(rng, n, m, origin):
+    """m generators in R^n, scaled by 10^U(-1, 1); with origin, a convex
+    combination of them is moved to the origin."""
+    pts = rng.normal(size=(m, n)) * 10 ** rng.uniform(-1, 1)
+    if origin:
+        return pts - rng.dirichlet(np.ones(m)) @ pts
+    return pts + rng.normal(size=n) * float(np.abs(pts).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(2, 6),
+    origin=st.booleans(),
+    grazing=st.booleans(),
+)
+def test_ball_cut_polytope_distance_lies_between_grid_bounds(seed, n, m, origin, grazing):
+    # below: d(x, C) from the weight grid, and |x| - r as C ∩ rB lies in the
+    # ball; above: grid points of C inside the ball (for a hull holding the
+    # origin, every grid point pulled radially into the ball stays in C),
+    # and |x| + r
+    rng = np.random.default_rng(seed)
+    pts = _cut_polytope(rng, n, m, origin)
+    s = Polytope(pts)
+    nu = nearest_point(s)[1]
+    reach = float(np.linalg.norm(pts, axis=1).max())
+    r = nu if grazing else float(rng.uniform(nu, reach))
+    if not r > 0:
+        return
+    X = rng.normal(size=(4, n))
+    X *= 3.0 * reach * rng.random((4, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    X[0] = 0.0
+    got = truncated_distance_evaluator(s, r)(X)
+    g = _GRID[m]
+    G = np.array(list(weight_grid(m, g))) @ pts
+    nrm = np.linalg.norm(G, axis=1)
+    G = G * np.minimum(1.0, r / np.maximum(nrm, 1e-300))[:, None] if origin else G[nrm <= r]
+    slack = _CUT_TOL + 1e-12 * reach
+    for x, v in zip(X, got):
+        best, cover = grid_distance(pts, x, g)
+        lower = max(best - cover, float(np.linalg.norm(x)) - r)
+        upper = float(np.linalg.norm(x)) + r
+        if G.size:
+            upper = min(upper, float(np.linalg.norm(G - x, axis=1).min()))
+        assert lower - slack <= v <= upper + slack, (lower, v, upper)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ball_cut_row_takes_few_wolfe_solves(monkeypatch, seed):
+    # the bracket at least halves every second step, which alone allows about
+    # 2 log2(|x| / tol) solves; the chord steps keep a row well inside that
+    rng = np.random.default_rng(seed)
+    n, m = 2 + seed % 3, 3 + seed % 4
+    s = Polytope(_cut_polytope(rng, n, m, origin=seed % 2 == 0))
+    nu = nearest_point(s)[1]
+    reach = float(np.linalg.norm(s.points, axis=1).max())
+    r = nu + float(rng.uniform(0.2, 0.8)) * (reach - nu)
+    f = truncated_distance_evaluator(s, r)
+    calls = []
+    real = projection.min_norm_point
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "min_norm_point", counted)
+    active = 0
+    for x in 3.0 * reach * rng.normal(size=(20, n)):
+        cut = float(np.linalg.norm(metric_projection(s, x)[0])) > r
+        calls.clear()
+        f(x[None, :])
+        if cut:
+            active += 1
+            assert len(calls) <= 2 * np.log2(np.linalg.norm(x) / _CUT_TOL) + 2
+        else:
+            assert len(calls) == 1
+    assert active
 
 
 # ---------------------------------------------------------------------------
