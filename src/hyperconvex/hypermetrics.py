@@ -21,18 +21,32 @@ therefore takes one of three routes, none of which truncates a set:
   that much).
 
 Ambient sups (ball_sup) run through a hierarchical branch-and-bound over box
-covers of the ball: boxes are evaluated at centers clamped into the domain,
-bounded above through Lipschitz slack and the pair's cap, then split along
-their widest axis until the requested width is certified.
+covers of the ball (Horst and Tuy, Global Optimization, 1996): boxes are
+evaluated at centers clamped into the domain, bounded above, then split
+along their widest axis until the requested width is certified.  Two facts
+keep the tree small:
+
+* the search covers only the ball of S, the span of both sets' data: for
+  C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
+  |d(., a) - d(., b)| does not grow with |x_perp|, so two segments on a
+  line search an interval and two lines in any R^n at most a 3-ball;
+* the gap on a box, all of which lies within rho of its clamped center c,
+  is at most the gap at c plus min(2 rho, rho |u_a - u_b| +
+  rho^2 (1/d_a + 1/d_b)), with d the distance and u = (c - P(c)) / d the
+  unit residual of each set at c (_box_bounds).
+  Far from both sets the gap is nearly flat, and this second-order term
+  shrinks with rho^2 where the Lipschitz slack 2 rho would not.
 
 Every interval returned encloses the true value.  certified=False marks a
-width request missed because an evaluation budget ran out; the enclosure
-itself still holds.
+width request missed because an evaluation budget ran out; a term that ran
+out inside a metric whose final width still meets the request leaves it
+certified.  The enclosure itself always holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +56,8 @@ from .errors import HyperconvexError
 from .intervals import Interval
 from .projection import (
     _clamp_rows,
+    _residual_rows,
+    _row_norms,
     distance_evaluator,
     flat_min_norm_point,
     nearest_point,
@@ -83,21 +99,111 @@ class SupEstimate:
     evals: int
 
 
+def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
+    """(B, w0, w1): orthonormal rows B spanning the data of both sets
+    (polytope points, a flat's nearest point to the origin and its basis),
+    None when that span is the whole space.
+
+    Singular directions below tau_rank times the largest are cut.  Within
+    the r-ball each set then lies within delta of S = rowspan(B): the
+    nearest points of a set C to the r-ball lie within r + nu of the origin
+    (nu = d(0, C), P_C is 1-Lipschitz), so delta = max_i |E p_i| for a
+    polytope and |E p0| + (r + nu) ||E V|| for a flat, with E = I - B^T B.
+    That moves the sup over the r-ball by at most 2 (delta_a + delta_b) =
+    w0 + w1 r from the sup over the ball of S (see ball_sup).
+    """
+    rows = []
+    for s in (a, b):
+        if isinstance(s, Polytope):
+            rows.append(s.points)
+        else:
+            rows += [flat_min_norm_point(s)[None, :], s.basis]
+    M = np.concatenate(rows)
+    n = M.shape[1]
+    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    k = max(int((sv > tau_rank * sv[0]).sum()), 1)
+    if k == n:
+        return None, 0.0, 0.0
+    B = Vt[:k]
+    E = np.eye(n) - B.T @ B
+    w0 = w1 = 0.0
+    for s in (a, b):
+        if isinstance(s, Polytope):
+            w0 += float(np.linalg.norm(s.points @ E, axis=1).max())
+        else:
+            p = flat_min_norm_point(s)
+            eta = float(np.linalg.norm(s.basis @ E, 2)) if s.basis.size else 0.0
+            w0 += float(np.linalg.norm(E @ p)) + float(np.linalg.norm(p)) * eta
+            w1 += eta
+    return B, 2.0 * w0, 2.0 * w1
+
+
+class _Pair:
+    """Two sets with their residual maps (projection._residual_rows) and
+    distance maps, built once per public call; the common span is computed
+    on the first ball_sup."""
+
+    def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
+        self.a, self.b, self.cfg = a, b, cfg
+        self.ra, self.rb = _residual_rows(a), _residual_rows(b)
+        self.fa, self.fb = _row_norms(self.ra), _row_norms(self.rb)
+
+    @cached_property
+    def span(self):
+        return _common_span(self.a, self.b, self.cfg.tau_rank)
+
+
 _CHUNK = 1 << 17
 
 
-def _eval_chunked(f: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> np.ndarray:
-    if X.shape[0] <= _CHUNK:
-        return np.asarray(f(X), dtype=float)
-    parts = [np.asarray(f(X[i : i + _CHUNK]), dtype=float) for i in range(0, X.shape[0], _CHUNK)]
+def _eval_chunked(f, *arrays):
+    """f(*arrays) evaluated _CHUNK rows at a time; f returns an array or a
+    tuple of arrays, one row per input row."""
+    rows = arrays[0].shape[0]
+    if rows <= _CHUNK:
+        return f(*arrays)
+    parts = [f(*(v[i : i + _CHUNK] for v in arrays)) for i in range(0, rows, _CHUNK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
 
 
+def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray):
+    """(lo, hi): lo[i] <= |d_a - d_b|(x_i), and hi[i] >= |d_a - d_b| at
+    every point within rho[i] of x_i, from the residual maps ra and rb.
+
+    With r = x - P(x), d = |r| and u = r / d at x, the gap g = d_a - d_b
+    moves by at most min(2 rho, rho |u_a - u_b| + rho^2 (1/d_a + 1/d_b))
+    within rho of x.  I - P is 1-Lipschitz and |p/|p| - q/|q|| <= 2 |p - q|/|q|,
+    so every Clarke gradient of g at z has norm at most |u_a - u_b| +
+    2 |z - x| (1/d_a + 1/d_b).  Along the segment from x to y the slope of
+    g is bounded by those norms (the mean value theorem for Lipschitz
+    functions, Lebourg), and integrating it bounds |g(y) - g(x)| by
+    rho |u_a - u_b| + rho^2 (1/d_a + 1/d_b); |g| is 2-Lipschitz besides.  A row with d = 0 keeps 2 rho.  A residual
+    known to within e (the batched Wolfe route) widens |u_a - u_b| by
+    2 e / d, replaces d by d - e, and widens the value by e on both sides.
+    """
+    Ra, ea = ra(X)
+    Rb, eb = rb(X)
+    da = np.linalg.norm(Ra, axis=1)
+    db = np.linalg.norm(Rb, axis=1)
+    f = np.abs(da - db)
+    err = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.linalg.norm(Ra / da[:, None] - Rb / db[:, None], axis=1)
+        if ea is not None or eb is not None:
+            ea = 0.0 if ea is None else ea
+            eb = 0.0 if eb is None else eb
+            err = ea + eb
+            du += 2.0 * (ea / da + eb / db)
+            da, db = np.clip(da - ea, 0.0, None), np.clip(db - eb, 0.0, None)
+        # fmin: a row with d = 0 has du = nan and keeps 2 rho
+        slack = np.fmin(2.0 * rho, rho * (du + rho * (1.0 / da + 1.0 / db)))
+    return f - err, f + err + slack
+
+
 def ball_sup(
-    a: ConvexSet,
-    b: ConvexSet,
-    fa: Callable[[np.ndarray], np.ndarray],
-    fb: Callable[[np.ndarray], np.ndarray],
+    pair: _Pair,
     radius: float,
     eps: float,
     *,
@@ -106,34 +212,45 @@ def ball_sup(
     budget: int,
     hub: float,
 ) -> SupEstimate:
-    """Certified estimate of sup over the closed radius-ball of |fa - fb|,
-    with fa and fb the distance evaluators of a and b, starting from the
-    pair's probe points; |fa - fb| is 2-Lipschitz and hub (inf when none is
-    known) bounds the sup.  Early exits: once the lower bound reaches
-    stop_above, or once the upper bound drops to stop_below, the estimate
-    returns without tightening further; both still return an enclosure.
+    """Certified estimate of sup over the closed radius-ball of
+    |d(., a) - d(., b)| for the pair's sets a and b, starting from the
+    pair's probe points; hub (inf when none is known) bounds the sup.
+    Early exits: once the lower bound reaches stop_above, or once the upper
+    bound drops to stop_below, the estimate returns without tightening
+    further; both still return an enclosure.
 
-    Soundness of the center evaluation: clamping a box center into the ball
-    is non-expansive, so the clamped center is within the box half-diagonal
-    of every domain point of the box.
+    The search runs over the ball of S, the pair's common span: for sets
+    inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
+    |sqrt(s + t^2) - sqrt(s' + t^2)| does not increase with t, so the sup
+    over the ball is the sup over its slice by S.  A rank cut adds
+    _common_span's w0 + w1 radius to every upper bound.
+
+    Boxes are evaluated at their centers clamped into the ball, which is
+    non-expansive, so the clamped center is within the box half-diagonal rho
+    of every domain point of the box; _box_bounds bounds the box from there.
     """
-    dim = check_same_ambient(a, b)
+    B, w0, w1 = pair.span
+    widen = w0 + w1 * radius
+    k = pair.a.ambient_dim if B is None else B.shape[0]
 
-    def f(X: np.ndarray) -> np.ndarray:
-        return np.abs(fa(X) - fb(X))
+    def bounds(Y: np.ndarray, rho: np.ndarray):
+        return _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, rho)
 
-    C = np.zeros((1, dim))
-    H = np.full((1, dim), float(radius))
-    resolved = -np.inf
-    Y = _clamp_rows(_ambient_probes(a, b, radius), radius)
-    lb = float(_eval_chunked(f, Y).max())
+    Y = _ambient_probes(pair.a, pair.b, radius)
+    if B is not None:
+        Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
+    Y = _clamp_rows(Y, radius)
+    lb = float(_eval_chunked(bounds, Y, np.zeros(Y.shape[0]))[0].max())
     evals = Y.shape[0]
 
+    C = np.zeros((1, k))
+    H = np.full((1, k), float(radius))
+    resolved = -np.inf
     while True:
-        vals = _eval_chunked(f, _clamp_rows(C, radius))
+        vals, ub = _eval_chunked(bounds, _clamp_rows(C, radius), np.linalg.norm(H, axis=1))
         evals += C.shape[0]
         lb = max(lb, float(vals.max()))
-        ub = np.minimum(vals + 2.0 * np.linalg.norm(H, axis=1), hub)
+        ub = np.minimum(ub + widen, hub)
 
         hi_now = max(resolved, float(ub.max()), lb)
         if lb >= stop_above:
@@ -287,15 +404,10 @@ def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _explore_terms(
-    a: ConvexSet,
-    b: ConvexSet,
-    fa: Callable[[np.ndarray], np.ndarray],
-    fb: Callable[[np.ndarray], np.ndarray],
-    j_cap: int,
-) -> float:
-    """Sound lower bound for max_j min(1/j, sup over jB of |fa - fb|), with
-    fa and fb the distance evaluators of a and b."""
+def _explore_terms(pair: _Pair, j_cap: int) -> float:
+    """Sound lower bound for max_j min(1/j, sup over jB of |d_a - d_b|) for
+    the pair's sets a and b."""
+    a, b, fa, fb = pair.a, pair.b, pair.fa, pair.fb
     n = check_same_ambient(a, b)
     rng = np.random.default_rng(_PROBE_SEED)
     dirs = _unit_directions(a, b, n, rng)
@@ -332,22 +444,18 @@ def _subspace_pair_one_sided(src: ConvexSet, dst: ConvexSet, r: float) -> float:
 
 
 def _th_estimate(
-    a: ConvexSet,
-    b: ConvexSet,
-    fa: Callable[[np.ndarray], np.ndarray],
-    fb: Callable[[np.ndarray], np.ndarray],
+    pair: _Pair,
     r: float,
     eps: float,
-    cfg: ToleranceConfig,
     cap: float,
     *,
     stop_below: float = -np.inf,
     stop_above: float = np.inf,
     budget: int = 1_500_000,
 ) -> SupEstimate:
-    """Hausdorff distance between a∩rB and b∩rB for two sets that contain
-    the origin up to tau_geom (callers check), with fa and fb their distance
-    evaluators and cap = _gap_caps(a, b)[1](r).
+    """Hausdorff distance between a∩rB and b∩rB for the pair's sets a and
+    b, which contain the origin up to tau_geom (callers check), with
+    cap = _gap_caps(a, b)[1](r).
 
     Pairs without a polytope take the spectral formula on their direction
     spans.  The r-ball slice of a flat at distance nu from the origin lies
@@ -358,6 +466,7 @@ def _th_estimate(
     ambient identity: the truncated Hausdorff distance of origin-containing
     sets is sup over the r-ball of |d(., a) - d(., b)|.
     """
+    a, b = pair.a, pair.b
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if not (pa or pb):
         v = max(_subspace_pair_one_sided(a, b, r), _subspace_pair_one_sided(b, a, r))
@@ -367,8 +476,8 @@ def _th_estimate(
     if pa and pb and max(float(np.linalg.norm(s.points, axis=1).max()) for s in (a, b)) <= r:
         return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
     return ball_sup(
-        a, b, fa, fb, r, eps, stop_below=stop_below, stop_above=stop_above,
-        budget=budget, hub=min(cap, r + cfg.tau_geom),
+        pair, r, eps, stop_below=stop_below, stop_above=stop_above,
+        budget=budget, hub=min(cap, r + pair.cfg.tau_geom),
     )
 
 
@@ -394,9 +503,9 @@ def truncated_hausdorff(
             raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    fa, fb = distance_evaluator(a), distance_evaluator(b)
-    _, cap = _gap_caps(a, b, fa, fb)
-    est = _th_estimate(a, b, fa, fb, radius, eps, cfg, cap(radius), budget=budget)
+    pair = _Pair(a, b, cfg)
+    _, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    est = _th_estimate(pair, radius, eps, cap(radius), budget=budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -425,13 +534,13 @@ def sup_distance_gap(
         raise HyperconvexError("eps must be positive")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    fa, fb = distance_evaluator(a), distance_evaluator(b)
-    _, cap = _gap_caps(a, b, fa, fb)
+    pair = _Pair(a, b, cfg)
+    _, cap = _gap_caps(a, b, pair.fa, pair.fb)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(a, b, fa, fb, radius, eps, cfg, cap(radius), budget=budget)
+        est = _th_estimate(pair, radius, eps, cap(radius), budget=budget)
     else:
         est = ball_sup(
-            a, b, fa, fb, radius, eps,
+            pair, radius, eps,
             stop_below=-np.inf, stop_above=np.inf, budget=budget, hub=cap(radius),
         )
     return Interval(est.lo, est.hi, est.certified)
@@ -456,13 +565,18 @@ def _j_sweep(
     eps = params.eps_sup
     run_lo = run_lo0
     run_hi = run_lo0
-    certified = True
+    ran_out = False
+
+    def result(hi: float, allowed: float) -> Interval:
+        # a term that ran out of budget matters only if the width misses
+        return Interval(run_lo, hi, not ran_out or hi - run_lo <= allowed)
+
     j = 1
     while j <= params.j_cap:
         inv_j = 1.0 / j
         tail_all = min(inv_j, h_const)
         if tail_all <= run_lo + eps:
-            return Interval(run_lo, max(run_hi, tail_all), certified)
+            return result(max(run_hi, tail_all), eps)
         cap_j = min(inv_j, caps(float(j)))
         if cap_j <= run_lo + eps:
             run_hi = max(run_hi, cap_j)
@@ -475,11 +589,10 @@ def _j_sweep(
         else:
             run_lo = max(run_lo, min(inv_j, est.lo))
             run_hi = max(run_hi, min(inv_j, est.hi, cap_j))
-            if not est.certified:
-                certified = False
+            ran_out |= not est.certified
         j += 1
     tail = min(1.0 / (params.j_cap + 1), h_const)
-    return Interval(run_lo, max(run_hi, tail), certified)
+    return result(max(run_hi, tail), eps + tail)
 
 
 def attouch_wets(
@@ -496,17 +609,18 @@ def attouch_wets(
     sets sit.  Width is at most eps_sup, plus 1/(j_cap+1) when the scan is
     truncated by j_cap.
     """
+    cfg = resolve(tol)
     p = params or AWParams()
     check_same_ambient(a, b)
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    fa, fb = distance_evaluator(a), distance_evaluator(b)
-    run_lo0 = _explore_terms(a, b, fa, fb, p.j_cap)
-    h_const, cap = _gap_caps(a, b, fa, fb)
+    pair = _Pair(a, b, cfg)
+    run_lo0 = _explore_terms(pair, p.j_cap)
+    h_const, cap = _gap_caps(a, b, pair.fa, pair.fb)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return ball_sup(
-            a, b, fa, fb, float(j), p.eps_sup,
+            pair, float(j), p.eps_sup,
             stop_below=stop_below, stop_above=stop_above,
             budget=p.budget, hub=cap(float(j)),
         )
@@ -541,13 +655,13 @@ def aw_origin(
             raise HyperconvexError("aw_origin requires both sets to contain the origin")
     if same_representation(a, b):
         return Interval(0.0, 0.0)
-    fa, fb = distance_evaluator(a), distance_evaluator(b)
-    run_lo0 = _explore_terms(a, b, fa, fb, p.j_cap)
-    h_const, cap = _gap_caps(a, b, fa, fb)
+    pair = _Pair(a, b, cfg)
+    run_lo0 = _explore_terms(pair, p.j_cap)
+    h_const, cap = _gap_caps(a, b, pair.fa, pair.fb)
 
     def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
         return _th_estimate(
-            a, b, fa, fb, float(j), p.eps_sup, cfg, cap(float(j)),
+            pair, float(j), p.eps_sup, cap(float(j)),
             stop_below=stop_below, stop_above=stop_above, budget=p.budget,
         )
 

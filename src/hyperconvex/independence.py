@@ -95,7 +95,7 @@ def adversarial_independence_check(
     k = pts.shape[0] - 1
     report = Report(suite="independence-adversarial", trials=trials, seed=seed)
     if trials == 0 or k == 0:
-        report.runtime_ms = (time.perf_counter() - t0) * 1000.0
+        report.runtime_ms = int(round((time.perf_counter() - t0) * 1000))
         return report
     floor = _dependence_floor(pts) if is_affinely_independent(pts) else 1e-9
 
@@ -142,7 +142,7 @@ def adversarial_independence_check(
             record(perturbed[i], float(sv[i, -1]), "random")
         done += count
         block += 1
-    report.runtime_ms = (time.perf_counter() - t0) * 1000.0
+    report.runtime_ms = int(round((time.perf_counter() - t0) * 1000))
     return report
 
 

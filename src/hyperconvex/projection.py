@@ -8,14 +8,17 @@ with a Wolfe-style active-set scheme whose duality gap doubles as the
 certificate: the variational-inequality residual of the returned point is
 bounded by the final gap.
 
-Batched polytope distances (distance_evaluator) take one of two routes,
-chosen by the number of generator subsets that face enumeration examines
-(_face_pieces): up to _ENUM_MAX_PIECES they enumerate every candidate face,
-which is exact per point; above it they run the same Wolfe scheme on a block
-of rows in lockstep (_min_norm_rows), certified by each row's Wolfe gap.  The
-switch sits at 25 pieces, where the measured evaluator traffic of the tests,
-demos and benchmark rounds costs least (see _ENUM_MAX_PIECES).
-Single points stay on the scalar min_norm_point.
+Batched distances come from one residual map per set kind (_residual_rows),
+X -> X - P(X) with P the metric projection; distance_evaluator returns its
+row norms, and the certified ball sups read the residual directions too.
+Flats and subspaces take the closed form.  Polytopes take one of two
+routes, chosen by the number of generator subsets that face enumeration
+examines (_face_pieces): up to _ENUM_MAX_PIECES they enumerate every
+candidate face, which is exact per point; above it they run the same Wolfe
+scheme on a block of rows in lockstep (_min_norm_rows), certified by each
+row's Wolfe gap.  The switch sits at 25 pieces, where the measured evaluator
+traffic of the tests, demos and benchmark rounds costs least (see
+_ENUM_MAX_PIECES).  Single points stay on the scalar min_norm_point.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
@@ -216,7 +219,9 @@ def _min_norm_rows(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int
 
     The rows run in lockstep, _WOLFE_ROWS at a time, each with its own
     active slots and weights; a row leaves the block once its Wolfe gap
-    meets its tolerance.  Returns (W, gaps).  ConvergenceError names the
+    meets its tolerance, or once a major iteration fails to lower |w|^2
+    while the gap is at rounding level (64e5 eps max(1, max_i |p_i - x|^2),
+    the scalar solver's stall level).  Returns (W, gaps).  ConvergenceError names the
     worst row of the block that failed.
     """
     X = np.asarray(X, dtype=float)
@@ -248,6 +253,7 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
     W_out = np.empty((b, n))
     gap_out = np.empty(b)
     ids = np.arange(b)  # block row of each live row
+    rows, slots = np.arange(b), np.arange(m)
     first = sq.argmin(axis=1)
     idx = np.zeros((b, m), dtype=np.intp)  # active generators, in the front slots
     idx[:, 0] = first
@@ -255,12 +261,14 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
     lam[:, 0] = 1.0
     cnt = np.ones(b, dtype=np.intp)
     W = Q[ids, first]
+    w2_last = np.full(b, np.inf)  # |w|^2 at the previous major iteration
 
     for _ in range(max_iter):
         dots = (Q @ W[:, :, None])[:, :, 0]
-        gap = (W * W).sum(axis=1) - dots.min(axis=1)
+        w2 = (W * W).sum(axis=1)
+        gap = w2 - dots.min(axis=1)
         j = dots.argmin(axis=1)
-        active = np.arange(m) < cnt[:, None]
+        active = slots < cnt[:, None]
         done = gap <= tol
         # no generator improves: a stall at rounding level, or a failure
         stalled = ~done & ((idx == j[:, None]) & active).any(axis=1)
@@ -269,17 +277,20 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
                 "minimum-norm point stalled above tolerance", Q, W,
                 np.flatnonzero(stalled & (gap > stall_tol)),
             )
-        done |= stalled
+        # a major iteration that did not lower |w|^2 near rounding level would
+        # cycle through the same corrals until the cap
+        done |= stalled | ((w2 >= w2_last) & (gap <= stall_tol))
         if done.any():
             W_out[ids[done]] = W[done]
             gap_out[ids[done]] = np.maximum(gap[done], 0.0)
             live = ~done
             if not live.any():
                 return W_out, gap_out
-            ids, Q, W, idx, lam, cnt, j, tol, stall_tol = (
-                v[live] for v in (ids, Q, W, idx, lam, cnt, j, tol, stall_tol)
+            ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol = (
+                v[live] for v in (ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol)
             )
-        rows = np.arange(ids.size)
+            rows = np.arange(ids.size)
+        w2_last = w2
         idx[rows, cnt] = j
         lam[rows, cnt] = 0.0
         cnt += 1
@@ -373,9 +384,9 @@ def project_hyperplane(a, x) -> np.ndarray:
     return x + a - (float(x @ a) / nrm2) * a
 
 
-def contains(s: ConvexSet, x, tol: float) -> bool:
-    """True iff d(x, set) <= tol."""
-    return metric_projection(s, x)[1] <= tol
+def contains(s: ConvexSet, x, tol: float, tolerances: ToleranceConfig | None = None) -> bool:
+    """True iff d(x, set) <= tol, projecting under the given tolerances."""
+    return metric_projection(s, x, tolerances)[1] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -461,57 +472,80 @@ def _polytope_pieces(pts: np.ndarray):
     return pieces
 
 
-def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch map X (rows) -> d(x_i, set).
+def _residual_rows(s: ConvexSet):
+    """Batch map X (rows) -> (R, err): R[i] = x_i - P(x_i), the residual of
+    x_i from its nearest point P(x_i) in the set, and err[i] a bound on the
+    error of R[i] (None when every row is exact).
 
-    Flats, subspaces and polytopes with at most _ENUM_MAX_PIECES face pieces
-    are exact per point: the polytope branch enumerates candidate faces,
-    independently of the Wolfe solver.  Larger polytopes run _min_norm_rows:
-    a row's Wolfe gap g at exit certifies its distance to within sqrt(2 g),
+    Flats and subspaces take the closed form.  Polytopes with at most
+    _ENUM_MAX_PIECES face pieces enumerate candidate faces, exact per point
+    and independent of the Wolfe solver: R is the residual of the winning
+    piece.  Larger polytopes run _min_norm_rows, whose min-norm point w of
+    conv(p_i - x) is -R; a row's Wolfe gap g at exit puts w within
+    sqrt(2 g) of the exact one (|w - w*|^2 <= |w*|^2 - |w|^2 + 2 g <= 2 g),
     and g is at most 64 eps max(1, max_i |p_i - x|^2) unless the solver
-    stalls at rounding level.  Property tests compare both routes with
-    metric_projection.
+    stalls at rounding level.
     """
     if not isinstance(s, Polytope):
         P = s.basis.T @ s.basis
         base = s.base
 
-        def f_flat(X: np.ndarray) -> np.ndarray:
+        def r_flat(X: np.ndarray):
             Xc = np.atleast_2d(X) - base
-            return np.linalg.norm(Xc - Xc @ P, axis=1)
+            return Xc - Xc @ P, None
 
-        return f_flat
+        return r_flat
     pts = np.unique(s.points, axis=0)
     if pts.shape[0] == 1:
         p0 = pts[0]
-
-        def f_point(X: np.ndarray) -> np.ndarray:
-            return np.linalg.norm(np.atleast_2d(X) - p0, axis=1)
-
-        return f_point
+        return lambda X: (np.atleast_2d(X) - p0, None)
     if _face_pieces(*pts.shape) > _ENUM_MAX_PIECES:
         cap = _wolfe_cap(pts)
 
-        def f_wolfe(X: np.ndarray) -> np.ndarray:
-            W, _ = _min_norm_rows(pts, np.atleast_2d(X), gap_tol=1e-18, max_iter=cap)
-            return np.linalg.norm(W, axis=1)
+        def r_wolfe(X: np.ndarray):
+            W, gaps = _min_norm_rows(pts, np.atleast_2d(X), gap_tol=1e-18, max_iter=cap)
+            return -W, np.sqrt(2.0 * gaps)
 
-        return f_wolfe
+        return r_wolfe
     pieces = _polytope_pieces(pts)
 
-    def f_poly(X: np.ndarray) -> np.ndarray:
+    def r_poly(X: np.ndarray):
         X = np.atleast_2d(X)
-        best = np.linalg.norm(X[:, None, :] - pts[None, :, :], axis=2).min(axis=1)
+        rows = np.arange(X.shape[0])
+        diff = X[:, None, :] - pts[None, :, :]
+        near = np.linalg.norm(diff, axis=2)
+        k = near.argmin(axis=1)
+        best, R = near[rows, k], diff[rows, k]
         for p0, D, M in pieces:
             U = (X - p0) @ M.T
             lam0 = 1.0 - U.sum(axis=1)
             feas = (U >= -1e-12).all(axis=1) & (lam0 >= -1e-12)
             if feas.any():
-                d = np.linalg.norm(X - (p0 + U @ D.T), axis=1)
-                np.minimum(best, np.where(feas, d, np.inf), out=best)
-        return best
+                Rp = X - (p0 + U @ D.T)
+                d = np.linalg.norm(Rp, axis=1)
+                win = feas & (d < best)
+                np.copyto(best, d, where=win)
+                np.copyto(R, Rp, where=win[:, None])
+        return R, None
 
-    return f_poly
+    return r_poly
+
+
+def _row_norms(residuals) -> Callable[[np.ndarray], np.ndarray]:
+    """X -> the row norms of residuals(X)[0]: the distances to the set."""
+    return lambda X: np.linalg.norm(residuals(X)[0], axis=1)
+
+
+def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch map X (rows) -> d(x_i, set), the row norms of the set's
+    residual map (_residual_rows).
+
+    Flats, subspaces and polytopes with at most _ENUM_MAX_PIECES face pieces
+    are exact per point.  Larger polytopes run the batched Wolfe solver: a
+    row's Wolfe gap g at exit certifies its distance to within sqrt(2 g).
+    Property tests compare both routes with metric_projection.
+    """
+    return _row_norms(_residual_rows(s))
 
 
 def _ball_cut_point(project, x, p0, y1, radius, tol):
@@ -600,7 +634,9 @@ def _truncated_rows(
     return f_flat
 
 
-def truncated_distance_evaluator(s: ConvexSet, radius: float) -> Callable[[np.ndarray], np.ndarray]:
+def truncated_distance_evaluator(
+    s: ConvexSet, radius: float, tol: ToleranceConfig | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
     """Batch map X -> d(x_i, set ∩ radius-ball): closed forms for flats and
     subspaces, the multiplier point to max(tau_geom, 1e-12) for polytopes."""
-    return _truncated_rows(s, radius, resolve(None))
+    return _truncated_rows(s, radius, resolve(tol))

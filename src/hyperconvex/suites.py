@@ -272,7 +272,7 @@ def _run_projection_laws(n, trials, seed, cfg, rec):
             )
         z = _point_on(rng, s)
         pz, dz = metric_projection(s, z, cfg)
-        if contains(s, z, tau):
+        if contains(s, z, tau, cfg):
             rec.require(
                 "fixed-point", _payload(set=s, z=z), float(np.linalg.norm(pz - z)), tau
             )

@@ -1,0 +1,361 @@
+"""Certified ball sups: residual maps, the second-order box bound, the
+search over the pair's common span, and what the sweep reports.
+
+The oracles are the scalar metric projection (polytopes) and numpy's
+least squares (flats); neither goes through the batched residual maps.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hyperconvex.hypermetrics as hm
+import hyperconvex.projection as projection
+from hyperconvex import (
+    AWParams,
+    Flat,
+    Polytope,
+    Subspace,
+    ToleranceConfig,
+    attouch_wets,
+    metric_projection,
+    sup_distance_gap,
+)
+from hyperconvex.hypermetrics import SupEstimate, _box_bounds, _common_span, _j_sweep, _Pair
+from hyperconvex.projection import (
+    _ENUM_MAX_PIECES,
+    _face_pieces,
+    _min_norm_rows,
+    _residual_rows,
+    _wolfe_cap,
+)
+
+CFG = ToleranceConfig()
+KINDS = ("flat", "subspace", "polytope", "wolfe")
+
+
+def _frame(rng, n, k):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q[:, :k].T.copy()
+
+
+def _draw(rng, kind, n, inside=None):
+    """A random set of the kind; inside (orthonormal rows) confines its data."""
+    k = n if inside is None else inside.shape[0]
+    lift = np.eye(n) if inside is None else inside
+    if kind in ("flat", "subspace"):
+        dim = int(rng.integers(0, k))
+        basis = _frame(rng, k, dim) @ lift
+        if kind == "subspace":
+            return Subspace(basis)
+        return Flat(rng.normal(size=k) @ lift, basis)
+    if kind == "polytope":
+        m = int(rng.integers(1, 5))
+    else:  # enough generators for the batched Wolfe route
+        m = 8 if k == 2 else 7
+    pts = rng.normal(size=(m, k)) @ lift
+    if kind == "wolfe":
+        assert _face_pieces(*np.unique(pts, axis=0).shape) > _ENUM_MAX_PIECES
+    return Polytope(pts)
+
+
+def _dist(s, X):
+    """Distances by the scalar projection (polytopes) or lstsq (flats)."""
+    X = np.atleast_2d(X)
+    if isinstance(s, Polytope):
+        return np.array([metric_projection(s, x, CFG)[1] for x in X])
+    if s.basis.shape[0] == 0:
+        return np.linalg.norm(X - s.base, axis=1)
+    coef, *_ = np.linalg.lstsq(s.basis.T, (X - s.base).T, rcond=None)
+    return np.linalg.norm((X - s.base).T - s.basis.T @ coef, axis=0)
+
+
+def _gap(a, b, X):
+    return np.abs(_dist(a, X) - _dist(b, X))
+
+
+def _in_ball(rng, n, count, radius):
+    """Uniform points of the closed radius-ball around the origin."""
+    u = rng.normal(size=(count, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u * radius * rng.random((count, 1)) ** (1.0 / n)
+
+
+# ---------------------------------------------------------------------------
+# residual maps
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS), n=st.integers(2, 4))
+def test_residual_rows_point_at_the_nearest_point(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    s = _draw(rng, kind, n)
+    X = 2.0 * rng.normal(size=(30, n))
+    R, err = _residual_rows(s)(X)
+    err = np.zeros(len(X)) if err is None else err
+    assert (err == 0).all() or kind == "wolfe"
+    for x, r, e in zip(X, R, err):
+        p, _ = metric_projection(s, x, CFG)
+        assert np.linalg.norm((x - r) - p) <= e + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the second-order box bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+    n=st.integers(2, 4),
+    log_size=st.floats(-3.0, 0.3),
+)
+def test_box_bound_covers_dense_samples(seed, kinds, n, log_size):
+    rng = np.random.default_rng(seed)
+    a, b = (_draw(rng, k, n) for k in kinds)
+    radius = float(rng.uniform(0.5, 4.0))
+    # a random box, its center clamped into the ball as ball_sup does
+    center = rng.uniform(-radius, radius, size=n)
+    half = rng.uniform(0.1, 1.0, size=n) * radius * 10.0**log_size
+    c = projection._clamp_rows(center[None, :], radius)
+    rho = np.array([np.linalg.norm(half)])
+    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho)
+    g_c = float(_gap(a, b, c)[0])
+    assert lo[0] <= g_c + 1e-9
+    # the bound covers every point within rho of the clamped center, so
+    # sample that ball densely, its sphere included
+    Y = c + _in_ball(rng, n, 150, rho[0])
+    u = rng.normal(size=(50, n))
+    Y = np.concatenate([Y, c + rho[0] * u / np.linalg.norm(u, axis=1, keepdims=True)])
+    assert _gap(a, b, Y).max() <= hi[0] + 1e-9
+
+
+def test_box_bound_is_second_order_away_from_the_sets():
+    # two lines 0.05 apart in direction, far from the box: the bound is a
+    # small fraction of the Lipschitz slack 2 rho
+    a = Flat(np.array([0.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]]))
+    b = Flat(np.array([0.0, 0.0, 0.05]), np.array([[np.cos(0.05), np.sin(0.05), 0.0]]))
+    c = np.array([[0.0, 0.0, 3.0]])
+    rho = np.array([0.01])
+    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho)
+    assert hi[0] - lo[0] < 0.1 * 2 * rho[0]
+    # and on a set (d = 0) it keeps 2 rho
+    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), np.zeros((1, 3)), rho)
+    assert hi[0] - lo[0] == pytest.approx(2 * rho[0])
+
+
+# ---------------------------------------------------------------------------
+# the common span
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(st.sampled_from(KINDS[:3]), st.sampled_from(KINDS[:3])),
+    n=st.integers(3, 5),
+)
+def test_sup_over_the_ball_is_the_sup_over_its_slice_by_the_span(seed, kinds, n):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n))
+    S = _frame(rng, n, k)
+    a, b = (_draw(rng, kind, n, inside=S) for kind in kinds)
+    B, w0, w1 = _common_span(a, b, CFG.tau_rank)
+    # the data lie in rowspan(B): nothing is cut
+    assert B is None or (B.shape[0] <= k and w0 + w1 <= 1e-12)
+    radius = float(rng.uniform(0.5, 3.0))
+    X = _in_ball(rng, n, 120, radius)
+    XS = X @ S.T @ S
+    assert (_gap(a, b, X) <= _gap(a, b, XS) + 1e-9).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.tuples(st.sampled_from(KINDS[:3]), st.sampled_from(KINDS[:3])))
+def test_rank_cut_widening_covers_data_off_the_span(seed, kinds):
+    # data 1e-3 off a plane in R^3, cut at tau_rank = 1e-2: the gap at x is
+    # within w0 + w1 r of the gap at x's slice by the span
+    rng = np.random.default_rng(seed)
+    S = _frame(rng, 3, 2)
+    normal = np.cross(S[0], S[1])
+    sets = []
+    for kind in kinds:
+        s = _draw(rng, kind, 3, inside=S)
+        if isinstance(s, Polytope):
+            s = Polytope(s.points + 1e-3 * rng.uniform(-1, 1, (len(s.points), 1)) * normal)
+        elif s.basis.shape[0]:
+            tilt = s.basis + 1e-3 * rng.uniform(-1, 1, (len(s.basis), 1)) * normal
+            s = Flat(s.base + 1e-3 * normal, np.linalg.qr(tilt.T)[0].T)
+        else:
+            s = Flat(s.base + 1e-3 * normal, s.basis)
+        sets.append(s)
+    a, b = sets
+    B, w0, w1 = _common_span(a, b, 1e-2)
+    radius = 2.0
+    X = _in_ball(rng, 3, 200, radius)
+    XS = X if B is None else X @ B.T @ B
+    assert (_gap(a, b, X) <= _gap(a, b, XS) + w0 + w1 * radius + 1e-12).all()
+
+
+@pytest.mark.parametrize("kinds", [("polytope", "polytope"), ("flat", "polytope"), ("flat", "subspace")])
+def test_span_search_agrees_with_the_full_search(monkeypatch, kinds):
+    rng = np.random.default_rng(7)
+    S = _frame(rng, 4, 2)
+    a, b = (_draw(rng, kind, 4, inside=S) for kind in kinds)
+    pair = _Pair(a, b, CFG)
+    assert pair.span[0] is not None and pair.span[0].shape[0] <= 2
+    kw = dict(stop_below=-np.inf, stop_above=np.inf, budget=400_000, hub=np.inf)
+    reduced = hm.ball_sup(pair, 1.5, 1e-2, **kw)
+    full_pair = _Pair(a, b, CFG)
+    full_pair.__dict__["span"] = (None, 0.0, 0.0)
+    full = hm.ball_sup(full_pair, 1.5, 1e-2, **kw)
+    assert reduced.certified and full.certified
+    assert reduced.lo <= full.hi + 1e-12 and full.lo <= reduced.hi + 1e-12
+    assert reduced.evals < full.evals
+
+
+# ---------------------------------------------------------------------------
+# costs of the reference pairs
+
+
+def _count_sup_evals(monkeypatch):
+    total = []
+    real = hm.ball_sup
+
+    def counting(*args, **kwargs):
+        est = real(*args, **kwargs)
+        total.append(est.evals)
+        return est
+
+    monkeypatch.setattr(hm, "ball_sup", counting)
+    return total
+
+
+def test_readme_segment_pair_takes_few_evaluations(monkeypatch):
+    evals = _count_sup_evals(monkeypatch)
+    a = Polytope(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    b = Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))
+    iv = attouch_wets(a, b)
+    assert iv.contains(1.0 / 11.0, slack=1e-12) and iv.width <= 1e-3 and iv.certified
+    assert sum(evals) <= 10_000
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_nearby_lines_certify_within_budget(n):
+    rng = np.random.default_rng(n)
+    F = _frame(rng, n, 3)
+    a = Flat(0.5 * F[1], F[:1])
+    b = Flat(0.5 * F[1] + 0.05 * F[2], (np.cos(0.05) * F[0] + np.sin(0.05) * F[1])[None, :])
+    iv = attouch_wets(a, b, AWParams(eps_sup=1e-2, budget=300_000))
+    assert iv.certified and iv.width <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# what the sweep reports as certified
+
+
+def _sweep(estimates, eps=1e-2, j_cap=4):
+    def term(j, stop_below, stop_above):
+        return estimates[j]
+
+    return _j_sweep(term, lambda r: np.inf, np.inf, AWParams(eps_sup=eps, j_cap=j_cap), 0.0)
+
+
+def test_sweep_stays_certified_when_the_width_is_met():
+    # term 2 ran out of budget, but its bracket is narrower than eps_sup and
+    # decides the max over j; the final width meets the request
+    iv = _sweep({1: SupEstimate(0.1, 0.1, True, 10), 2: SupEstimate(0.3, 0.305, False, 10),
+                 3: SupEstimate(0.1, 0.1, True, 10), 4: SupEstimate(0.1, 0.1, True, 10)})
+    assert iv.width <= 1e-2 and iv.certified
+
+
+def test_sweep_is_uncertified_when_the_width_misses():
+    iv = _sweep({1: SupEstimate(0.1, 0.1, True, 10), 2: SupEstimate(0.3, 0.45, False, 10),
+                 3: SupEstimate(0.1, 0.1, True, 10), 4: SupEstimate(0.1, 0.1, True, 10)})
+    assert iv.width > 1e-2 and not iv.certified
+
+
+def test_sweep_allows_the_j_cap_tail():
+    # without a term that ran out, the tail of the scan never uncertifies
+    iv = _sweep({j: SupEstimate(0.01, 0.01, True, 10) for j in range(1, 5)}, j_cap=4)
+    assert iv.certified and iv.hi == pytest.approx(0.2)
+
+
+# ---------------------------------------------------------------------------
+# the batched Wolfe kernel on a row it used to cycle on
+
+# verify --suite aw-metric --dim 3 --trials 20 --seed 1, trial 19: the
+# second set of the pair, and a query row inside it
+CYCLE_PTS = np.array([
+    [-0.19208619572092073, -0.33976626668372495, 1.6304972391249588],
+    [0.1821326210484457, 0.005449996830177217, -1.494740539969067],
+    [-0.3817562105255923, 0.050798261976380335, -0.41047337477467266],
+    [-2.246659960331605, 0.7285801657398683, -0.14976057990438593],
+    [1.5270818198502827, -0.30298313706211927, -0.2691188083065476],
+    [-1.0898723965556492, 1.9361135908824145, 0.14948655334391675],
+])
+CYCLE_ROW = np.array([-0.2265625, -0.171875, 0.640625])
+CYCLE_OTHER = np.array([
+    [-0.25496464873906527, -0.22049792590908518, 1.7699789133749184],
+    [0.11925416803030114, 0.12471833760481697, -1.3552588657191074],
+    [-0.4446346635437368, 0.1700666027510201, -0.270991700524713],
+    [-2.30953841334975, 0.847848506514508, -0.010278905654426278],
+    [1.4642033668321381, -0.18371479628747953, -0.12963713405658794],
+    [-1.1527508495737937, 2.0553819316570543, 0.2889682275938764],
+])
+
+
+def test_wolfe_rows_stop_when_the_norm_stops_falling():
+    pts = np.unique(CYCLE_PTS, axis=0)
+    W, gaps = _min_norm_rows(pts, CYCLE_ROW[None, :], 1e-18, _wolfe_cap(pts))
+    # the row lies inside the hull
+    assert np.linalg.norm(W[0]) <= 1e-12 and np.sqrt(2 * gaps[0]) <= 1e-6
+    # the same row in a batch comes back bit for bit
+    rng = np.random.default_rng(19)
+    X = np.concatenate([rng.normal(size=(5, 3)), CYCLE_ROW[None, :], rng.normal(size=(5, 3))])
+    Wb, gb = _min_norm_rows(pts, X, 1e-18, _wolfe_cap(pts))
+    assert np.array_equal(Wb[5], W[0]) and gb[5] == gaps[0]
+    for i in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10):
+        Wi, gi = _min_norm_rows(pts, X[i : i + 1], 1e-18, _wolfe_cap(pts))
+        assert np.array_equal(Wb[i], Wi[0]) and gb[i] == gi[0]
+
+
+def test_cycling_pair_gap_is_computed():
+    a, b = Polytope(CYCLE_OTHER), Polytope(CYCLE_PTS)
+    iv = sup_distance_gap(a, b, 1.0, 1e-2)
+    assert iv.width <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# residual maps built per call
+
+
+ORIGIN_PAIRS = {
+    "subspaces": (Subspace(np.array([[1.0, 0.0]])), Subspace(np.array([[0.6, 0.8]]))),
+    "polytopes": (
+        Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])),
+        Polytope(np.array([[-1.1, -1.1], [2.2, 0.0], [0.0, 3.3]])),
+    ),
+    "mixed": (Subspace(np.array([[0.6, 0.8]])), Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]]))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ORIGIN_PAIRS))
+def test_each_call_builds_two_residual_maps(monkeypatch, pair):
+    a, b = ORIGIN_PAIRS[pair]
+    built = []
+    real = hm._residual_rows
+
+    def counting(s):
+        built.append(s)
+        return real(s)
+
+    monkeypatch.setattr(hm, "_residual_rows", counting)
+    for call in (
+        lambda: hm.aw_origin(a, b, AWParams(eps_sup=1e-2)),
+        lambda: attouch_wets(a, b, AWParams(eps_sup=1e-2)),
+        lambda: hm.truncated_hausdorff(a, b, 5.0, eps=1e-2),
+        lambda: sup_distance_gap(a, b, 2.0, 1e-2),
+    ):
+        built.clear()
+        call()
+        assert len(built) == 2
