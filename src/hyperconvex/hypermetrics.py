@@ -1,15 +1,27 @@
 """Hyperspace metrics on convex sets, reported as enclosing intervals.
 
-The truncations behind the Attouch-Wets metric rest on one lemma.  For a
-closed convex C containing the origin, proj_C is non-expansive and fixes 0,
-so |proj_C(x)| <= |x|; on the r-ball this gives d(x, C ∩ rB) = d(x, C), and
+The Attouch-Wets metric is sup over j >= 1 of min(1/j, s_j), where s_j is
+the sup of the gap |d(., A) - d(., B)| over the j-ball (Beer, Topologies on
+Closed and Closed Convex Sets, 1993).  Exchanging the two sups turns it
+into one sup over the whole space,
+
+    sup over x of phi(x),   phi(x) = min(1/J(x), |d(x, A) - d(x, B)|),
+
+with J(x) = max(1, ceil |x|) the smallest ball index whose ball holds x.
+Up to j_cap this is a sup over the j_cap-ball of a gap weighted by its
+unit shell, which one branch and bound computes (_aw_scan); the terms past
+j_cap add at most 1/(j_cap + 1).
+
+The truncations behind aw_origin rest on one lemma.  For a closed convex C
+containing the origin, proj_C is non-expansive and fixes 0, so
+|proj_C(x)| <= |x|; on the r-ball this gives d(x, C ∩ rB) = d(x, C), and
 so, for a pair A, B of such sets,
 
-    hausdorff(A ∩ rB, B ∩ rB) = sup over the r-ball of |d(., A) - d(., B)|
+    hausdorff(A ∩ rB, B ∩ rB) = sup over the r-ball of |d(., A) - d(., B)|.
 
-(Beer, Topologies on Closed and Closed Convex Sets, 1993).  The truncated
-Hausdorff distance (truncated_hausdorff, and the j-terms of aw_origin)
-therefore takes one of three routes, none of which truncates a set:
+The truncated Hausdorff distance (truncated_hausdorff, and the j-terms of
+aw_origin) therefore takes one of three routes, none of which truncates a
+set:
 
 * a pair without a polytope (subspaces, and flats that contain the origin
   up to tau_geom) takes the spectral formula on the direction spans, an
@@ -23,28 +35,33 @@ therefore takes one of three routes, none of which truncates a set:
 Ambient sups (ball_sup) run through a hierarchical branch-and-bound over box
 covers of the ball (Horst and Tuy, Global Optimization, 1996): boxes are
 evaluated at centers clamped into the domain, bounded above, then split
-along their widest axis until the requested width is certified.  Two facts
-keep the tree small:
+along their widest axis until the requested width is certified.  Take a box
+with clamped center c and half-diagonal rho.  Three facts keep the tree
+small:
 
 * the search covers only the ball of S, the span of both sets' data: for
   C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
   |d(., a) - d(., b)| does not grow with |x_perp|, so two segments on a
   line search an interval and two lines in any R^n at most a 3-ball;
-* the gap on a box, all of which lies within rho of its clamped center c,
-  is at most the gap at c plus min(2 rho, rho |u_a - u_b| +
-  rho^2 (1/d_a + 1/d_b)), with d the distance and u = (c - P(c)) / d the
-  unit residual of each set at c (_box_bounds).
-  Far from both sets the gap is nearly flat, and this second-order term
-  shrinks with rho^2 where the Lipschitz slack 2 rho would not.
+* the gap on the box, all of which lies within rho of c, is at most the
+  gap at c plus min(2 rho, rho |u_a - u_b| + rho^2 (1/d_a + 1/d_b)), with
+  d the distance and u = (c - P(c)) / d the unit residual of each set at
+  c (_box_bounds).  Far from both sets the gap is nearly flat, and this
+  second-order term shrinks with rho^2 where the Lipschitz slack 2 rho
+  would not;
+* phi on the box is also at most 1/J(|c| - rho), and at most the largest
+  min(1/j, cap(j)) over the ball indices j that the norms |c| - rho ..
+  |c| + rho span, where cap(j) bounds s_j (_gap_caps).  Once a lower bound
+  lb is known, the shells whose weights cannot beat lb + eps leave the
+  search, which shrinks the ball to radius ceil(1/(lb + eps)) - 1 or less.
 
 Every interval returned encloses the true value.  certified=False marks a
-width request missed because an evaluation budget ran out; a term that ran
-out inside a metric whose final width still meets the request leaves it
-certified.  The enclosure itself always holds.
+width request missed because an evaluation budget ran out.  The enclosure
+itself always holds.
 """
-
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -69,9 +86,10 @@ from .sets import ConvexSet, Polytope, Subspace, check_same_ambient
 class AWParams:
     """Knobs for the localized-convergence metric estimators.
 
-    eps_sup is the width requested from each inner sup estimate, j_cap the
-    largest ball index scanned (past it the result can widen by at most
-    1/(j_cap+1)), budget the evaluation allowance per inner estimate.
+    eps_sup is the width requested from the metric's weighted sup, j_cap
+    the largest ball index scanned (past it the result can widen by at most
+    1/(j_cap+1)), budget the evaluation allowance of the whole call, which
+    is one weighted sup.
     """
 
     eps_sup: float = 1e-3
@@ -157,15 +175,13 @@ _CHUNK = 1 << 17
 
 
 def _eval_chunked(f, *arrays):
-    """f(*arrays) evaluated _CHUNK rows at a time; f returns an array or a
-    tuple of arrays, one row per input row."""
+    """f(*arrays) evaluated _CHUNK rows at a time; f returns a tuple of
+    arrays, one row per input row."""
     rows = arrays[0].shape[0]
     if rows <= _CHUNK:
         return f(*arrays)
     parts = [f(*(v[i : i + _CHUNK] for v in arrays)) for i in range(0, rows, _CHUNK)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray):
@@ -207,63 +223,92 @@ def ball_sup(
     radius: float,
     eps: float,
     *,
-    stop_below: float,
-    stop_above: float,
     budget: int,
-    hub: float,
+    weights=(np.inf,),
+    floor: float = -np.inf,
+    probes: np.ndarray | None = None,
 ) -> SupEstimate:
-    """Certified estimate of sup over the closed radius-ball of
-    |d(., a) - d(., b)| for the pair's sets a and b, starting from the
-    pair's probe points; hub (inf when none is known) bounds the sup.
-    Early exits: once the lower bound reaches stop_above, or once the upper
-    bound drops to stop_below, the estimate returns without tightening
-    further; both still return an enclosure.
+    """Certified estimate of the sup over the closed radius-ball of
+
+        phi(x) = min(weights[l(x)], |d(x, a) - d(x, b)|)
+
+    for the pair's sets a and b, the ball cut into len(weights) shells of
+    equal width, l(x) the shell of x (a sphere between two shells belongs to
+    the inner one).  Each weight is min(c_l, u_l): c_l does not increase
+    with l, and u_l bounds the gap out to the outer sphere of shell l, so
+    phi(x) = min(c_l(x), gap(x)).  One shell with c = inf and a cap u (inf
+    when none is known) gives the plain sup of the gap; unit shells with
+    c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  floor is
+    a known lower bound of the result; the estimate then encloses the max
+    of floor and the sup.  The search starts from the probe rows (default
+    _ambient_probes).
 
     The search runs over the ball of S, the pair's common span: for sets
     inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
-    |sqrt(s + t^2) - sqrt(s' + t^2)| does not increase with t, so the sup
-    over the ball is the sup over its slice by S.  A rank cut adds
-    _common_span's w0 + w1 radius to every upper bound.
+    |sqrt(s + t^2) - sqrt(s' + t^2)| does not increase with t, while x_S
+    lies in the shell of x or an inner one, so phi(x_S) >= phi(x).  A rank
+    cut adds _common_span's w0 + w1 radius to every upper bound.
 
     Boxes are evaluated at their centers clamped into the ball, which is
-    non-expansive, so the clamped center is within the box half-diagonal rho
-    of every domain point of the box; _box_bounds bounds the box from there.
+    non-expansive, so the clamped center c is within the box half-diagonal
+    rho of every domain point of the box.  _box_bounds bounds the gap
+    there, and phi is also at most the largest weight of the shells that
+    the norms |c| - rho .. |c| + rho reach.  Once no weight past some shell
+    beats the lower bound by eps, those shells leave the search, and their
+    largest weight joins the upper bound.
     """
     B, w0, w1 = pair.span
     widen = w0 + w1 * radius
     k = pair.a.ambient_dim if B is None else B.shape[0]
+    w = np.asarray(weights, dtype=float)
+    L = w.shape[0]
+    shell = radius / L
+    # top[i, l] = max(w[i..l]) for i <= l, the most a box reaching shells
+    # i..l can score; top[i, -1] bounds phi beyond the inner sphere of shell i
+    top = np.maximum.accumulate(np.where(np.tri(L, dtype=bool).T, w, -np.inf), axis=1)
+    tail = top[:, -1]
 
     def bounds(Y: np.ndarray, rho: np.ndarray):
-        return _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, rho)
+        lo, hi = _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, rho)
+        t = np.linalg.norm(Y, axis=1)
+        # lower bounds take the outer shell at a tie, upper bounds the inner
+        lo = np.minimum(lo, w[np.minimum(t // shell, L - 1).astype(int)])
+        first = np.clip(np.ceil((t - rho) / shell) - 1, 0, L - 1).astype(int)
+        last = np.clip(np.ceil((t + rho) / shell) - 1, 0, L - 1).astype(int)
+        return lo, np.minimum(hi, top[first, last]) + widen
 
-    Y = _ambient_probes(pair.a, pair.b, radius)
+    Y = _ambient_probes(pair.a, pair.b, radius) if probes is None else probes
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
     Y = _clamp_rows(Y, radius)
-    lb = float(_eval_chunked(bounds, Y, np.zeros(Y.shape[0]))[0].max())
+    lb = max(floor, float(_eval_chunked(bounds, Y, np.zeros(Y.shape[0]))[0].max()))
     evals = Y.shape[0]
 
-    C = np.zeros((1, k))
-    H = np.full((1, k), float(radius))
     resolved = -np.inf
-    while True:
-        vals, ub = _eval_chunked(bounds, _clamp_rows(C, radius), np.linalg.norm(H, axis=1))
+
+    def live_radius() -> float:
+        # the shells whose weights can beat lb + eps are a prefix, as tail
+        # does not increase; the others resolve at their largest weight
+        nonlocal resolved
+        live = int((tail > lb + eps).sum())
+        if live < L:
+            resolved = max(resolved, float(tail[live]))
+        return live * shell
+
+    r = live_radius()
+    C = np.zeros((1, k))
+    H = np.full((1, k), r)
+    while r > 0 and C.shape[0]:
+        vals, ub = _eval_chunked(bounds, _clamp_rows(C, r), np.linalg.norm(H, axis=1))
         evals += C.shape[0]
         lb = max(lb, float(vals.max()))
-        ub = np.minimum(ub + widen, hub)
-
-        hi_now = max(resolved, float(ub.max()), lb)
-        if lb >= stop_above:
-            return SupEstimate(lb, hi_now, True, evals)
-
-        threshold = max(lb + eps, stop_below)
-        active = ub > threshold
+        active = ub > lb + eps
         if not active.all():
             resolved = max(resolved, float(ub[~active].max()))
         if not active.any():
-            return SupEstimate(lb, max(resolved, lb), True, evals)
+            break
         if evals >= budget:
-            return SupEstimate(lb, hi_now, False, evals)
+            return SupEstimate(lb, max(resolved, float(ub.max()), lb), False, evals)
 
         C, H, ub = C[active], H[active], ub[active]
         cap = 1 << 15
@@ -273,7 +318,7 @@ def ball_sup(
             keepC, keepH = C[order[cap:]], H[order[cap:]]
             C, H = C[order[:cap]], H[order[:cap]]
         else:
-            keepC = keepH = None
+            keepC = keepH = np.zeros((0, k))
 
         rows = np.arange(C.shape[0])
         axis = H.argmax(axis=1)
@@ -283,17 +328,14 @@ def ball_sup(
         C1[rows, axis] -= Hc[rows, axis]
         C2 = C.copy()
         C2[rows, axis] += Hc[rows, axis]
-        C = np.concatenate([C1, C2])
-        H = np.concatenate([Hc, Hc])
-        # drop children entirely outside the ball
+        C = np.concatenate([C1, C2, keepC])
+        H = np.concatenate([Hc, Hc, keepH])
+        # drop boxes entirely outside the live ball
+        r = live_radius()
         inner = np.clip(np.abs(C) - H, 0.0, None)
-        keep = np.linalg.norm(inner, axis=1) <= radius
+        keep = np.linalg.norm(inner, axis=1) <= r
         C, H = C[keep], H[keep]
-        if keepC is not None:
-            C = np.concatenate([C, keepC])
-            H = np.concatenate([H, keepH])
-        if C.shape[0] == 0:
-            return SupEstimate(lb, max(resolved, lb), True, evals)
+    return SupEstimate(lb, max(resolved, lb), True, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -404,81 +446,67 @@ def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _explore_terms(pair: _Pair, j_cap: int) -> float:
-    """Sound lower bound for max_j min(1/j, sup over jB of |d_a - d_b|) for
-    the pair's sets a and b."""
-    a, b, fa, fb = pair.a, pair.b, pair.fa, pair.fb
+def _ladder_probes(a: ConvexSet, b: ConvexSet, radius: int) -> np.ndarray:
+    """Probe rows for a scan over integer shells: plus and minus the pair's
+    unit directions at the _LADDER radii below radius and at radius, each
+    just inside its sphere so that it scores in that shell, and the points
+    of either polytope."""
     n = check_same_ambient(a, b)
-    rng = np.random.default_rng(_PROBE_SEED)
-    dirs = _unit_directions(a, b, n, rng)
-    radii = [float(j) for j in _LADDER if j <= j_cap] + [float(j_cap)]
-    rows = [r * dirs for r in radii] + [-r * dirs for r in radii]
-    for s in (a, b):
-        if isinstance(s, Polytope):
-            rows.append(s.points)
-    X = _clamp_rows(np.concatenate(rows), float(j_cap))
-    vals = np.abs(_eval_chunked(fa, X) - _eval_chunked(fb, X))
-    nrm = np.linalg.norm(X, axis=1)
-    j_of = np.clip(np.ceil(nrm - 1e-9), 1, j_cap)
-    best = np.minimum(1.0 / j_of, vals)
-    return float(max(best.max(), 0.0))
+    dirs = _unit_directions(a, b, n, np.random.default_rng(_PROBE_SEED))
+    radii = [j for j in _LADDER if j < radius] + [radius]
+    rows = [sign * (1.0 - 1e-12) * r * dirs for sign in (1.0, -1.0) for r in radii]
+    rows += [s.points for s in (a, b) if isinstance(s, Polytope)]
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
 # truncated Hausdorff distance of origin-containing sets
 
 
-def _subspace_pair_one_sided(src: ConvexSet, dst: ConvexSet, r: float) -> float:
-    """Exact sup_{x in src∩rB} d(x, dst∩rB) for two subspaces, read off the
-    direction spans (basis) of src and dst.
-
-    Inside the ball the projection onto dst stays inside the ball, so the
-    truncated distance equals the orthogonal residual and the sup is r
-    times an operator norm.
+def _spectral(a: ConvexSet, b: ConvexSet, r):
+    """(lo, hi) enclosing the Hausdorff distance between a∩rB and b∩rB for
+    flats that contain the origin up to tau_geom, at a radius r or an array
+    of them.  For subspaces the projection onto one stays inside the ball,
+    so the distance is r times the larger operator norm ||B_src (I -
+    P_dst)||.  The r-ball slice of a flat at distance nu from the origin
+    lies within Hausdorff distance nu (1 + nu / r) of its direction span's
+    slice, which widens the interval by that much per flat.
     """
-    if src.dim == 0:
-        return 0.0
-    n = src.ambient_dim
-    N = src.basis @ (np.eye(n) - dst.basis.T @ dst.basis)
-    return r * float(np.linalg.norm(N, 2))
+    n = a.ambient_dim
+    theta = 0.0
+    for src, dst in ((a, b), (b, a)):
+        if src.dim:
+            N = src.basis @ (np.eye(n) - dst.basis.T @ dst.basis)
+            theta = max(theta, float(np.linalg.norm(N, 2)))
+    nus = [float(np.linalg.norm(flat_min_norm_point(s))) for s in (a, b)]
+    slack = sum(nu * (1.0 + nu / r) for nu in nus)
+    return np.maximum(r * theta - slack, 0.0), r * theta + slack
 
 
-def _th_estimate(
-    pair: _Pair,
-    r: float,
-    eps: float,
-    cap: float,
-    *,
-    stop_below: float = -np.inf,
-    stop_above: float = np.inf,
-    budget: int = 1_500_000,
-) -> SupEstimate:
+def _th_estimate(pair: _Pair, r: float, eps: float, cap: float, budget: int) -> SupEstimate:
     """Hausdorff distance between a∩rB and b∩rB for the pair's sets a and
     b, which contain the origin up to tau_geom (callers check), with
     cap = _gap_caps(a, b)[1](r).
 
-    Pairs without a polytope take the spectral formula on their direction
-    spans.  The r-ball slice of a flat at distance nu from the origin lies
-    within Hausdorff distance nu (1 + nu / r) of its direction span's slice,
-    so the interval widens by that much per flat; subspaces widen by
-    exactly 0.  A polytope pair inside the ball is its
-    Hausdorff distance, which cap holds.  Every other pair takes the
-    ambient identity: the truncated Hausdorff distance of origin-containing
-    sets is sup over the r-ball of |d(., a) - d(., b)|.
+    Pairs without a polytope take the spectral formula (_spectral).  A
+    polytope pair inside the ball is its Hausdorff distance, which cap
+    holds.  Every other pair takes the ambient identity: the truncated
+    Hausdorff distance of origin-containing sets is sup over the r-ball of
+    |d(., a) - d(., b)|.
     """
     a, b = pair.a, pair.b
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if not (pa or pb):
-        v = max(_subspace_pair_one_sided(a, b, r), _subspace_pair_one_sided(b, a, r))
-        nus = [float(np.linalg.norm(flat_min_norm_point(s))) for s in (a, b)]
-        slack = sum(nu * (1.0 + nu / r) for nu in nus)
-        return SupEstimate(max(v - slack, 0.0), v + slack, True, 0)
-    if pa and pb and max(float(np.linalg.norm(s.points, axis=1).max()) for s in (a, b)) <= r:
+        lo, hi = _spectral(a, b, r)
+        return SupEstimate(float(lo), float(hi), True, 0)
+    if pa and pb and _reach(a, b) <= r:
         return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
-    return ball_sup(
-        pair, r, eps, stop_below=stop_below, stop_above=stop_above,
-        budget=budget, hub=min(cap, r + pair.cfg.tau_geom),
-    )
+    return ball_sup(pair, r, eps, budget=budget, weights=[min(cap, r + pair.cfg.tau_geom)])
+
+
+def _reach(a: Polytope, b: Polytope) -> float:
+    """The radius of the smallest origin-centred ball holding both polytopes."""
+    return max(float(np.linalg.norm(s.points, axis=1).max()) for s in (a, b))
 
 
 def truncated_hausdorff(
@@ -505,7 +533,7 @@ def truncated_hausdorff(
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
     _, cap = _gap_caps(a, b, pair.fa, pair.fb)
-    est = _th_estimate(pair, radius, eps, cap(radius), budget=budget)
+    est = _th_estimate(pair, radius, eps, cap(radius), budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -537,62 +565,30 @@ def sup_distance_gap(
     pair = _Pair(a, b, cfg)
     _, cap = _gap_caps(a, b, pair.fa, pair.fb)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(pair, radius, eps, cap(radius), budget=budget)
+        est = _th_estimate(pair, radius, eps, cap(radius), budget)
     else:
-        est = ball_sup(
-            pair, radius, eps,
-            stop_below=-np.inf, stop_above=np.inf, budget=budget, hub=cap(radius),
-        )
+        est = ball_sup(pair, radius, eps, budget=budget, weights=[cap(radius)])
     return Interval(est.lo, est.hi, est.certified)
 
 
 # ---------------------------------------------------------------------------
-# localized-convergence metric (scan of ball-indexed terms)
+# the Attouch-Wets metric as one weighted sup
 
 
-def _j_sweep(
-    term: Callable[[int, float, float], SupEstimate],
-    caps: Callable[[float], float],
-    h_const: float,
-    params: AWParams,
-    run_lo0: float,
-) -> Interval:
-    """Certified max over j of min(1/j, s_j), s_j estimated by term(j, ...).
-
-    caps(j) bounds s_j alone, h_const bounds every s_j at once.  run_lo0 is
-    a sound exploration lower bound used to dominate plateau terms early.
+def _aw_scan(pair: _Pair, p: AWParams, cap, radius: int, h: float, floor=-np.inf) -> Interval:
+    """The Attouch-Wets metric of the pair from one ball_sup over the
+    radius-ball with weights min(1/j, cap(j)) on its unit shells; floor is
+    a known lower bound of the terms past radius, h bounds every term, and
+    the terms past j_cap add min(1/(j_cap+1), h).  A scan that ran out of
+    budget leaves the result certified while its width meets eps_sup.
     """
-    eps = params.eps_sup
-    run_lo = run_lo0
-    run_hi = run_lo0
-    ran_out = False
-
-    def result(hi: float, allowed: float) -> Interval:
-        # a term that ran out of budget matters only if the width misses
-        return Interval(run_lo, hi, not ran_out or hi - run_lo <= allowed)
-
-    j = 1
-    while j <= params.j_cap:
-        inv_j = 1.0 / j
-        tail_all = min(inv_j, h_const)
-        if tail_all <= run_lo + eps:
-            return result(max(run_hi, tail_all), eps)
-        cap_j = min(inv_j, caps(float(j)))
-        if cap_j <= run_lo + eps:
-            run_hi = max(run_hi, cap_j)
-            j += 1
-            continue
-        est = term(j, run_lo, inv_j)
-        if est.lo >= inv_j:
-            run_lo = max(run_lo, inv_j)
-            run_hi = max(run_hi, inv_j)
-        else:
-            run_lo = max(run_lo, min(inv_j, est.lo))
-            run_hi = max(run_hi, min(inv_j, est.hi, cap_j))
-            ran_out |= not est.certified
-        j += 1
-    tail = min(1.0 / (params.j_cap + 1), h_const)
-    return result(max(run_hi, tail), eps + tail)
+    j = np.arange(1.0, radius + 1.0)
+    est = ball_sup(
+        pair, float(radius), p.eps_sup, budget=p.budget, floor=floor,
+        weights=np.minimum(1.0 / j, cap(j)), probes=_ladder_probes(pair.a, pair.b, radius),
+    )
+    tail = min(1.0 / (p.j_cap + 1), h)
+    return Interval(est.lo, max(est.hi, tail), est.certified or est.hi - est.lo <= p.eps_sup)
 
 
 def attouch_wets(
@@ -605,9 +601,10 @@ def attouch_wets(
 
         sup over j >= 1 of min(1/j, sup over the j-ball of |d(.,a) - d(.,b)|),
 
-    estimated on the ambient grid without assuming anything about where the
-    sets sit.  Width is at most eps_sup, plus 1/(j_cap+1) when the scan is
-    truncated by j_cap.
+    computed as the sup over the j_cap-ball of
+    min(1/J(x), |d(x,a) - d(x,b)|), J(x) = max(1, ceil|x|), by one
+    ball_sup and without assuming anything about where the sets sit.
+    Width is at most eps_sup, plus 1/(j_cap+1) for the terms past j_cap.
     """
     cfg = resolve(tol)
     p = params or AWParams()
@@ -615,17 +612,8 @@ def attouch_wets(
     if same_representation(a, b):
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
-    run_lo0 = _explore_terms(pair, p.j_cap)
-    h_const, cap = _gap_caps(a, b, pair.fa, pair.fb)
-
-    def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
-        return ball_sup(
-            pair, float(j), p.eps_sup,
-            stop_below=stop_below, stop_above=stop_above,
-            budget=p.budget, hub=cap(float(j)),
-        )
-
-    return _j_sweep(term, cap, h_const, p, run_lo0)
+    h, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    return _aw_scan(pair, p, cap, p.j_cap, h)
 
 
 def aw_origin(
@@ -639,13 +627,13 @@ def aw_origin(
 
         sup over j >= 1 of min(1/j, hausdorff(a ∩ jB, b ∩ jB)).
 
-    For origin-containing sets this equals the ambient-grid value computed
-    by attouch_wets (see the module docstring).  Both start from the same
-    exploration lower bound, but the j-terms of subspace, flat and
-    contained-polytope pairs come from the spectral formula and the
-    Hausdorff distance, which share no estimation route with attouch_wets;
-    that keeps their agreement a meaningful cross-check.  Pairs with a
-    ball-cut polytope take the ambient estimate, as attouch_wets does.
+    For origin-containing sets this equals attouch_wets (module
+    docstring).  Pairs without a polytope take the spectral formula at every
+    j up to j_cap.  A polytope pair's terms with both polytopes inside the
+    j-ball are min(1/j, hausdorff(a, b)), the floor of the scan of its
+    ball-cut terms.  The spectral formula and the Hausdorff distance share
+    no estimation route with attouch_wets, which keeps their agreement a
+    meaningful cross-check; ball-cut terms take the same weighted scan.
     """
     cfg = resolve(tol)
     p = params or AWParams()
@@ -656,13 +644,19 @@ def aw_origin(
     if same_representation(a, b):
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
-    run_lo0 = _explore_terms(pair, p.j_cap)
-    h_const, cap = _gap_caps(a, b, pair.fa, pair.fb)
-
-    def term(j: int, stop_below: float, stop_above: float) -> SupEstimate:
-        return _th_estimate(
-            pair, float(j), p.eps_sup, cap(float(j)),
-            stop_below=stop_below, stop_above=stop_above, budget=p.budget,
-        )
-
-    return _j_sweep(term, cap, h_const, p, run_lo0)
+    h, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
+    if not (pa or pb):
+        j = np.arange(1.0, p.j_cap + 1.0)
+        lo, hi = (float(np.minimum(1.0 / j, s).max()) for s in _spectral(a, b, j))
+        return Interval(lo, max(hi, min(1.0 / (p.j_cap + 1), h)))
+    radius, floor = p.j_cap, -np.inf
+    if pa and pb:
+        # from j0 on both polytopes lie inside the j-ball, so the largest of
+        # those terms is min(1/j0, h) exactly
+        j0 = max(1, math.ceil(_reach(a, b)))
+        if j0 <= p.j_cap:
+            radius, floor = j0 - 1, min(1.0 / j0, h)
+        if radius == 0:
+            return Interval(floor, floor)
+    return _aw_scan(pair, p, cap, radius, h, floor)

@@ -40,7 +40,7 @@ def is_affinely_independent(points, tol: float | None = None) -> bool:
     """
     pts = _family(points)
     if tol is None:
-        tol = resolve(None).tau_rank
+        tol = ToleranceConfig().tau_rank
     k = pts.shape[0] - 1
     if k == 0:
         return True

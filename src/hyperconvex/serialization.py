@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import resolve
+from .config import ToleranceConfig
 from .errors import SchemaError
 from .sets import ConvexSet, Flat, Polytope, Subspace
 
@@ -76,7 +76,7 @@ def _load_basis(obj, n: int, field: str) -> np.ndarray:
     adjustment = float(np.abs(ortho - rows).max())
     if adjustment <= 1e-13:
         return rows
-    if adjustment > resolve(None).tau_orth:
+    if adjustment > ToleranceConfig().tau_orth:
         print(
             f"warning: '{field}' rows adjusted by {adjustment:.3g} during orthonormalization",
             file=sys.stderr,

@@ -79,7 +79,7 @@ class Flat:
             raise HyperconvexError("basis must be (k, n) with n matching base")
         if basis.shape[0] > basis.shape[1]:
             raise HyperconvexError("more basis rows than ambient dimensions")
-        _check_orthonormal_rows(basis, resolve(None).tau_orth)
+        _check_orthonormal_rows(basis, ToleranceConfig().tau_orth)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", basis)
 
@@ -104,7 +104,7 @@ class Subspace:
             raise HyperconvexError("basis must be a (k, n) array with n >= 1")
         if basis.shape[0] > basis.shape[1]:
             raise HyperconvexError("more basis rows than ambient dimensions")
-        _check_orthonormal_rows(basis, resolve(None).tau_orth)
+        _check_orthonormal_rows(basis, ToleranceConfig().tau_orth)
         object.__setattr__(self, "basis", basis)
 
     @property

@@ -1,8 +1,11 @@
 """Certified ball sups: residual maps, the second-order box bound, the
-search over the pair's common span, and what the sweep reports.
+search over the pair's common span, and the weighted scan behind the
+Attouch-Wets metric.
 
 The oracles are the scalar metric projection (polytopes) and numpy's
 least squares (flats); neither goes through the batched residual maps.
+The checks of the weighted scan against dense samples take their gaps from
+distance_evaluator instead: they test the scan, not the distances.
 """
 
 import numpy as np
@@ -19,10 +22,12 @@ from hyperconvex import (
     Subspace,
     ToleranceConfig,
     attouch_wets,
+    aw_origin,
+    distance_evaluator,
     metric_projection,
     sup_distance_gap,
 )
-from hyperconvex.hypermetrics import SupEstimate, _box_bounds, _common_span, _j_sweep, _Pair
+from hyperconvex.hypermetrics import SupEstimate, _box_bounds, _common_span, _Pair
 from hyperconvex.projection import (
     _ENUM_MAX_PIECES,
     _face_pieces,
@@ -75,11 +80,25 @@ def _gap(a, b, X):
     return np.abs(_dist(a, X) - _dist(b, X))
 
 
+def _library_gap(a, b, X):
+    return np.abs(distance_evaluator(a)(X) - distance_evaluator(b)(X))
+
+
 def _in_ball(rng, n, count, radius):
     """Uniform points of the closed radius-ball around the origin."""
     u = rng.normal(size=(count, n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return u * radius * rng.random((count, 1)) ** (1.0 / n)
+
+
+def _shell_samples(rng, n, radius, shells):
+    """Uniform points of the radius-ball, and points 1e-9 inside and outside
+    each sphere that cuts it into equal shells, clamped into the ball."""
+    u = rng.normal(size=(60, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    radii = (radius / shells * np.arange(1.0, shells + 1.0)[:, None] + np.array([-1e-9, 1e-9])).ravel()
+    X = np.concatenate([_in_ball(rng, n, 300, radius), (radii[:, None, None] * u).reshape(-1, n)])
+    return projection._clamp_rows(X, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +222,7 @@ def test_span_search_agrees_with_the_full_search(monkeypatch, kinds):
     a, b = (_draw(rng, kind, 4, inside=S) for kind in kinds)
     pair = _Pair(a, b, CFG)
     assert pair.span[0] is not None and pair.span[0].shape[0] <= 2
-    kw = dict(stop_below=-np.inf, stop_above=np.inf, budget=400_000, hub=np.inf)
+    kw = dict(budget=400_000)
     reduced = hm.ball_sup(pair, 1.5, 1e-2, **kw)
     full_pair = _Pair(a, b, CFG)
     full_pair.__dict__["span"] = (None, 0.0, 0.0)
@@ -250,34 +269,107 @@ def test_nearby_lines_certify_within_budget(n):
 
 
 # ---------------------------------------------------------------------------
-# what the sweep reports as certified
+# the weighted scan: what it reports as certified, its soundness, its calls
 
 
-def _sweep(estimates, eps=1e-2, j_cap=4):
-    def term(j, stop_below, stop_above):
-        return estimates[j]
+def _sweep(monkeypatch, est, eps=1e-2, j_cap=4):
+    """attouch_wets on a pair with no cap for all radii at once (a segment
+    and a line), with its one scan replaced by est."""
+    monkeypatch.setattr(hm, "ball_sup", lambda *args, **kwargs: est)
+    a = Polytope(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    b = Flat(np.zeros(2), np.array([[1.0, 0.0]]))
+    return attouch_wets(a, b, AWParams(eps_sup=eps, j_cap=j_cap))
 
-    return _j_sweep(term, lambda r: np.inf, np.inf, AWParams(eps_sup=eps, j_cap=j_cap), 0.0)
 
-
-def test_sweep_stays_certified_when_the_width_is_met():
-    # term 2 ran out of budget, but its bracket is narrower than eps_sup and
-    # decides the max over j; the final width meets the request
-    iv = _sweep({1: SupEstimate(0.1, 0.1, True, 10), 2: SupEstimate(0.3, 0.305, False, 10),
-                 3: SupEstimate(0.1, 0.1, True, 10), 4: SupEstimate(0.1, 0.1, True, 10)})
+def test_sweep_stays_certified_when_the_width_is_met(monkeypatch):
+    # the scan ran out of budget, but its bracket is narrower than eps_sup
+    iv = _sweep(monkeypatch, SupEstimate(0.3, 0.305, False, 10))
     assert iv.width <= 1e-2 and iv.certified
 
 
-def test_sweep_is_uncertified_when_the_width_misses():
-    iv = _sweep({1: SupEstimate(0.1, 0.1, True, 10), 2: SupEstimate(0.3, 0.45, False, 10),
-                 3: SupEstimate(0.1, 0.1, True, 10), 4: SupEstimate(0.1, 0.1, True, 10)})
+def test_sweep_is_uncertified_when_the_width_misses(monkeypatch):
+    iv = _sweep(monkeypatch, SupEstimate(0.3, 0.45, False, 10))
     assert iv.width > 1e-2 and not iv.certified
 
 
-def test_sweep_allows_the_j_cap_tail():
-    # without a term that ran out, the tail of the scan never uncertifies
-    iv = _sweep({j: SupEstimate(0.01, 0.01, True, 10) for j in range(1, 5)}, j_cap=4)
+def test_sweep_allows_the_j_cap_tail(monkeypatch):
+    # without a scan that ran out, the terms past j_cap never uncertify
+    iv = _sweep(monkeypatch, SupEstimate(0.01, 0.01, True, 10), j_cap=4)
     assert iv.certified and iv.hi == pytest.approx(0.2)
+
+
+def test_scan_that_runs_out_of_budget_is_uncertified():
+    a = Flat(np.array([0.0, 0.5, 0.0]), np.array([[1.0, 0.0, 0.0]]))
+    b = Flat(np.array([0.0, 0.5, 0.05]), np.array([[np.cos(0.05), np.sin(0.05), 0.0]]))
+    iv = attouch_wets(a, b, AWParams(eps_sup=1e-4, budget=1000))
+    assert iv.width > 1e-4 and not iv.certified
+
+
+J_CAP = 6
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+    n=st.integers(2, 3),
+)
+def test_weighted_scan_agrees_with_a_sweep_of_plain_sups(seed, kinds, n):
+    rng = np.random.default_rng(seed)
+    a, b = (_draw(rng, k, n) for k in kinds)
+    iv = attouch_wets(a, b, AWParams(eps_sup=1e-2, j_cap=J_CAP))
+    # the reference: max over j <= J_CAP of min(1/j, s_j), each s_j from a
+    # plain sup over the j-ball, and 1/(J_CAP + 1) for the terms past it
+    pair = _Pair(a, b, CFG)
+    terms = [(1.0 / j, hm.ball_sup(pair, float(j), 1e-2, budget=400_000)) for j in range(1, J_CAP + 1)]
+    ref_lo = max(min(w, est.lo) for w, est in terms)
+    ref_hi = max(max(min(w, est.hi) for w, est in terms), 1.0 / (J_CAP + 1))
+    assert iv.lo <= ref_hi + 1e-9 and ref_lo <= iv.hi + 1e-9
+    # phi(x) = min(1/J(x), gap(x)) at dense samples of the J_CAP-ball
+    X = _shell_samples(rng, n, float(J_CAP), J_CAP)
+    J = np.maximum(1.0, np.ceil(np.linalg.norm(X, axis=1)))
+    assert (np.minimum(1.0 / J, _library_gap(a, b, X)) <= iv.hi + 1e-6).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+    n=st.integers(2, 3),
+)
+def test_weighted_sup_covers_dense_samples(seed, kinds, n):
+    # non-increasing weights on 1-5 shells and a single probe at the origin,
+    # so that the boxes, not the probes, must find the sup
+    rng = np.random.default_rng(seed)
+    a, b = (_draw(rng, k, n) for k in kinds)
+    radius = float(rng.uniform(0.5, 4.0))
+    w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(1, 6))))[::-1]
+    # the enclosure holds whether or not the budget lets the width certify
+    est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w, probes=np.zeros((1, n)))
+    X = _shell_samples(rng, n, radius, len(w))
+    shells = np.clip(np.ceil(np.linalg.norm(X, axis=1) * len(w) / radius) - 1, 0, len(w) - 1).astype(int)
+    assert (np.minimum(w[shells], _library_gap(a, b, X)) <= est.hi + 1e-6).all()
+
+
+COUNT_PAIRS = {
+    "segments": (Polytope(np.array([[0.0, 0.0], [10.0, 0.0]])), Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))),
+    "triangles": (
+        Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])),
+        Polytope(np.array([[-1.1, -1.1], [2.2, 0.0], [0.0, 3.3]])),
+    ),
+    "line-triangle": (Subspace(np.array([[0.6, 0.8]])), Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]]))),
+    "lines": (Subspace(np.array([[1.0, 0.0]])), Subspace(np.array([[0.6, 0.8]]))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(COUNT_PAIRS))
+def test_each_metric_call_makes_at_most_one_ball_sup(monkeypatch, pair):
+    a, b = COUNT_PAIRS[pair]
+    calls = _count_sup_evals(monkeypatch)
+    for metric in (attouch_wets, aw_origin):
+        calls.clear()
+        metric(a, b, AWParams(eps_sup=1e-3))
+        assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -147,12 +147,12 @@ def test_line_against_polytope_truncated_hausdorff_bounds_sampled_distances(r):
 
 
 # ---------------------------------------------------------------------------
-# evaluator builds per call
+# residual-map builds per call
 
 
 def _count_builds(monkeypatch):
     built = []
-    real = hm.distance_evaluator
+    real = hm._residual_rows
 
     def counting(s):
         built.append(s)
@@ -161,7 +161,7 @@ def _count_builds(monkeypatch):
     def no_truncation(*args, **kwargs):
         raise AssertionError("a truncated distance map was built")
 
-    monkeypatch.setattr(hm, "distance_evaluator", counting)
+    monkeypatch.setattr(hm, "_residual_rows", counting)
     monkeypatch.setattr(projection, "_truncated_rows", no_truncation)
     return built
 
@@ -182,11 +182,11 @@ def test_each_call_builds_two_evaluators_and_no_truncation(monkeypatch, pair):
     a, b = ORIGIN_PAIRS[pair]
     built = _count_builds(monkeypatch)
     aw_origin(a, b, AWParams(eps_sup=1e-2))  # the width does not change the builds
-    assert len(built) <= 2
+    assert len(built) == 2
     for r in (1.0, 5.0):
         built.clear()
         truncated_hausdorff(a, b, r, eps=1e-2)
-        assert len(built) <= 2
+        assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""A caller's tolerances reach containment and truncated evaluators, and
-every report carries runtime_ms as an int."""
+"""A caller's tolerances reach containment and truncated evaluators, set
+construction never reads the environment, and every report carries
+runtime_ms as an int."""
 
 import numpy as np
 
 import hyperconvex.suites as suites
 from hyperconvex import (
+    Flat,
     Polytope,
+    Subspace,
     ToleranceConfig,
     adversarial_independence_check,
     contains,
+    is_affinely_independent,
+    parse_set,
     run_suite,
     truncated_distance_evaluator,
 )
@@ -25,6 +30,17 @@ def test_contains_and_truncated_evaluator_take_the_callers_tolerances(monkeypatc
     f = truncated_distance_evaluator(TRIANGLE, 1.0, cfg)
     # the nearest point of the cut triangle is (1, 0), found to within tau_geom
     assert abs(f(np.array([[3.0, 0.0]]))[0] - 2.0) <= 2 * cfg.tau_geom
+
+
+def test_set_construction_ignores_a_malformed_environment(monkeypatch):
+    # HYPERCONVEX_TOL overrides tau_geom only; building a set takes the
+    # default tau_orth or tau_rank and never reads it
+    monkeypatch.setenv("HYPERCONVEX_TOL", "oops")
+    assert Subspace(np.eye(2)).dim == 2
+    assert Flat(np.ones(2), np.array([[1.0, 0.0]])).dim == 1
+    # rows about 5e-13 off orthonormal are re-orthonormalised against tau_orth
+    assert parse_set({"type": "subspace", "ambient_dim": 2, "basis": [[1.0, 1e-6]]}).dim == 1
+    assert is_affinely_independent(np.eye(3))
 
 
 def test_projection_suite_passes_its_tolerances_to_contains(monkeypatch):
