@@ -13,12 +13,14 @@ X -> X - P(X) with P the metric projection; distance_evaluator returns its
 row norms, and the certified ball sups read the residual directions too.
 Flats and subspaces take the closed form.  Polytopes take one of two
 routes, chosen by the number of generator subsets that face enumeration
-examines (_face_pieces): up to _ENUM_MAX_PIECES they enumerate every
-candidate face, which is exact per point; above it they run the same Wolfe
-scheme on a block of rows in lockstep (_min_norm_rows), certified by each
-row's Wolfe gap.  The switch sits at 25 pieces, where the measured evaluator
-traffic of the tests, demos and benchmark rounds costs least (see
-_ENUM_MAX_PIECES).  Single points stay on the scalar min_norm_point.
+examines (_face_pieces), and both work through _BLOCK_ROWS rows at a time.
+Up to _ENUM_MAX_PIECES pieces they enumerate every candidate face, exact
+per point: the affine maps of all pieces are packed side by side
+(_polytope_pieces), so a block costs two matrix products and one
+elementwise pass per slot and coordinate over all pieces.  Above it they
+run the same Wolfe scheme on the rows of a block in lockstep
+(_min_norm_rows), certified by each row's Wolfe gap.  Single points stay on
+the scalar min_norm_point.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
@@ -91,20 +93,26 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     scale2 = max(1.0, float(sq.max()))
     # below ~64 eps * scale2 the gap is numerically indistinguishable from 0
     tol = max(gap_tol, 64.0 * _EPS * scale2)
+    stall_tol = 1e5 * 64.0 * _EPS * scale2
 
     active = [int(np.argmin(sq))]
     lam = np.ones(1)
     w = points[active[0]].copy()
+    w2_last = math.inf  # |w|^2 at the previous major iteration
 
     for _ in range(max_iter):
         dots = points @ w
-        gap = float(w @ w - dots.min())
-        if gap <= tol:
+        w2 = float(w @ w)
+        gap = w2 - float(dots.min())
+        # a major iteration that did not lower |w|^2 near rounding level
+        # would cycle through the same corrals until the cap
+        if gap <= tol or (w2 >= w2_last and gap <= stall_tol):
             return w, max(gap, 0.0)
+        w2_last = w2
         j = int(np.argmin(dots))
         if j in active:
             # no generator improves; stall is at rounding level or a bug
-            if gap <= 1e5 * 64.0 * _EPS * scale2:
+            if gap <= stall_tol:
                 return w, max(gap, 0.0)
             raise ConvergenceError(
                 "minimum-norm point stalled above tolerance", best=w, residual=gap
@@ -148,9 +156,11 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     )
 
 
-# Rows solved together by _min_norm_rows: its arrays hold about
-# _WOLFE_ROWS * m * n floats, however many rows the caller passes.
-_WOLFE_ROWS = 1024
+# Rows evaluated together by both polytope kernels, however many rows the
+# caller passes: _min_norm_rows' arrays hold about _BLOCK_ROWS * m * n
+# floats, and face enumeration's _BLOCK_ROWS * K * (kmax + n) for K pieces
+# of up to kmax coordinates.
+_BLOCK_ROWS = 1024
 # Affine coefficients above this come from a nearly singular bordered
 # system; such rows are solved again by pseudo-inverse, with lstsq's cutoff.
 # LU stays the first solve: pinv on every row made the polytope-batch
@@ -217,7 +227,7 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
 def _min_norm_rows(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
     """min_norm_point(pts - x, gap_tol, max_iter) for every row x of X.
 
-    The rows run in lockstep, _WOLFE_ROWS at a time, each with its own
+    The rows run in lockstep, _BLOCK_ROWS at a time, each with its own
     active slots and weights; a row leaves the block once its Wolfe gap
     meets its tolerance, or once a major iteration fails to lower |w|^2
     while the gap is at rounding level (64e5 eps max(1, max_i |p_i - x|^2),
@@ -227,8 +237,8 @@ def _min_norm_rows(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int
     X = np.asarray(X, dtype=float)
     W = np.empty(X.shape)
     gaps = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], _WOLFE_ROWS):
-        block = slice(start, start + _WOLFE_ROWS)
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         W[block], gaps[block] = _wolfe_block(pts, X[block], gap_tol, max_iter)
     return W, gaps
 
@@ -420,26 +430,23 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 
 
 # Face pieces above which distance_evaluator runs _min_norm_rows instead of
-# enumerating faces.  Enumeration builds its faces once per evaluator and then
-# pays per row; the batched solver pays per row and per Wolfe iteration.  The
-# switch was set with a face build of 55 us a piece (0.6 ms at n3m4, 2.8 ms
-# at n3m6); the stacked build now takes 7-17 us a piece, which favours
-# enumeration on small calls and is not yet replayed.  Per-row cost at
-# 1k, 4k and 16k rows on one Xeon core, OpenBLAS on one thread, enumerated
-# vs batched in us (repeat runs on a shared VM moved these by up to 25%):
-#   n3m4 (11 pieces)  1.1-1.4 vs 1.9-2.4    n2m5 (20)  1.8-1.9 vs 1.9-2.5
-#   n3m5 (25)         2.2-2.5 vs 2.3-2.6    n2m6 (35)  2.7-3.1 vs 2.7-3.3
-#   n3m6 (50)         5.3-6.9 vs 4.8-6.0    n2m7 (56)  4.4-5.7 vs 2.5-3.1
-#   n4m8 (210)       20-24    vs 4.2-4.8    n6m12 (3289) 388-482 vs 7.4-11
-# Calls of 1-64 rows (hausdorff, single evaluations) were ruled by the old
-# face build and favoured the batched solver at 20 pieces and more.  Of the
-# evaluator calls that meet 12-50 pieces in the test suite, the demos and
-# four rounds each of aw-sweep and polytope-batch, ball_sup batches of
-# 5k-55k rows on n2m5 carry 99% of the rows; the rest are calls of 1-64 rows
-# on n2m6, n3m5, n3m6 and n4m5-n6m5.  Replayed on both routes, that traffic
-# cost 6-13% less with the switch at 20-25 pieces than at 40 (three
-# replays), and the benchmark rounds' share cost the same for any switch
-# from 11 to 40.
+# enumerating faces.  Enumeration builds its pieces once per evaluator and
+# then pays per row and piece; the batched solver pays per row and Wolfe
+# iteration.  Per-row cost of the stacked face kernel against the batched
+# solver at 1k, 4k and 16k rows, then a build plus one 64-row call, on one
+# Xeon core with OpenBLAS on one thread (two runs on a shared 2-vCPU VM):
+#   n3m4 (11 pieces)  0.8-1.2 vs 3.9-4.9 us   0.5-0.6 vs 1.7-1.8 ms
+#   n2m5 (20)         0.9-1.4 vs 3.3-3.9 us   0.5-0.6 vs 1.1 ms
+#   n3m5 (25)         1.6-2.3 vs 3.9-6.5 us   0.7-0.8 vs 1.6-1.9 ms
+#   n2m6 (35)         1.3-2.4 vs 3.4-5.0 us   0.5-0.7 vs 1.0-1.7 ms
+#   n3m6 (50)         2.0-4.2 vs 3.4-6.4 us   0.8-0.9 vs 0.9-1.1 ms
+#   n2m7 (56)         1.6-2.8 vs 3.2-5.2 us   0.5-0.7 vs 1.7-1.8 ms
+#   n4m8 (210)       11-16    vs 4.6-6.1 us   1.7-1.9 vs 1.9-2.1 ms
+# The switch was set at 25 against the per-piece loop this kernel replaced;
+# the stacked kernel wins up to 56 pieces, but a higher switch moves
+# polytope-batch's n3m6 cells to another route and wants its own
+# measurement.  It also keeps a block's _BLOCK_ROWS * K * (kmax + n) floats
+# small: 0.3 GB at n6m12 (3289 pieces).
 _ENUM_MAX_PIECES = 25
 
 
@@ -449,27 +456,46 @@ def _face_pieces(m: int, n: int) -> int:
 
 
 def _polytope_pieces(pts: np.ndarray):
-    """Affine pieces (p0, D, M) of every low-dimensional face candidate.
+    """The affine pieces of every face candidate, packed for _residual_rows.
 
     d(x, hull) equals the minimum over affinely independent generator
     subsets S of ||x - proj_aff(S)(x)|| restricted to projections whose
     barycentric coordinates are all nonnegative: the minimal face containing
     the true projection contributes exactly d(x, hull), every other feasible
-    subset yields a point inside the hull and so cannot undercut it.
+    subset yields a point inside the hull and so cannot undercut it.  A
+    subset p_0, .., p_k with D = [p_1 - p_0, .., p_k - p_0] gives the piece
+    with coordinates M (x - p_0), M = pinv(D), and residual E (x - p_0),
+    E = I - D M.  The generators come first, as pieces with no coordinates,
+    so the nearest generator wins every tie.
+
+    Returns (c, Mcat, offU, Pcat, offR), with c = pts[0] the anchor, for
+    all K pieces at once: for Y = X - c, Y @ Mcat - offU holds the
+    coordinates (zero past a piece's own k slots) and Y @ Pcat - offR the
+    residuals.  Column j K + i is slot (or coordinate) j of piece i.
     """
     m, n = pts.shape
-    pieces = []
-    for size in range(2, min(m, n + 1) + 1):
-        # every subset of this size at once: one stacked SVD and pinv
+    c, kmax = pts[0], min(m - 1, n)
+    off, M, E = [pts - c], [np.zeros((m, kmax, n))], [np.broadcast_to(np.eye(n), (m, n, n))]
+    for size in range(2, kmax + 2):
+        # every subset of this size at once: one stacked SVD
         idx = np.array(list(itertools.combinations(range(m), size)))
         P0 = pts[idx[:, 0]]
-        Dt = pts[idx[:, 1:]] - P0[:, None, :]  # (subsets, size-1, n)
-        sv = np.linalg.svd(Dt.transpose(0, 2, 1), compute_uv=False)
+        D = (pts[idx[:, 1:]] - P0[:, None, :]).transpose(0, 2, 1)  # (subsets, n, size-1)
+        u, sv, vt = np.linalg.svd(D, full_matrices=False)
         keep = ~(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0))
-        P0, Dt = P0[keep], Dt[keep]
-        Ms = np.linalg.pinv(Dt.transpose(0, 2, 1))
-        pieces += [(p0, D.T, M) for p0, D, M in zip(P0, Dt, Ms)]
-    return pieces
+        u, sv, vt = u[keep], sv[keep], vt[keep]
+        # M = pinv(D) = V S^-1 U^T and D M = U U^T; the rank cut keeps every
+        # singular value above pinv's cutoff
+        Mk = np.zeros((u.shape[0], kmax, n))
+        Mk[:, : size - 1] = (vt.transpose(0, 2, 1) / sv[:, None, :]) @ u.transpose(0, 2, 1)
+        off.append(P0[keep] - c)
+        M.append(Mk)
+        E.append(np.eye(n) - u @ u.transpose(0, 2, 1))
+    M, E, off = np.concatenate(M), np.concatenate(E), np.concatenate(off)
+    # (K, slots, n) -> (n, slots * K): column j K + i is row j of piece i
+    pack = lambda A: A.transpose(2, 1, 0).reshape(n, -1)
+    shift = lambda A: np.einsum("ijl,il->ji", A, off).reshape(-1)
+    return c, pack(M), shift(M), pack(E), shift(E)
 
 
 def _residual_rows(s: ConvexSet):
@@ -479,12 +505,15 @@ def _residual_rows(s: ConvexSet):
 
     Flats and subspaces take the closed form.  Polytopes with at most
     _ENUM_MAX_PIECES face pieces enumerate candidate faces, exact per point
-    and independent of the Wolfe solver: R is the residual of the winning
-    piece.  Larger polytopes run _min_norm_rows, whose min-norm point w of
-    conv(p_i - x) is -R; a row's Wolfe gap g at exit puts w within
-    sqrt(2 g) of the exact one (|w - w*|^2 <= |w*|^2 - |w|^2 + 2 g <= 2 g),
-    and g is at most 64 eps max(1, max_i |p_i - x|^2) unless the solver
-    stalls at rounding level.
+    and independent of the Wolfe solver: _BLOCK_ROWS rows at a time, two
+    matrix products give every piece's coordinates and residual, a piece
+    with a coordinate or 1 - (their sum) below -1e-12 is dropped, and R is
+    the residual of the nearest piece left.  Larger polytopes run
+    _min_norm_rows, whose min-norm point w of conv(p_i - x) is -R; a row's
+    Wolfe gap g at exit puts w within sqrt(2 g) of the exact one
+    (|w - w*|^2 <= |w*|^2 - |w|^2 + 2 g <= 2 g), and g is at most
+    64 eps max(1, max_i |p_i - x|^2) unless the solver stalls at rounding
+    level.
     """
     if not isinstance(s, Polytope):
         P = s.basis.T @ s.basis
@@ -496,9 +525,6 @@ def _residual_rows(s: ConvexSet):
 
         return r_flat
     pts = np.unique(s.points, axis=0)
-    if pts.shape[0] == 1:
-        p0 = pts[0]
-        return lambda X: (np.atleast_2d(X) - p0, None)
     if _face_pieces(*pts.shape) > _ENUM_MAX_PIECES:
         cap = _wolfe_cap(pts)
 
@@ -507,25 +533,30 @@ def _residual_rows(s: ConvexSet):
             return -W, np.sqrt(2.0 * gaps)
 
         return r_wolfe
-    pieces = _polytope_pieces(pts)
+    c, Mcat, offU, Pcat, offR = _polytope_pieces(pts)
+    n = pts.shape[1]
+    K = offR.size // n
 
     def r_poly(X: np.ndarray):
         X = np.atleast_2d(X)
-        rows = np.arange(X.shape[0])
-        diff = X[:, None, :] - pts[None, :, :]
-        near = np.linalg.norm(diff, axis=2)
-        k = near.argmin(axis=1)
-        best, R = near[rows, k], diff[rows, k]
-        for p0, D, M in pieces:
-            U = (X - p0) @ M.T
-            lam0 = 1.0 - U.sum(axis=1)
-            feas = (U >= -1e-12).all(axis=1) & (lam0 >= -1e-12)
-            if feas.any():
-                Rp = X - (p0 + U @ D.T)
-                d = np.linalg.norm(Rp, axis=1)
-                win = feas & (d < best)
-                np.copyto(best, d, where=win)
-                np.copyto(R, Rp, where=win[:, None])
+        R = np.empty(X.shape)
+        for start in range(0, X.shape[0], _BLOCK_ROWS):
+            Y = X[start : start + _BLOCK_ROWS] - c
+            rows = np.arange(Y.shape[0])
+            # one (rows, K) plane per slot and per coordinate: numpy reduces
+            # a short trailing axis far slower than it adds planes
+            U = (Y @ Mcat - offU).reshape(rows.size, -1, K)
+            Rp = (Y @ Pcat - offR).reshape(rows.size, n, K)
+            lam0 = np.ones((rows.size, K))
+            feas = np.ones(lam0.shape, dtype=bool)
+            for j in range(U.shape[1]):
+                feas &= U[:, j] >= -1e-12
+                lam0 -= U[:, j]
+            d2 = Rp[:, 0] * Rp[:, 0]
+            for j in range(1, n):
+                d2 += Rp[:, j] * Rp[:, j]
+            d2[~(feas & (lam0 >= -1e-12))] = np.inf
+            R[start : start + rows.size] = Rp[rows, :, d2.argmin(axis=1)]
         return R, None
 
     return r_poly
@@ -541,8 +572,10 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     residual map (_residual_rows).
 
     Flats, subspaces and polytopes with at most _ENUM_MAX_PIECES face pieces
-    are exact per point.  Larger polytopes run the batched Wolfe solver: a
-    row's Wolfe gap g at exit certifies its distance to within sqrt(2 g).
+    are exact per point; such a polytope evaluates all its face pieces at
+    once, _BLOCK_ROWS rows at a time.  Larger polytopes run the batched Wolfe
+    solver: a row's Wolfe gap g at exit certifies its distance to within
+    sqrt(2 g).
     Property tests compare both routes with metric_projection.
     """
     return _row_norms(_residual_rows(s))

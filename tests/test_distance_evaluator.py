@@ -1,6 +1,7 @@
 """Batched polytope distances: both routes of distance_evaluator against
 metric_projection, the brute-force grid oracle, and themselves row by row."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 from hyperconvex import ConvergenceError, Polytope, distance_evaluator, hausdorff, metric_projection
 from hyperconvex.projection import (
     _ENUM_MAX_PIECES,
-    _WOLFE_ROWS,
+    _BLOCK_ROWS,
     _affine_minimizer,
     _affine_minimizer_rows,
     _face_pieces,
     _min_norm_rows,
+    _residual_rows,
     min_norm_point,
 )
 
@@ -101,7 +103,7 @@ def test_single_point(rng):
 @pytest.mark.parametrize("n,m", [(2, 5), (4, 17), (8, 17)])
 def test_row_alone_equals_row_in_batch(n, m, rng):
     pts = rng.normal(size=(m, n))
-    X = 1.5 * rng.normal(size=(_WOLFE_ROWS + 37, n))
+    X = 1.5 * rng.normal(size=(_BLOCK_ROWS + 37, n))
     X[::7] = rng.dirichlet(np.ones(m), size=X[::7].shape[0]) @ pts
     f = distance_evaluator(Polytope(pts))
     d = f(X)
@@ -120,6 +122,93 @@ def test_row_alone_equals_row_in_batch(n, m, rng):
         # enumeration multiplies the whole block at once, and BLAS may
         # round a one-row product differently
         np.testing.assert_allclose(alone, d[picks], rtol=1e-14, atol=1e-15)
+
+
+def _residuals_by_piece(pts, X):
+    """Face enumeration as a loop over pieces, the reference for the stacked
+    kernel: start from the nearest generator, then take every affinely
+    independent generator subset whose projection has all barycentric
+    coordinates >= -1e-12 and is strictly closer."""
+    pts = np.unique(pts, axis=0)
+    m, n = pts.shape
+    diff = X[:, None, :] - pts[None, :, :]
+    near = np.linalg.norm(diff, axis=2)
+    k = near.argmin(axis=1)
+    best, R = near[np.arange(X.shape[0]), k], diff[np.arange(X.shape[0]), k]
+    for size in range(2, min(m, n + 1) + 1):
+        for subset in itertools.combinations(range(m), size):
+            p0 = pts[subset[0]]
+            D = (pts[list(subset[1:])] - p0).T
+            sv = np.linalg.svd(D, compute_uv=False)
+            if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+                continue
+            U = (X - p0) @ np.linalg.pinv(D).T
+            feas = (U >= -1e-12).all(axis=1) & (1.0 - U.sum(axis=1) >= -1e-12)
+            Rp = X - (p0 + U @ D.T)
+            d = np.linalg.norm(Rp, axis=1)
+            win = feas & (d < best)
+            best[win], R[win] = d[win], Rp[win]
+    return R
+
+
+# (n, m) with n <= 4 and every m at or below the route switch
+ENUM_SHAPES = [(n, m) for n in range(1, 5) for m in range(1, 9) if _face_pieces(m, n) <= _ENUM_MAX_PIECES]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(ENUM_SHAPES),
+    kind=st.sampled_from(["general", "duplicates", "collinear", "coplanar"]),
+    rows=st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_kernel_matches_the_loop_over_pieces(shape, kind, rows, scale, seed):
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    if kind == "duplicates":
+        pts = rng.normal(size=(m, n))
+        pts = pts[rng.integers(0, max(1, m // 2 + 1), size=m)]
+    else:
+        # on a line or a plane the rank cut drops every subset of 3 or 4
+        # points, so whole subset sizes have no piece
+        rank = {"general": n, "collinear": 1, "coplanar": min(2, n)}[kind]
+        pts = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    pts = scale * (pts + rng.normal(size=n))
+    inside = rng.dirichlet(np.ones(m), size=rows) @ pts
+    outside = pts.mean(axis=0) + scale * rng.normal(size=(rows, n))
+    X = np.stack([
+        inside,
+        outside - _residuals_by_piece(pts, outside),  # on the boundary
+        pts[rng.integers(0, m, size=rows)],  # at generators
+        outside,
+        100.0 * outside,  # far outside
+    ], axis=1).reshape(-1, n)[:rows]
+    R, err = _residual_rows(Polytope(pts))(X)
+    ref = _residuals_by_piece(pts, X)
+    assert err is None and R.shape == X.shape
+    d, d_ref = np.linalg.norm(R, axis=1), np.linalg.norm(ref, axis=1)
+    # set from the dtype before any run: about 4500 eps at unit scale
+    tol = 1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0)), float(np.abs(X).max(initial=0.0)))
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=tol)
+    # two pieces whose distances tie to rounding can trade places; their
+    # points of the hull then lie within sqrt(4 d tol) of each other
+    # (|x - y|^2 is strongly convex in y)
+    assert (np.linalg.norm(R - ref, axis=1) <= tol + 2.0 * np.sqrt(d_ref * tol)).all()
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (3, 5), (4, 17)])
+def test_translation_moves_no_distance(n, m, rng):
+    # |d(x + t, P + t) - d(x, P)| <= 64 eps (|t| + scale), on both routes
+    pts = rng.normal(size=(m, n))
+    X = _queries(rng, pts)
+    d = distance_evaluator(Polytope(pts))(X)
+    scale = float(np.abs(pts).max() + np.abs(X).max())
+    for size in 10.0 ** np.arange(3, 10):
+        t = size * rng.normal(size=n) / math.sqrt(n)
+        moved = distance_evaluator(Polytope(pts + t))(X + t)
+        bound = 64.0 * np.finfo(float).eps * (np.linalg.norm(t) + scale)
+        assert np.abs(moved - d).max() <= bound, size
 
 
 def test_singular_bordered_systems(rng):

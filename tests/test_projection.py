@@ -77,6 +77,24 @@ class TestMetricProjection:
             assert dist <= gmin + 1e-9
             assert gmin - dist <= slack + 1e-9
 
+    def test_interior_point_where_wolfe_cycles(self):
+        # inside a well-conditioned hull, |w|^2 reaches rounding level and
+        # the minor cycles then revisit the same corrals: the solver must
+        # return there instead of running into its iteration cap
+        pts = np.array([
+            [0.37412708349705537, -0.5781080271224108, -0.8939917710051213],
+            [2.1874630415764944, -0.7836091699414152, 1.016476450873363],
+            [0.4976534365341193, 1.3050368365052245, 0.7606889821438557],
+            [-0.6207313764033056, -0.04922887102446326, 2.13547113667431],
+            [0.07503055655826994, -0.4543047928112338, 0.9097619449220987],
+            [0.5733076192555591, 1.7855886674808272, -0.09933696597459739],
+            [-1.5589666364169434, -0.7816021446276571, -1.1339217146137925],
+        ])
+        x = np.array([0.16485277410901572, -0.515809300901755, 0.8406927678836096])
+        _, dist = metric_projection(Polytope(pts), x)
+        assert dist <= 1e-12
+        assert contains(Polytope(pts), x, 1e-12)
+
     def test_flat_residual_orthogonal_to_direction(self, rng):
         for _ in range(30):
             basis = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
