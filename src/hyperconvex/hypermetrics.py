@@ -35,20 +35,26 @@ set:
 Ambient sups (ball_sup) run through a hierarchical branch-and-bound over box
 covers of the ball (Horst and Tuy, Global Optimization, 1996): boxes are
 evaluated at centers clamped into the domain, bounded above, then split
-along their widest axis until the requested width is certified.  Take a box
-with clamped center c and half-diagonal rho.  Three facts keep the tree
+along every axis within a factor 2 of their widest until the requested
+width is certified, so a level halves every side of a cube at once.  Take a
+box with clamped center c and half-diagonal rho.  Three facts keep the tree
 small:
 
 * the search covers only the ball of S, the span of both sets' data: for
   C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
   |d(., a) - d(., b)| does not grow with |x_perp|, so two segments on a
   line search an interval and two lines in any R^n at most a 3-ball;
-* the gap on the box, all of which lies within rho of c, is at most the
-  gap at c plus min(2 rho, rho |u_a - u_b| + rho^2 (1/d_a + 1/d_b)), with
-  d the distance and u = (c - P(c)) / d the unit residual of each set at
-  c (_box_bounds).  Far from both sets the gap is nearly flat, and this
-  second-order term shrinks with rho^2 where the Lipschitz slack 2 rho
-  would not;
+* the gap d_a - d_b is a difference of convex functions, so on the box it
+  is at most its value at c plus min(L(u_a - u_b) + rho^2 / (2 d_a),
+  rho + L(-u_b)), and its negative likewise with a and b exchanged, with d
+  the distance and u = (c - P(c)) / d the unit residual of each set at c,
+  and L(v) the most v . (y - c) reaches over the box and the ball
+  (_box_bounds, _box_reach).  Convexity bounds the subtracted distance from
+  below to first order, so each side carries one quadratic term, which
+  shrinks with rho^2; a center on a set, where that term is unbounded,
+  still gets rho plus a first-order term rather than the Lipschitz slack
+  2 rho; and a gradient that points out of the ball adds nothing at a sup
+  on the sphere;
 * phi on the box is also at most 1/J(|c| - rho), and at most the largest
   min(1/j, cap(j)) over the ball indices j that the norms |c| - rho ..
   |c| + rho span, where cap(j) bounds s_j (_gap_caps).  Once a lower bound
@@ -172,50 +178,110 @@ class _Pair:
 
 
 _CHUNK = 1 << 17
+# rows a search level may evaluate, and the most axes a box splits along at
+# once (2^16 children)
+_LEVEL_ROWS = 1 << 16
+_SPLIT_AXES = 16
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _eval_chunked(f, *arrays):
-    """f(*arrays) evaluated _CHUNK rows at a time; f returns a tuple of
-    arrays, one row per input row."""
-    rows = arrays[0].shape[0]
-    if rows <= _CHUNK:
-        return f(*arrays)
-    parts = [f(*(v[i : i + _CHUNK] for v in arrays)) for i in range(0, rows, _CHUNK)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale: float = 1.0):
+    """(lo, hi): lo[i] <= |d_a - d_b|(x_i), and hi[i] >= |d_a - d_b|(y) at
+    every point y of the box around x_i, from the residual maps ra and rb.
 
+    The box is any set of points within rho[i] of x_i; reach(V) bounds
+    max over the box of v . (y - x_i) for the direction rows v = V[..., i, :]
+    and defaults to rho[i] |v|, the bound over the whole rho-ball.  With
+    rho None only lo is computed, and hi is None.
 
-def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray):
-    """(lo, hi): lo[i] <= |d_a - d_b|(x_i), and hi[i] >= |d_a - d_b| at
-    every point within rho[i] of x_i, from the residual maps ra and rb.
+    With R = x - P(x), d = |R|, u = R / d (u = 0 where d = 0) and
+    delta = y - x, every distance function satisfies
+    * d(y) >= d(x) + u . delta, as d is convex with subgradient u at x;
+    * d(y) <= |y - P(x)| = |R + delta| <= d(x) + u . delta + rho^2 / (2 d),
+      and d(y) <= d(x) + rho, as d is 1-Lipschitz.
+    So g = d_a - d_b is at most g(x) + min(L(u_a - u_b) + rho^2 / (2 d_a),
+    rho + L(-u_b)) on the box, and -g is at most -g(x) + min(L(u_b - u_a) +
+    rho^2 / (2 d_b), rho + L(-u_a)), with L = reach.  Each side carries one
+    quadratic term, a row on a set keeps a finite bound on both, and a
+    gradient that points out of the box adds nothing.
 
-    With r = x - P(x), d = |r| and u = r / d at x, the gap g = d_a - d_b
-    moves by at most min(2 rho, rho |u_a - u_b| + rho^2 (1/d_a + 1/d_b))
-    within rho of x.  I - P is 1-Lipschitz and |p/|p| - q/|q|| <= 2 |p - q|/|q|,
-    so every Clarke gradient of g at z has norm at most |u_a - u_b| +
-    2 |z - x| (1/d_a + 1/d_b).  Along the segment from x to y the slope of
-    g is bounded by those norms (the mean value theorem for Lipschitz
-    functions, Lebourg), and integrating it bounds |g(y) - g(x)| by
-    rho |u_a - u_b| + rho^2 (1/d_a + 1/d_b); |g| is 2-Lipschitz besides.  A row with d = 0 keeps 2 rho.  A residual
-    known to within e (the batched Wolfe route) widens |u_a - u_b| by
-    2 e / d, replaces d by d - e, and widens the value by e on both sides.
+    A residual is known to within e: the batched Wolfe route's error, plus
+    for every route a rounding allowance of 64 eps (scale + |x| + d_a + d_b),
+    scale being 1 plus the largest coordinate of the sets' data (1 by
+    default).  A row with d <= e counts as on the
+    set (u = 0, no quadratic term).  Otherwise |R + delta| moves by at most
+    e and u by at most 2 e / (d - e), which widens the convexity term by
+    2 e rho / (d - e); hi also widens by e.  lo widens by the Wolfe error
+    alone.
     """
     Ra, ea = ra(X)
     Rb, eb = rb(X)
     da = np.linalg.norm(Ra, axis=1)
     db = np.linalg.norm(Rb, axis=1)
-    f = np.abs(da - db)
-    err = 0.0
+    g = da - db
+    ea = 0.0 if ea is None else ea
+    eb = 0.0 if eb is None else eb
+    lo = np.abs(g) - (ea + eb)
+    if rho is None:
+        return lo, None
+    tiny = _ROUNDING * (scale + np.linalg.norm(X, axis=1) + da + db)
+    sides = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        du = np.linalg.norm(Ra / da[:, None] - Rb / db[:, None], axis=1)
-        if ea is not None or eb is not None:
-            ea = 0.0 if ea is None else ea
-            eb = 0.0 if eb is None else eb
-            err = ea + eb
-            du += 2.0 * (ea / da + eb / db)
-            da, db = np.clip(da - ea, 0.0, None), np.clip(db - eb, 0.0, None)
-        # fmin: a row with d = 0 has du = nan and keeps 2 rho
-        slack = np.fmin(2.0 * rho, rho * (du + rho * (1.0 / da + 1.0 / db)))
-    return f - err, f + err + slack
+        for R, d, e in ((Ra, da, ea + tiny), (Rb, db, eb + tiny)):
+            on = d <= e
+            u = np.where(on[:, None], 0.0, R / d[:, None])
+            quad = np.where(on, np.inf, rho * rho / (2.0 * d))
+            turn = np.where(on, 0.0, 2.0 * e * rho / (d - e))
+            sides.append((u, quad, turn, e))
+    (ua, qa, ta, ea), (ub, qb, tb, eb) = sides
+    V = np.stack([ua - ub, ub - ua, -ub, -ua])
+    L = rho * np.linalg.norm(V, axis=-1) if reach is None else reach(V)
+    up = g + tb + np.minimum(L[0] + qa, rho + L[2])
+    down = -g + ta + np.minimum(L[1] + qb, rho + L[3])
+    return lo, np.maximum(up, down) + ea + eb
+
+
+def _box_reach(c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float, B: np.ndarray | None = None):
+    """The reach of _box_bounds for the boxes of centers C and half-widths H
+    cut by the r-ball, each seen from its center c clamped into the ball
+    (rows, in the coordinates of the rows B, or ambient when B is None):
+    V -> min(rho |v|, v . (C - c) + sum |v_i| H_i, r |v| - v . c), with v
+    the rows of V in those coordinates.  Clamping is non-expansive, so every
+    point y of the box in the ball lies within rho = |H| of c; the second
+    term is the max of v . (y - c) over the box, the third over the ball.
+    """
+    rho = np.linalg.norm(H, axis=1)
+
+    def reach(V: np.ndarray) -> np.ndarray:
+        if B is not None:
+            V = V @ B.T
+        N = np.linalg.norm(V, axis=-1)
+        box = np.einsum("...ik,ik->...i", V, C - c) + np.einsum("...ik,ik->...i", np.abs(V), H)
+        return np.minimum(np.minimum(rho * N, box), r * N - np.einsum("...ik,ik->...i", V, c))
+
+    return reach
+
+
+def _split_axes(H: np.ndarray) -> np.ndarray:
+    """The axes each box (rows of half-widths H) splits along: those whose
+    half-width exceeds half its widest, at most _SPLIT_AXES of them."""
+    axes = H > 0.5 * H.max(axis=1, keepdims=True)
+    if H.shape[1] > _SPLIT_AXES:
+        axes &= np.argsort(np.argsort(-H, axis=1), axis=1) < _SPLIT_AXES
+    return axes
+
+
+def _split(C: np.ndarray, H: np.ndarray, axes: np.ndarray):
+    """The children of the boxes (C, H) halved along their axes, 2^m for a
+    box with m axes; a cube thus yields 2^k cubes."""
+    count = 1 << axes.sum(axis=1)
+    box = np.repeat(np.arange(C.shape[0]), count)
+    # child t of a box takes the upper half along its p-th split axis where
+    # bit p of t is set, the lower half elsewhere
+    t = np.arange(box.size) - np.repeat(np.cumsum(count) - count, count)
+    bit = (t[:, None] >> np.maximum(np.cumsum(axes, axis=1) - 1, 0)[box]) & 1
+    axes, half = axes[box], 0.5 * H[box]
+    return C[box] + np.where(axes, (2.0 * bit - 1.0) * half, 0.0), np.where(axes, half, H[box])
 
 
 def ball_sup(
@@ -241,7 +307,7 @@ def ball_sup(
     c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  floor is
     a known lower bound of the result; the estimate then encloses the max
     of floor and the sup.  The search starts from the probe rows (default
-    _ambient_probes).
+    _ambient_probes), which only raise the lower bound.
 
     The search runs over the ball of S, the pair's common span: for sets
     inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
@@ -249,17 +315,25 @@ def ball_sup(
     lies in the shell of x or an inner one, so phi(x_S) >= phi(x).  A rank
     cut adds _common_span's w0 + w1 radius to every upper bound.
 
-    Boxes are evaluated at their centers clamped into the ball, which is
-    non-expansive, so the clamped center c is within the box half-diagonal
-    rho of every domain point of the box.  _box_bounds bounds the gap
-    there, and phi is also at most the largest weight of the shells that
-    the norms |c| - rho .. |c| + rho reach.  Once no weight past some shell
-    beats the lower bound by eps, those shells leave the search, and their
-    largest weight joins the upper bound.
+    Boxes are evaluated at their centers clamped into the live ball, which
+    is non-expansive, so the clamped center c is within the box
+    half-diagonal rho of every domain point of the box.  _box_bounds bounds
+    the gap there, with v . (y - c) over the box and the ball at most
+    min(rho |v|, v . (C - c) + sum |v_i| H_i, r |v| - v . c) for a box of
+    center C and half-widths H in the live r-ball; phi is also at most the
+    largest weight of the shells that the norms |c| - rho .. |c| + rho reach.
+    Once no weight past some shell beats the lower bound by eps, those
+    shells leave the search, and their largest weight joins the upper bound.
+    Each level splits the boxes of highest upper bound along every wide
+    axis (_split), as many as keep the level within _LEVEL_ROWS rows; the
+    others wait with their bounds.
     """
     B, w0, w1 = pair.span
     widen = w0 + w1 * radius
     k = pair.a.ambient_dim if B is None else B.shape[0]
+    scale = 1.0 + max(
+        float(np.abs(s.points if isinstance(s, Polytope) else s.base).max(initial=0.0)) for s in (pair.a, pair.b)
+    )
     w = np.asarray(weights, dtype=float)
     L = w.shape[0]
     shell = radius / L
@@ -268,11 +342,21 @@ def ball_sup(
     top = np.maximum.accumulate(np.where(np.tri(L, dtype=bool).T, w, -np.inf), axis=1)
     tail = top[:, -1]
 
-    def bounds(Y: np.ndarray, rho: np.ndarray):
-        lo, hi = _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, rho)
-        t = np.linalg.norm(Y, axis=1)
-        # lower bounds take the outer shell at a tie, upper bounds the inner
-        lo = np.minimum(lo, w[np.minimum(t // shell, L - 1).astype(int)])
+    def weight(t: np.ndarray) -> np.ndarray:
+        # lower bounds take the outer shell at a tie
+        return w[np.minimum(t // shell, L - 1).astype(int)]
+
+    def lower(Y: np.ndarray):
+        lo, _ = _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, None)
+        return np.minimum(lo, weight(np.linalg.norm(Y, axis=1)))
+
+    def bounds(c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float):
+        rho = np.linalg.norm(H, axis=1)
+        reach = _box_reach(c, C, H, r, B)
+        lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale)
+        t = np.linalg.norm(c, axis=1)
+        lo = np.minimum(lo, weight(t))
+        # upper bounds take the inner shell at a tie
         first = np.clip(np.ceil((t - rho) / shell) - 1, 0, L - 1).astype(int)
         last = np.clip(np.ceil((t + rho) / shell) - 1, 0, L - 1).astype(int)
         return lo, np.minimum(hi, top[first, last]) + widen
@@ -281,7 +365,7 @@ def ball_sup(
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
     Y = _clamp_rows(Y, radius)
-    lb = max(floor, float(_eval_chunked(bounds, Y, np.zeros(Y.shape[0]))[0].max()))
+    lb = max([floor] + [float(lower(Y[i : i + _CHUNK]).max()) for i in range(0, Y.shape[0], _CHUNK)])
     evals = Y.shape[0]
 
     resolved = -np.inf
@@ -296,45 +380,37 @@ def ball_sup(
         return live * shell
 
     r = live_radius()
-    C = np.zeros((1, k))
-    H = np.full((1, k), r)
+    # the boxes (C, H) with their upper bounds U, nan until evaluated
+    C, H, U = np.zeros((1, k)), np.full((1, k), r), np.full(1, np.nan)
     while r > 0 and C.shape[0]:
-        vals, ub = _eval_chunked(bounds, _clamp_rows(C, r), np.linalg.norm(H, axis=1))
-        evals += C.shape[0]
-        lb = max(lb, float(vals.max()))
-        active = ub > lb + eps
+        new = np.isnan(U)
+        if new.any():
+            vals, U[new] = bounds(_clamp_rows(C[new], r), C[new], H[new], r)
+            evals += int(new.sum())
+            lb = max(lb, float(vals.max()))
+        active = U > lb + eps
         if not active.all():
-            resolved = max(resolved, float(ub[~active].max()))
+            resolved = max(resolved, float(U[~active].max()))
         if not active.any():
             break
         if evals >= budget:
-            return SupEstimate(lb, max(resolved, float(ub.max()), lb), False, evals)
+            return SupEstimate(lb, max(resolved, float(U.max()), lb), False, evals)
 
-        C, H, ub = C[active], H[active], ub[active]
-        cap = 1 << 15
-        if C.shape[0] > cap:
-            # split only the worst offenders this round; the rest stay active
-            order = np.argsort(ub)[::-1]
-            keepC, keepH = C[order[cap:]], H[order[cap:]]
-            C, H = C[order[:cap]], H[order[:cap]]
-        else:
-            keepC = keepH = np.zeros((0, k))
-
-        rows = np.arange(C.shape[0])
-        axis = H.argmax(axis=1)
-        Hc = H.copy()
-        Hc[rows, axis] *= 0.5
-        C1 = C.copy()
-        C1[rows, axis] -= Hc[rows, axis]
-        C2 = C.copy()
-        C2[rows, axis] += Hc[rows, axis]
-        C = np.concatenate([C1, C2, keepC])
-        H = np.concatenate([Hc, Hc, keepH])
+        C, H, U = C[active], H[active], U[active]
+        axes = _split_axes(H)
+        count = 1 << axes.sum(axis=1)
+        if count.sum() > _LEVEL_ROWS:
+            # split the boxes of highest upper bound first; the rest wait
+            order = np.argsort(-U, kind="stable")
+            C, H, U, axes, count = C[order], H[order], U[order], axes[order], count[order]
+        n = max(int(np.searchsorted(np.cumsum(count), _LEVEL_ROWS, side="right")), 1)
+        Cn, Hn = _split(C[:n], H[:n], axes[:n])
+        C, H = np.concatenate([Cn, C[n:]]), np.concatenate([Hn, H[n:]])
+        U = np.concatenate([np.full(Cn.shape[0], np.nan), U[n:]])
         # drop boxes entirely outside the live ball
         r = live_radius()
-        inner = np.clip(np.abs(C) - H, 0.0, None)
-        keep = np.linalg.norm(inner, axis=1) <= r
-        C, H = C[keep], H[keep]
+        keep = np.linalg.norm(np.clip(np.abs(C) - H, 0.0, None), axis=1) <= r
+        C, H, U = C[keep], H[keep], U[keep]
     return SupEstimate(lb, max(resolved, lb), True, evals)
 
 

@@ -1,12 +1,14 @@
-"""Certified ball sups: residual maps, the second-order box bound, the
-search over the pair's common span, and the weighted scan behind the
-Attouch-Wets metric.
+"""Certified ball sups: residual maps, the one-sided box bound, the search
+over the pair's common span, its level size, and the weighted scan behind
+the Attouch-Wets metric.
 
 The oracles are the scalar metric projection (polytopes) and numpy's
 least squares (flats); neither goes through the batched residual maps.
 The checks of the weighted scan against dense samples take their gaps from
 distance_evaluator instead: they test the scan, not the distances.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -120,7 +122,7 @@ def test_residual_rows_point_at_the_nearest_point(seed, kind, n):
 
 
 # ---------------------------------------------------------------------------
-# the second-order box bound
+# the one-sided box bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,9 +161,76 @@ def test_box_bound_is_second_order_away_from_the_sets():
     rho = np.array([0.01])
     lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho)
     assert hi[0] - lo[0] < 0.1 * 2 * rho[0]
-    # and on a set (d = 0) it keeps 2 rho
+    # and on both sets (d = 0) each side keeps its Lipschitz slack rho
     lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), np.zeros((1, 3)), rho)
-    assert hi[0] - lo[0] == pytest.approx(2 * rho[0])
+    assert hi[0] - lo[0] == pytest.approx(rho[0])
+
+
+def _set_point(rng, s):
+    """A generator of a polytope, or a random point of a flat."""
+    if isinstance(s, Polytope):
+        return s.points[rng.integers(len(s.points))]
+    return s.base + rng.normal(size=s.basis.shape[0]) @ s.basis
+
+
+def _box_samples(rng, C, H, radius, count):
+    """Points of the box (C, H) that lie in the closed radius-ball, by
+    rejection: uniform points of the box, points of its faces, its corners,
+    and all of those pushed radially onto the sphere, kept only when they
+    lie in both the box and the ball (never clamped, which can leave the
+    box)."""
+    n = C.size
+    U = rng.uniform(-1.0, 1.0, size=(count, n))
+    F = rng.uniform(-1.0, 1.0, size=(count // 2, n))
+    F[np.arange(len(F)), rng.integers(n, size=len(F))] = rng.choice([-1.0, 1.0], size=len(F))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    Y = C + np.concatenate([U, F, corners]) * H
+    nrm = np.linalg.norm(Y, axis=1, keepdims=True)
+    Y = np.concatenate([Y, Y * radius / np.where(nrm > 0, nrm, 1.0)])
+    inside = (np.abs(Y - C) <= H * (1 + 1e-12)).all(axis=1)
+    return Y[inside & (np.linalg.norm(Y, axis=1) <= radius * (1 + 1e-12))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+    n=st.integers(2, 4),
+    log_size=st.floats(-3.0, 0.3),
+    where=st.sampled_from(("set", "sphere", "ball")),
+)
+def test_directional_box_bound_covers_dense_samples(seed, kinds, n, log_size, where):
+    # random boxes, bounded from their centers clamped into the ball with
+    # the reach of the box and the ball, as ball_sup does
+    rng = np.random.default_rng(seed)
+    a, b = (_draw(rng, k, n) for k in kinds)
+    radius = float(rng.uniform(0.5, 4.0))
+    boxes = 6
+    H = rng.uniform(0.1, 1.0, size=(boxes, n)) * radius * 10.0**log_size
+    rho = np.linalg.norm(H, axis=1)
+    if where == "set":
+        # centers on the sets, where the residuals are at rounding level
+        C = np.array([_set_point(rng, (a, b)[int(rng.integers(2))]) for _ in range(boxes)])
+        radius = max(radius, 1.001 * float(np.linalg.norm(C, axis=1).max()))
+    elif where == "sphere":
+        # boxes that straddle the sphere
+        u = rng.normal(size=(boxes, n))
+        C = u / np.linalg.norm(u, axis=1, keepdims=True) * (radius + rng.uniform(-1.0, 1.0, (boxes, 1)) * rho[:, None])
+    else:
+        C = _in_ball(rng, n, boxes, 1.2 * radius)
+    c = projection._clamp_rows(C, radius)
+    reach = hm._box_reach(c, C, H, radius)
+    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho, reach)
+    assert (lo <= _gap(a, b, c) + 1e-9).all()
+    # the reach bounds v . (y - c) over the box and the ball for any v, and
+    # the bound covers the gap, at samples of both
+    V = rng.normal(size=(8, boxes, n))
+    L = reach(V)
+    for i in range(boxes):
+        Y = _box_samples(rng, C[i], H[i], radius, 60)
+        if len(Y):
+            assert (((Y - c[i]) @ V[:, i].T).max(axis=0) <= L[:, i] + 1e-9).all()
+            assert _gap(a, b, Y).max() <= hi[i] + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +335,67 @@ def test_nearby_lines_certify_within_budget(n):
     b = Flat(0.5 * F[1] + 0.05 * F[2], (np.cos(0.05) * F[0] + np.sin(0.05) * F[1])[None, :])
     iv = attouch_wets(a, b, AWParams(eps_sup=1e-2, budget=300_000))
     assert iv.certified and iv.width <= 1e-2
+
+
+def test_sup_inside_a_set_certifies_in_few_evaluations():
+    # the point {0} against a 7-point polytope around it in R^3: the gap is
+    # |x| on the sphere cap inside the polytope, where every box center lies
+    # on the polytope and its residual is 0
+    rng = np.random.default_rng(3434)
+    a, b = _draw(rng, "subspace", 3), _draw(rng, "wolfe", 3)
+    radius = float(rng.uniform(0.5, 4.0))
+    w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(1, 6))))[::-1]
+    est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w, probes=np.zeros((1, 3)))
+    assert est.certified and est.hi - est.lo <= 1e-2
+    assert est.lo == pytest.approx(radius) and est.evals < 20_000
+
+
+def test_split_halves_every_wide_axis():
+    rng = np.random.default_rng(5)
+    C = rng.normal(size=(9, 4))
+    H = rng.uniform(0.1, 1.0, size=(9, 4))
+    axes = hm._split_axes(H)
+    kids, halves = hm._split(C, H, axes)
+    start = 0
+    for c, h, ax in zip(C, H, axes):
+        assert (ax == (h > h.max() / 2)).all()
+        # the reference: one child per choice of half along each split axis
+        m = int(ax.sum())
+        ref = set()
+        for signs in itertools.product((-0.5, 0.5), repeat=m):
+            off = np.zeros(4)
+            off[ax] = np.array(signs) * h[ax]
+            ref.add(tuple(np.round(c + off, 12)))
+        assert {tuple(np.round(k, 12)) for k in kids[start : start + 2**m]} == ref
+        assert np.array_equal(halves[start : start + 2**m], np.tile(np.where(ax, h / 2, h), (2**m, 1)))
+        start += 2**m
+    assert start == len(kids)
+    # past 16 wide axes only the 16 widest split, 2^16 children at most
+    H = np.ones((1, 18))
+    H[0, 3] = 1.2
+    axes = hm._split_axes(H)
+    assert axes.sum() == 16 and axes[0, 3]
+
+
+def test_levels_stay_within_the_row_cap(monkeypatch):
+    # two simplices in R^6 span all of it, and every box splits into 64
+    rng = np.random.default_rng(6)
+    a, b = Polytope(rng.normal(size=(7, 6))), Polytope(rng.normal(size=(7, 6)))
+    pair = _Pair(a, b, CFG)
+    assert pair.span[0] is None
+    rows = []
+    real = hm._box_bounds
+
+    def recording(ra, rb, X, *args):
+        rows.append(X.shape[0])
+        return real(ra, rb, X, *args)
+
+    monkeypatch.setattr(hm, "_box_bounds", recording)
+    est = hm.ball_sup(pair, 1.0, 1e-2, budget=100_000)
+    # rows[0] is the probe pass; every later call is one level of boxes
+    assert sum(rows) == est.evals and max(rows[1:]) <= 2 * 2**15
+    X = _in_ball(rng, 6, 2000, 1.0)
+    assert (_library_gap(a, b, X) <= est.hi + 1e-6).all()
 
 
 # ---------------------------------------------------------------------------
