@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ToleranceConfig, resolve
 from .errors import ChartDomainError
-from .grassmann import in_chart_domain, lift_point, parallel_subspace
+from .grassmann import in_chart_domain, lift_point, lift_rows, parallel_subspace
 from .sets import ConvexSet, Flat, Polytope, Subspace, affine_hull, check_same_ambient
 
 
@@ -44,13 +44,13 @@ def base_map(s: ConvexSet) -> Subspace:
 def lift_set(
     w: Subspace, v: Subspace, a: Polytope, tol: ToleranceConfig | None = None
 ) -> Polytope:
-    """Generator-wise lift of a polytope contained in w onto v."""
+    """Generator-wise lift of a polytope contained in w onto v; the chart
+    domain, containment and conditioning tests run once for the body."""
     cfg = resolve(tol)
     check_same_ambient(w, v, a)
     if not in_chart_domain(w, v, cfg):
         raise ChartDomainError("direction subspace outside the chart domain")
-    lifted = np.array([lift_point(w, v, g, cfg) for g in a.points])
-    return Polytope(lifted)
+    return Polytope(lift_rows(w, v, a.points, cfg))
 
 
 def chart_convex(

@@ -119,16 +119,25 @@ def lift_point(
     check_same_ambient(w, v, x)
     if not in_chart_domain(w, v, cfg):
         raise ChartDomainError("projection onto the reference subspace is singular on v")
-    resid = x - (w.basis @ x) @ w.basis
-    if np.linalg.norm(resid) > cfg.tau_geom * max(1.0, float(np.linalg.norm(x))):
+    return lift_rows(w, v, x[None, :], cfg)[0]
+
+
+def lift_rows(w: Subspace, v: Subspace, X: np.ndarray, cfg: ToleranceConfig):
+    """lift_point for every row of X, with v in the chart domain of w.
+
+    The tests that the rows lie in w and that the chart system is well
+    conditioned run once for all rows; each row is solved on its own, as
+    lift_point solves it.
+    """
+    resid = np.linalg.norm(X - (X @ w.basis.T) @ w.basis, axis=1)
+    if (resid > cfg.tau_geom * np.maximum(1.0, np.linalg.norm(X, axis=1))).any():
         raise ChartDomainError("point to lift is not in the reference subspace")
     if w.dim == 0:
-        return np.zeros(w.ambient_dim)
+        return np.zeros(X.shape)
     g = w.basis @ v.basis.T
     if np.linalg.cond(g) > _COND_CAP:
         raise ChartDomainError("chart system is too ill-conditioned to lift reliably")
-    c = np.linalg.solve(g, w.basis @ x)
-    return c @ v.basis
+    return np.array([np.linalg.solve(g, w.basis @ x) @ v.basis for x in X])
 
 
 def parallel_subspace(f: Flat | Subspace):

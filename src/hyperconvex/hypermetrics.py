@@ -423,7 +423,7 @@ def same_representation(a: ConvexSet, b: ConvexSet) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, Polytope):
-        pa, pb = np.unique(a.points, axis=0), np.unique(b.points, axis=0)
+        pa, pb = a.unique_points, b.unique_points
         return pa.shape == pb.shape and np.array_equal(pa, pb)
     return np.array_equal(a.basis, b.basis) and np.array_equal(a.base, b.base)
 

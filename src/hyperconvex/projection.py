@@ -20,7 +20,8 @@ per point: the affine maps of all pieces are packed side by side
 elementwise pass per slot and coordinate over all pieces.  Above it they
 run the same Wolfe scheme on the rows of a block in lockstep
 (_min_norm_rows), certified by each row's Wolfe gap.  Single points stay on
-the scalar min_norm_point.
+the scalar min_norm_point, which solves each corral by LU with lstsq as the
+fallback (_affine_minimizer).  All routes read Polytope.unique_points.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
@@ -28,12 +29,14 @@ closed form for flats and subspaces, and the multiplier identity for
 polytopes.  When C meets the r-ball, the nearest point of C ∩ rB to x is
 P_C(t* x) with t* = 1 / (1 + mu), mu the ball's KKT multiplier, and the t in
 [0, 1] with |P_C(t x)| <= r form [0, t*] (Bauschke and Combettes, Convex
-Analysis and Monotone Operator Theory, 2011).  truncated_distance_evaluator
-returns that map and truncated_distance evaluates it at one point.
+Analysis and Monotone Operator Theory, 2011).  A polytope row needs P_C(0)
+only when P_C(x) leaves the ball.  truncated_distance_evaluator returns that
+map and truncated_distance evaluates it at one point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable
@@ -60,8 +63,22 @@ def _wolfe_cap(pts: np.ndarray) -> int:
     return max(10 * pts.shape[0] * pts.shape[1], 50)
 
 
+# Affine coefficients above this come from a nearly singular bordered
+# system, solved again with lstsq's cutoff: by lstsq in the scalar solver,
+# by pseudo-inverse in the batched one.  LU stays the first solve: pinv on
+# every row made the polytope-batch benchmark 1.5x slower (330 against 495
+# ops/s, two runs each, 2-vCPU Xeon VM), and lstsq costs about 20 us a step.
+# On random, flat and integer-lattice polytopes no system exceeds 1e3.  On
+# polytopes 1e-9 thick in R^4 (16 seeds of 17 points, 60 rows each), the
+# batched route failed 3 blocks at 1e3, each where the scalar min_norm_point
+# failed on some row too, and 6 blocks at 1e8.
+_ALPHA_MAX = 1e3
+
+
 def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
-    """Coefficients alpha (sum 1, sign-free) minimizing ||alpha @ Q||."""
+    """Coefficients alpha (sum 1, sign-free) minimizing ||alpha @ Q||: LU on
+    the bordered system, then lstsq if LU finds it singular or returns a
+    coefficient above _ALPHA_MAX, as repeated or dependent rows of Q do."""
     s = Q.shape[0]
     if s == 1:
         return np.ones(1)
@@ -76,7 +93,12 @@ def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
     bordered[1:, 1:] = Q @ Q.T
     rhs = np.zeros(s + 1)
     rhs[0] = 1.0
-    sol, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
+    try:
+        sol = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is None or not (np.abs(sol[1:]) <= _ALPHA_MAX).all():
+        sol, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
     return sol[1:]
 
 
@@ -161,17 +183,6 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
 # floats, and face enumeration's _BLOCK_ROWS * K * (kmax + n) for K pieces
 # of up to kmax coordinates.
 _BLOCK_ROWS = 1024
-# Affine coefficients above this come from a nearly singular bordered
-# system; such rows are solved again by pseudo-inverse, with lstsq's cutoff.
-# LU stays the first solve: pinv on every row made the polytope-batch
-# benchmark 1.5x slower (330 against 495 ops/s, two runs each, 2-vCPU Xeon
-# VM).  On random, flat and integer-lattice polytopes no system exceeds 1e3.
-# On polytopes 1e-9 thick in R^4 (16 seeds of 17 points, 60 rows each), the
-# batched route failed 3 blocks at 1e3, each where the scalar min_norm_point
-# failed on some row too, and 6 blocks at 1e8.
-_ALPHA_MAX = 1e3
-
-
 def _solve_e0(A: np.ndarray) -> np.ndarray:
     """x_i with A[i] x_i = e_0 for every matrix of the stack A (rows, s, s).
 
@@ -370,7 +381,7 @@ def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
     cfg = resolve(tol)
     x = _query(s, x)
     if isinstance(s, Polytope):
-        pts = np.unique(s.points, axis=0)
+        pts = s.unique_points
         w, _ = min_norm_point(pts - x, gap_tol=cfg.tau_geom**2, max_iter=_wolfe_cap(pts))
         return x + w, float(np.linalg.norm(w))
     base = s.base
@@ -524,7 +535,7 @@ def _residual_rows(s: ConvexSet):
             return Xc - Xc @ P, None
 
         return r_flat
-    pts = np.unique(s.points, axis=0)
+    pts = s.unique_points
     if _face_pieces(*pts.shape) > _ENUM_MAX_PIECES:
         cap = _wolfe_cap(pts)
 
@@ -623,22 +634,21 @@ def _truncated_rows(
     and truncated_distance_evaluator.
 
     Flats and subspaces use the closed form.  A polytope row is its metric
-    projection when that lies in the ball, else _ball_cut_point's point.
+    projection when that lies in the ball, which the set then meets.  Else
+    P_C(0) is solved, once per map, and the row is _ball_cut_point's point.
     The ball may miss the set by tau_geom before EmptyIntersectionError,
-    and then meets it in the set's nearest point to the origin.
+    and then meets it in P_C(0).  A polytope that misses the ball raises on
+    the first row, as every row's projection then leaves the ball.
     """
     if not radius > 0:
         raise HyperconvexError("truncation radius must be positive")
     if isinstance(s, Polytope):
-        p0, nu = nearest_point(s, cfg)
-        if nu > radius + cfg.tau_geom:
-            raise EmptyIntersectionError(
-                f"polytope misses the ball: d(0, hull) = {nu:.6g} > {radius:.6g}"
-            )
-        if nu > radius:
-            return lambda X: np.linalg.norm(np.atleast_2d(X) - p0, axis=1)
-        pts = np.unique(s.points, axis=0)
+        pts = s.unique_points
         gap_tol, cap, tol = cfg.tau_geom**2, _wolfe_cap(pts), max(cfg.tau_geom, 1e-12)
+
+        @functools.cache
+        def origin():
+            return nearest_point(s, cfg)
 
         def project(y: np.ndarray) -> np.ndarray:
             return y + min_norm_point(pts - y, gap_tol=gap_tol, max_iter=cap)[0]
@@ -646,6 +656,13 @@ def _truncated_rows(
         def row(x: np.ndarray) -> float:
             w, _ = min_norm_point(pts - x, gap_tol=gap_tol, max_iter=cap)
             if float(np.linalg.norm(x + w)) > radius:
+                p0, nu = origin()
+                if nu > radius + cfg.tau_geom:
+                    raise EmptyIntersectionError(
+                        f"polytope misses the ball: d(0, hull) = {nu:.6g} > {radius:.6g}"
+                    )
+                if nu > radius:
+                    return float(np.linalg.norm(x - p0))
                 w = _ball_cut_point(project, x, p0, x + w, radius, tol) - x
             return float(np.linalg.norm(w))
 
@@ -671,5 +688,7 @@ def truncated_distance_evaluator(
     s: ConvexSet, radius: float, tol: ToleranceConfig | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batch map X -> d(x_i, set ∩ radius-ball): closed forms for flats and
-    subspaces, the multiplier point to max(tau_geom, 1e-12) for polytopes."""
+    subspaces, the multiplier point to max(tau_geom, 1e-12) for polytopes.
+    A flat that misses the ball raises EmptyIntersectionError here, a
+    polytope on the first row evaluated (see _truncated_rows)."""
     return _truncated_rows(s, radius, resolve(tol))

@@ -12,12 +12,15 @@ serves flats and subspaces alike, and only polytopes need a branch of their
 own.
 
 Instances are frozen and their arrays are made read-only, so values can be
-shared freely across threads; every operation returns new objects.
+shared freely across threads; every operation returns new objects.  A
+polytope deduplicates its generators on first use (``unique_points``), not
+at construction, and keeps them out of equality and serialization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -61,6 +64,13 @@ class Polytope:
     @property
     def ambient_dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def unique_points(self) -> np.ndarray:
+        """The distinct generators, np.unique(points, axis=0), read-only."""
+        pts = np.unique(self.points, axis=0)
+        pts.setflags(write=False)
+        return pts
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,18 @@ from hyperconvex import (
     chart_convex,
     chart_convex_inv,
     dimension,
+    ToleranceConfig,
     gap,
     hausdorff,
+    lift_point,
     lift_set,
     metric_projection,
     orthonormal_basis,
     projection_matrix,
     zero_subspace,
 )
+
+from hyperconvex import bundle, grassmann
 
 from conftest import poly, seg, span
 
@@ -182,3 +186,39 @@ class TestZeroDimensionalFiber:
         t = chart_convex_inv(w, poly((0.0, 0.0)))
         assert t.direction.dim == 0
         assert same_polytope(chart_convex(w, t), poly((0.0, 0.0)))
+
+
+class TestLiftSetChecksOncePerBody:
+    def test_same_points_as_lift_point(self, rng):
+        w = span((1, 0, 0, 0), (0, 1, 0, 0))
+        for _ in range(10):
+            v = orthonormal_basis(w.basis + 0.3 * rng.normal(size=(2, 4)))
+            a = poly(*(rng.normal(size=(6, 2)) @ w.basis * 10 ** rng.uniform(-2, 4)))
+            lifted = lift_set(w, v, a).points
+            np.testing.assert_array_equal(lifted, [lift_point(w, v, g) for g in a.points])
+
+    def test_one_domain_and_one_conditioning_test(self, monkeypatch, rng):
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        counted(bundle, "in_chart_domain")
+        counted(grassmann, "in_chart_domain")
+        counted(np.linalg, "cond")
+        w = span((1, 0, 0), (0, 1, 0))
+        v = orthonormal_basis(np.array([[1.0, 0, 0.3], [0, 1.0, -0.2]]))
+        lift_set(w, v, poly(*np.c_[rng.normal(size=(7, 2)), np.zeros(7)]))
+        assert sorted(calls) == ["cond", "in_chart_domain"]
+
+    def test_errors_keep_their_messages(self):
+        w = span((1, 0, 0), (0, 1, 0))
+        body = poly((0, 0, 0), (1, 0, 0), (0, 1, 1e-3))
+        with pytest.raises(ChartDomainError, match="not in the reference subspace"):
+            lift_set(w, w, body)
+        # the chart domain holds v, but the chart system has condition 1e13
+        v = Subspace(np.array([[1.0, 0, 0], [0, 1e-13, 1.0]]))
+        cfg = ToleranceConfig(tau_rank=1e-14)
+        with pytest.raises(ChartDomainError, match="too ill-conditioned"):
+            lift_set(w, v, poly((0, 0, 0), (1, 0, 0)), cfg)
