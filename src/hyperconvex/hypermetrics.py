@@ -80,8 +80,6 @@ from .intervals import Interval
 from .projection import (
     _clamp_rows,
     _residual_rows,
-    _row_norms,
-    distance_evaluator,
     flat_min_norm_point,
     nearest_point,
 )
@@ -163,14 +161,13 @@ def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
 
 
 class _Pair:
-    """Two sets with their residual maps (projection._residual_rows) and
-    distance maps, built once per public call; the common span is computed
-    on the first ball_sup."""
+    """Two sets with their residual maps (projection._residual_rows), built
+    once per public call; the common span is computed on the first
+    ball_sup."""
 
     def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
         self.a, self.b, self.cfg = a, b, cfg
         self.ra, self.rb = _residual_rows(a), _residual_rows(b)
-        self.fa, self.fb = _row_norms(self.ra), _row_norms(self.rb)
 
     @cached_property
     def span(self):
@@ -432,25 +429,39 @@ def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) ->
     """Hausdorff distance between two polytopes.
 
     Both one-sided sups are attained at generators because the distance to
-    a convex set is convex, so the value is the largest distance_evaluator
-    value at the generators.  It is exact when both polytopes take the
-    face-enumeration route; a larger polytope's distances come from the
-    batched Wolfe solver, each certified by its Wolfe gap g to within
-    sqrt(2 g) (see distance_evaluator).
+    a convex set is convex, so the value is the largest distance of a
+    generator of one polytope to the other (_generator_hausdorff).  It is
+    exact when both polytopes take the face-enumeration route; a larger
+    polytope's distances come from the batched Wolfe solver, each certified
+    by its Wolfe gap g to within sqrt(2 g) (see distance_evaluator), and
+    the solver stops early on generators that cannot give the largest one.
+    The value is the largest distance_evaluator value at the generators,
+    bit for bit.  tol is accepted for a uniform signature and unused: the
+    routes run at their own fixed tolerances.
     """
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
         raise HyperconvexError("hausdorff takes polytope pairs only")
     check_same_ambient(a, b)
-    return _generator_hausdorff(a, b, distance_evaluator(a), distance_evaluator(b))
+    return _generator_hausdorff(a, b, _residual_rows(a), _residual_rows(b))
 
 
-def _generator_hausdorff(a: Polytope, b: Polytope, fa, fb) -> float:
-    """hausdorff(a, b) from the distance evaluators fa and fb of a and b."""
-    return max(float(fb(a.points).max()), float(fa(b.points).max()))
+def _generator_hausdorff(a: Polytope, b: Polytope, ra, rb) -> float:
+    """hausdorff(a, b) from the residual maps ra and rb of a and b.
+
+    Each side is a max query (see _min_norm_rows) over the distinct
+    generators (unique_points): a's against b start from the floor 0, and
+    their largest distance h is the floor of b's against a.  On the Wolfe
+    route a generator whose distance bound falls below the floor stops
+    early and returns a distance below it, while the rows that can hold the
+    maximum run to their end, so the value is the unpruned rows' max bit
+    for bit.
+    """
+    h = float(np.linalg.norm(rb(a.unique_points, 0.0)[0], axis=1).max())
+    return max(h, float(np.linalg.norm(ra(b.unique_points, h)[0], axis=1).max()))
 
 
 def _gap_caps(
-    a: ConvexSet, b: ConvexSet, fa=None, fb=None
+    a: ConvexSet, b: ConvexSet, ra=None, rb=None
 ) -> tuple[float, Callable[[float], float]]:
     """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
 
@@ -458,12 +469,12 @@ def _gap_caps(
     distance of a polytope pair, the offset of two translate flats.  cap(r)
     holds for one radius; for flats with different directions it is the
     offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.  A
-    polytope pair needs fa and fb, the distance evaluators of a and b, for
-    its Hausdorff distance.
+    polytope pair needs ra and rb, the residual maps of a and b, for its
+    Hausdorff distance.
     """
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if pa or pb:
-        h = _generator_hausdorff(a, b, fa, fb) if pa and pb else np.inf
+        h = _generator_hausdorff(a, b, ra, rb) if pa and pb else np.inf
         return h, lambda r: h
     Pa = a.basis.T @ a.basis
     Pb = b.basis.T @ b.basis
@@ -608,7 +619,7 @@ def truncated_hausdorff(
     if same_representation(a, b):
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
-    _, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    _, cap = _gap_caps(a, b, pair.ra, pair.rb)
     est = _th_estimate(pair, radius, eps, cap(radius), budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
@@ -639,7 +650,7 @@ def sup_distance_gap(
     if same_representation(a, b):
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
-    _, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    _, cap = _gap_caps(a, b, pair.ra, pair.rb)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
         est = _th_estimate(pair, radius, eps, cap(radius), budget)
     else:
@@ -688,7 +699,7 @@ def attouch_wets(
     if same_representation(a, b):
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
-    h, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    h, cap = _gap_caps(a, b, pair.ra, pair.rb)
     return _aw_scan(pair, p, cap, p.j_cap, h)
 
 
@@ -720,7 +731,7 @@ def aw_origin(
     if same_representation(a, b):
         return Interval(0.0, 0.0)
     pair = _Pair(a, b, cfg)
-    h, cap = _gap_caps(a, b, pair.fa, pair.fb)
+    h, cap = _gap_caps(a, b, pair.ra, pair.rb)
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if not (pa or pb):
         j = np.arange(1.0, p.j_cap + 1.0)

@@ -19,7 +19,8 @@ per point: the affine maps of all pieces are packed side by side
 (_polytope_pieces), so a block costs two matrix products and one
 elementwise pass per slot and coordinate over all pieces.  Above it they
 run the same Wolfe scheme on the rows of a block in lockstep
-(_min_norm_rows), certified by each row's Wolfe gap.  Single points stay on
+(_min_norm_rows), certified by each row's Wolfe gap; a max query (hausdorff)
+gives it a floor, below which rows stop early.  Single points stay on
 the scalar min_norm_point, which solves each corral by LU with lstsq as the
 fallback (_affine_minimizer).  All routes read Polytope.unique_points.
 
@@ -211,20 +212,24 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     equal count, so a row's result does not depend on the other rows.
     """
     alpha = np.zeros(Qs.shape[:2])
-    for c in np.unique(cnt):
-        rows = np.flatnonzero(cnt == c)
+    lo = int(cnt.min())
+    if lo == cnt.max():
+        groups = [(lo, slice(None))]  # one count: no gather
+    else:
+        groups = [(c, np.flatnonzero(cnt == c)) for c in np.unique(cnt)]
+    for c, rows in groups:
         if c == 1:
             alpha[rows, 0] = 1.0
             continue
         S = Qs[rows, :c]
-        A = np.ones((rows.size, c + 1, c + 1))
+        A = np.ones((S.shape[0], c + 1, c + 1))
         A[:, 0, 0] = 0.0
         A[:, 1:, 1:] = S @ S.transpose(0, 2, 1)
         try:
             sol = _solve_e0(A)
         except np.linalg.LinAlgError:
             # some system is exactly singular: solve the others by LU
-            sol = np.full((rows.size, c + 1), np.nan)
+            sol = np.full((S.shape[0], c + 1), np.nan)
             regular = np.linalg.slogdet(A)[0] != 0
             if regular.any():
                 sol[regular] = _solve_e0(A[regular])
@@ -235,22 +240,36 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _min_norm_rows(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
+def _min_norm_rows(
+    pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, floor: float | None = None
+):
     """min_norm_point(pts - x, gap_tol, max_iter) for every row x of X.
 
     The rows run in lockstep, _BLOCK_ROWS at a time, each with its own
     active slots and weights; a row leaves the block once its Wolfe gap
     meets its tolerance, or once a major iteration fails to lower |w|^2
     while the gap is at rounding level (64e5 eps max(1, max_i |p_i - x|^2),
-    the scalar solver's stall level).  Returns (W, gaps).  ConvergenceError names the
-    worst row of the block that failed.
+    the scalar solver's stall level).  Returns (W, gaps).  ConvergenceError
+    names the worst row of the block that failed.
+
+    A floor asks only for the largest distance over the rows (a max query):
+    a row whose |w| falls below the floor leaves early with its current w
+    and gap, as |w| bounds its distance from above.  After each major
+    iteration the floor rises to the largest certified lower bound of a row
+    in play, min_i <p_i - x, w> / |w| (weak duality), less a rounding
+    allowance of 64 eps (n + 1) max(1, max_i |p_i - x|) that covers the
+    rounding of that bound and of the |w| it is compared with, so a row
+    whose |w| could still be the largest distance runs to its end with the
+    arithmetic it would have without a floor.  A row that leaves below the
+    floor is not checked for a stall.  The floor carries from block to
+    block.  Without a floor every row runs to its end.
     """
     X = np.asarray(X, dtype=float)
     W = np.empty(X.shape)
     gaps = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        W[block], gaps[block] = _wolfe_block(pts, X[block], gap_tol, max_iter)
+        W[block], gaps[block], floor = _wolfe_block(pts, X[block], gap_tol, max_iter, floor)
     return W, gaps
 
 
@@ -261,14 +280,15 @@ def _block_error(message: str, Q: np.ndarray, W: np.ndarray, rows: np.ndarray):
     return ConvergenceError(message, best=W[rows[worst]], residual=float(gap[worst]))
 
 
-def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
-    """_min_norm_rows on one block of rows."""
+def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, floor=None):
+    """_min_norm_rows on one block of rows: (W, gaps, the raised floor)."""
     m, n = pts.shape
     Q = pts[None, :, :] - X[:, None, :]  # (rows, m, n): generators shifted per row
     sq = np.einsum("bij,bij->bi", Q, Q)
     scale2 = np.maximum(1.0, sq.max(axis=1))
     tol = np.maximum(gap_tol, 64.0 * _EPS * scale2)
     stall_tol = 1e5 * 64.0 * _EPS * scale2
+    allow = 64.0 * _EPS * (n + 1) * np.sqrt(scale2)  # the floor's rounding allowance
 
     b = X.shape[0]
     W_out = np.empty((b, n))
@@ -287,10 +307,18 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
     for _ in range(max_iter):
         dots = (Q @ W[:, :, None])[:, :, 0]
         w2 = (W * W).sum(axis=1)
-        gap = w2 - dots.min(axis=1)
         j = dots.argmin(axis=1)
+        low = dots[rows, j]
+        gap = w2 - low
         active = slots < cnt[:, None]
         done = gap <= tol
+        if floor is not None:
+            nw = np.sqrt(w2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lower = np.where(nw > 0, low / nw, 0.0) - allow
+            floor = max(floor, float(lower.max()))
+            # rows that cannot hold the largest distance leave as they are
+            done |= nw < floor
         # no generator improves: a stall at rounding level, or a failure
         stalled = ~done & ((idx == j[:, None]) & active).any(axis=1)
         if (stalled & (gap > stall_tol)).any():
@@ -306,9 +334,9 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
             gap_out[ids[done]] = np.maximum(gap[done], 0.0)
             live = ~done
             if not live.any():
-                return W_out, gap_out
-            ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol = (
-                v[live] for v in (ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol)
+                return W_out, gap_out, floor
+            ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol, allow = (
+                v[live] for v in (ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol, allow)
             )
             rows = np.arange(ids.size)
         w2_last = w2
@@ -330,9 +358,9 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int):
                 c /= _slot_sum(c)[:, None]
                 lam[pend[corral], :k] = c
                 W[pend[corral]] = _slot_sum(c[:, :, None] * Qs[corral])
-            pend, sub, valid, alpha = pend[~corral], sub[~corral], valid[~corral], alpha[~corral]
-            if pend.size == 0:
-                break
+                if corral.all():
+                    break
+                pend, sub, valid, alpha = pend[~corral], sub[~corral], valid[~corral], alpha[~corral]
             lm = lam[pend, :k]
             neg = valid & (alpha < -1e-13)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -510,9 +538,17 @@ def _polytope_pieces(pts: np.ndarray):
 
 
 def _residual_rows(s: ConvexSet):
-    """Batch map X (rows) -> (R, err): R[i] = x_i - P(x_i), the residual of
-    x_i from its nearest point P(x_i) in the set, and err[i] a bound on the
-    error of R[i] (None when every row is exact).
+    """Batch map (X, floor=None) -> (R, err): R[i] = x_i - P(x_i), the
+    residual of x_i from its nearest point P(x_i) in the set, and err[i] a
+    bound on the error of R[i] (None when every row is exact).
+
+    A floor marks a max query, where only the largest |R[i]| counts: the
+    Wolfe route then hands it to _min_norm_rows, and a row that leaves
+    early below the floor returns a residual whose norm bounds its distance
+    from above and stays below the floor, with err[i] from its gap at exit.
+    Every other route is exact per row and ignores the floor, so the route
+    is picked here alone.  Callers that read every row (ball_sup,
+    distance_evaluator) pass no floor.
 
     Flats and subspaces take the closed form.  Polytopes with at most
     _ENUM_MAX_PIECES face pieces enumerate candidate faces, exact per point
@@ -530,7 +566,7 @@ def _residual_rows(s: ConvexSet):
         P = s.basis.T @ s.basis
         base = s.base
 
-        def r_flat(X: np.ndarray):
+        def r_flat(X: np.ndarray, floor=None):
             Xc = np.atleast_2d(X) - base
             return Xc - Xc @ P, None
 
@@ -539,8 +575,8 @@ def _residual_rows(s: ConvexSet):
     if _face_pieces(*pts.shape) > _ENUM_MAX_PIECES:
         cap = _wolfe_cap(pts)
 
-        def r_wolfe(X: np.ndarray):
-            W, gaps = _min_norm_rows(pts, np.atleast_2d(X), gap_tol=1e-18, max_iter=cap)
+        def r_wolfe(X: np.ndarray, floor=None):
+            W, gaps = _min_norm_rows(pts, np.atleast_2d(X), 1e-18, cap, floor)
             return -W, np.sqrt(2.0 * gaps)
 
         return r_wolfe
@@ -548,7 +584,7 @@ def _residual_rows(s: ConvexSet):
     n = pts.shape[1]
     K = offR.size // n
 
-    def r_poly(X: np.ndarray):
+    def r_poly(X: np.ndarray, floor=None):
         X = np.atleast_2d(X)
         R = np.empty(X.shape)
         for start in range(0, X.shape[0], _BLOCK_ROWS):
@@ -573,11 +609,6 @@ def _residual_rows(s: ConvexSet):
     return r_poly
 
 
-def _row_norms(residuals) -> Callable[[np.ndarray], np.ndarray]:
-    """X -> the row norms of residuals(X)[0]: the distances to the set."""
-    return lambda X: np.linalg.norm(residuals(X)[0], axis=1)
-
-
 def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     """Batch map X (rows) -> d(x_i, set), the row norms of the set's
     residual map (_residual_rows).
@@ -589,7 +620,8 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     sqrt(2 g).
     Property tests compare both routes with metric_projection.
     """
-    return _row_norms(_residual_rows(s))
+    residuals = _residual_rows(s)
+    return lambda X: np.linalg.norm(residuals(X)[0], axis=1)
 
 
 def _ball_cut_point(project, x, p0, y1, radius, tol):

@@ -67,8 +67,17 @@ class Polytope:
 
     @cached_property
     def unique_points(self) -> np.ndarray:
-        """The distinct generators, np.unique(points, axis=0), read-only."""
-        pts = np.unique(self.points, axis=0)
+        """The distinct generators in lexicographic order, read-only: the
+        rows np.unique(points, axis=0) gives.
+
+        A stable lexsort, then every row equal to its predecessor dropped,
+        which costs a fraction of np.unique's sort of the rows as records;
+        of rows that differ only in the sign of a zero the first one stays.
+        """
+        pts = self.points[np.lexsort(self.points.T[::-1])]
+        keep = np.ones(pts.shape[0], dtype=bool)
+        keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        pts = pts[keep]
         pts.setflags(write=False)
         return pts
 

@@ -187,7 +187,7 @@ def test_unique_points_are_cached_read_only_and_not_serialized():
 def test_polytope_routines_deduplicate_once(monkeypatch):
     s = Polytope(np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]))
     same = Polytope(s.points[::-1].copy())
-    calls = _counted(monkeypatch, np, "unique")
+    calls = _counted(monkeypatch, np, "lexsort")
     x = np.array([4.0, 4.0])
     for _ in range(3):
         metric_projection(s, x)

@@ -157,3 +157,26 @@ def test_minkowski_sum_generators_are_pairwise_sums(a, b):
     out = minkowski_sum(Polytope(pa), Polytope(pb))
     want = {tuple(x + y) for x in pa for y in pb}
     assert {tuple(p) for p in out.points.tolist()} <= want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 24),
+    n=st.integers(1, 8),
+    values=st.sampled_from(("normal", "small integers", "signed zeros")),
+)
+def test_unique_points_are_the_rows_np_unique_gives(seed, m, n, values):
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        pts = rng.standard_normal((m, n))
+    elif values == "small integers":
+        pts = rng.integers(-1, 2, size=(m, n)).astype(float)
+    else:
+        pts = rng.choice([-0.0, 0.0, 1.0], size=(m, n))
+    pts = pts[rng.integers(0, m, size=m + int(rng.integers(0, m + 1)))]  # repeated rows
+    u = Polytope(pts).unique_points
+    # equal as numbers: which of two rows that differ only in the sign of a
+    # zero stands for both is not fixed by np.unique either
+    np.testing.assert_array_equal(u, np.unique(pts, axis=0))
+    assert not u.flags.writeable
