@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ToleranceConfig, resolve
 from .errors import ChartDomainError
-from .grassmann import in_chart_domain, lift_point, lift_rows, parallel_subspace
+from .grassmann import lift_rows, parallel_subspace
 from .sets import ConvexSet, Flat, Polytope, Subspace, affine_hull, check_same_ambient
 
 
@@ -48,9 +48,7 @@ def lift_set(
     domain, containment and conditioning tests run once for the body."""
     cfg = resolve(tol)
     check_same_ambient(w, v, a)
-    if not in_chart_domain(w, v, cfg):
-        raise ChartDomainError("direction subspace outside the chart domain")
-    return Polytope(lift_rows(w, v, a.points, cfg))
+    return Polytope(lift_rows(w, v, a.points, cfg, "direction subspace outside the chart domain"))
 
 
 def chart_convex(
@@ -85,12 +83,11 @@ def chart_convex_inv(
         raise ChartDomainError(
             f"hull direction dimension {v.dim} does not match the chart dimension {w.dim}"
         )
-    if not in_chart_domain(w, v, cfg):
-        raise ChartDomainError("hull direction outside the chart domain")
     if w.dim == 0:
         offset = p
     else:
-        offset = p - lift_point(w, v, (w.basis @ p) @ w.basis, cfg)
+        x = ((w.basis @ p) @ w.basis)[None, :]
+        offset = p - lift_rows(w, v, x, cfg, "hull direction outside the chart domain")[0]
         offset = offset - (w.basis @ offset) @ w.basis
     shadow = (b.points - offset) @ (w.basis.T @ w.basis)
     return ChartTriple(v, offset, Polytope(shadow))

@@ -36,16 +36,19 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be positive, got {v!r}")
 
 
+_DEFAULTS = ToleranceConfig()
+
+
 def default_tolerances() -> ToleranceConfig:
-    """Default config; HYPERCONVEX_TOL (a float) overrides tau_geom."""
-    cfg = ToleranceConfig()
+    """Default config, read on every call; HYPERCONVEX_TOL (a float)
+    overrides tau_geom."""
     raw = os.environ.get(ENV_TOL)
-    if raw is not None:
-        try:
-            cfg = replace(cfg, tau_geom=float(raw))
-        except ValueError as exc:
-            raise SchemaError(f"{ENV_TOL} must be a positive float, got {raw!r}") from exc
-    return cfg
+    if raw is None:
+        return _DEFAULTS
+    try:
+        return replace(_DEFAULTS, tau_geom=float(raw))
+    except ValueError as exc:
+        raise SchemaError(f"{ENV_TOL} must be a positive float, got {raw!r}") from exc
 
 
 def resolve(tol: ToleranceConfig | None) -> ToleranceConfig:

@@ -92,51 +92,64 @@ def gap_direct(
 # charts
 
 
-def in_chart_domain(w: Subspace, v: Subspace, tol: ToleranceConfig | None = None) -> bool:
-    """True when the orthogonal projection onto w restricts to a bijection
-    from v onto w, i.e. the k x k basis Gram matrix has full rank."""
-    cfg = resolve(tol)
+def _chart_values(w: Subspace, v: Subspace, cfg: ToleranceConfig):
+    """Singular values of the chart matrix g = B_w B_v^T, largest first
+    (none when k = 0), or None when v is outside the chart domain of w.
+    The smallest decides the domain, and s[0] / s[-1] is np.linalg.cond(g),
+    so one SVD answers both tests of a lift (lift_rows)."""
     check_same_ambient(w, v)
     if w.dim != v.dim:
         raise DimensionMismatchError(
             f"chart domain compares equal dimensions, got {v.dim} and {w.dim}"
         )
     if w.dim == 0:
-        return True
-    g = w.basis @ v.basis.T
-    return bool(np.linalg.svd(g, compute_uv=False)[-1] > cfg.tau_rank)
+        return np.ones(0)
+    s = np.linalg.svd(w.basis @ v.basis.T, compute_uv=False)
+    return s if s[-1] > cfg.tau_rank else None
+
+
+def in_chart_domain(w: Subspace, v: Subspace, tol: ToleranceConfig | None = None) -> bool:
+    """True when the orthogonal projection onto w restricts to a bijection
+    from v onto w, i.e. the k x k basis Gram matrix has full rank."""
+    return _chart_values(w, v, resolve(tol)) is not None
 
 
 def lift_point(
     w: Subspace, v: Subspace, x, tol: ToleranceConfig | None = None
 ) -> np.ndarray:
-    """The unique point of v projecting onto x in w.
+    """The unique point of v projecting onto x in w; a non-finite x raises
+    HyperconvexError.
 
     Solves the k x k system (B_w B_v^T) c = B_w x and returns c @ B_v.
     """
     cfg = resolve(tol)
     x = np.asarray(x, dtype=float)
     check_same_ambient(w, v, x)
-    if not in_chart_domain(w, v, cfg):
-        raise ChartDomainError("projection onto the reference subspace is singular on v")
-    return lift_rows(w, v, x[None, :], cfg)[0]
+    if not np.isfinite(x).all():
+        raise HyperconvexError("point to lift must be finite")
+    outside = "projection onto the reference subspace is singular on v"
+    return lift_rows(w, v, x[None, :], cfg, outside)[0]
 
 
-def lift_rows(w: Subspace, v: Subspace, X: np.ndarray, cfg: ToleranceConfig):
-    """lift_point for every row of X, with v in the chart domain of w.
+def lift_rows(w: Subspace, v: Subspace, X: np.ndarray, cfg: ToleranceConfig, outside: str):
+    """lift_point for every row of X; ChartDomainError(outside) when v is
+    outside the chart domain of w.
 
-    The tests that the rows lie in w and that the chart system is well
-    conditioned run once for all rows; each row is solved on its own, as
-    lift_point solves it.
+    The tests that v is in the chart domain, that the rows lie in w and that
+    the chart system is well conditioned run once for all rows, on one SVD;
+    each row is solved on its own, as lift_point solves it.
     """
+    s = _chart_values(w, v, cfg)
+    if s is None:
+        raise ChartDomainError(outside)
     resid = np.linalg.norm(X - (X @ w.basis.T) @ w.basis, axis=1)
     if (resid > cfg.tau_geom * np.maximum(1.0, np.linalg.norm(X, axis=1))).any():
         raise ChartDomainError("point to lift is not in the reference subspace")
     if w.dim == 0:
         return np.zeros(X.shape)
-    g = w.basis @ v.basis.T
-    if np.linalg.cond(g) > _COND_CAP:
+    if s[0] / s[-1] > _COND_CAP:
         raise ChartDomainError("chart system is too ill-conditioned to lift reliably")
+    g = w.basis @ v.basis.T
     return np.array([np.linalg.solve(g, w.basis @ x) @ v.basis for x in X])
 
 
@@ -176,10 +189,8 @@ def chart_flat_inv(w: Subspace, f: Flat, tol: ToleranceConfig | None = None):
         raise ChartDomainError(
             f"flat direction dimension {v.dim} does not match the chart dimension {w.dim}"
         )
-    if not in_chart_domain(w, v, cfg):
-        raise ChartDomainError("flat direction outside the chart domain")
-    lifted = lift_point(w, v, (w.basis @ p) @ w.basis, cfg)
-    omega = p - lifted
+    x = ((w.basis @ p) @ w.basis)[None, :]
+    omega = p - lift_rows(w, v, x, cfg, "flat direction outside the chart domain")[0]
     # scrub roundoff: omega is in the complement of w by construction
     omega = omega - (w.basis @ omega) @ w.basis
     return v, omega

@@ -28,6 +28,16 @@ def _family(points) -> np.ndarray:
     return pts
 
 
+def _point(pts: np.ndarray, x) -> np.ndarray:
+    """x as a finite point of the space of the family pts."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (pts.shape[1],):
+        raise HyperconvexError("point dimension does not match the simplex")
+    if not np.isfinite(x).all():
+        raise HyperconvexError("point must be finite")
+    return x
+
+
 def _diff_matrix(pts: np.ndarray) -> np.ndarray:
     return pts[1:] - pts[0]
 
@@ -150,13 +160,11 @@ def barycentric_coordinates(simplex, x, tol: float = 1e-9) -> np.ndarray:
     """Barycentric coordinates of x with respect to an affinely independent
     family; unique because the difference matrix has full row rank.
 
-    Raises when the family is dependent or x sits off the affine hull by
-    more than tol relative to the data scale.
+    Raises when the family is dependent, x is not finite, or x sits off the
+    affine hull by more than tol relative to the data scale.
     """
     pts = _family(simplex)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pts.shape[1],):
-        raise HyperconvexError("point dimension does not match the simplex")
+    x = _point(pts, x)
     if not is_affinely_independent(pts):
         raise HyperconvexError("simplex points must be affinely independent")
     scale = max(1.0, float(np.linalg.norm(x)), float(np.abs(pts).max()))
@@ -173,12 +181,11 @@ def barycentric_coordinates(simplex, x, tol: float = 1e-9) -> np.ndarray:
 
 def in_relative_interior(simplex, x, tol: float = 1e-9) -> bool:
     """True when x lies strictly inside the simplex: every barycentric
-    coordinate in (tol, 1 - tol).  Points off the affine hull are outside.
+    coordinate in (tol, 1 - tol).  Points off the affine hull are outside;
+    a non-finite x raises.
     """
     pts = _family(simplex)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pts.shape[1],):
-        raise HyperconvexError("point dimension does not match the simplex")
+    x = _point(pts, x)
     if not is_affinely_independent(pts):
         raise HyperconvexError("simplex points must be affinely independent")
     if pts.shape[0] == 1:

@@ -22,7 +22,11 @@ run the same Wolfe scheme on the rows of a block in lockstep
 (_min_norm_rows), certified by each row's Wolfe gap; a max query (hausdorff)
 gives it a floor, below which rows stop early.  Single points stay on
 the scalar min_norm_point, which solves each corral by LU with lstsq as the
-fallback (_affine_minimizer).  All routes read Polytope.unique_points.
+fallback (_affine_minimizer); its cost is numpy's per-call overhead, so it
+issues as few numpy calls as it can, and tests/test_wolfe_reference.py pins
+its arithmetic bit for bit.  All routes read Polytope.unique_points.
+Non-finite points, rows of the public batch maps and contains tolerances
+raise HyperconvexError; ball_sup reads _residual_rows, which does not check.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
@@ -53,6 +57,7 @@ from .errors import (
 from .sets import ConvexSet, Flat, Polytope, check_same_ambient
 
 _EPS = float(np.finfo(float).eps)
+_ZERO = np.zeros(1)  # the weight of a generator entering the corral
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +93,8 @@ def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
     big = float(np.abs(Q).max())
     if big > 0:
         Q = Q / big
-    bordered = np.zeros((s + 1, s + 1))
-    bordered[0, 1:] = 1.0
-    bordered[1:, 0] = 1.0
+    bordered = np.ones((s + 1, s + 1))
+    bordered[0, 0] = 0.0
     bordered[1:, 1:] = Q @ Q.T
     rhs = np.zeros(s + 1)
     rhs[0] = 1.0
@@ -118,7 +122,7 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     tol = max(gap_tol, 64.0 * _EPS * scale2)
     stall_tol = 1e5 * 64.0 * _EPS * scale2
 
-    active = [int(np.argmin(sq))]
+    active = [int(sq.argmin())]
     lam = np.ones(1)
     w = points[active[0]].copy()
     w2_last = math.inf  # |w|^2 at the previous major iteration
@@ -126,13 +130,13 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     for _ in range(max_iter):
         dots = points @ w
         w2 = float(w @ w)
-        gap = w2 - float(dots.min())
+        j = int(dots.argmin())
+        gap = w2 - float(dots[j])
         # a major iteration that did not lower |w|^2 near rounding level
         # would cycle through the same corrals until the cap
         if gap <= tol or (w2 >= w2_last and gap <= stall_tol):
             return w, max(gap, 0.0)
         w2_last = w2
-        j = int(np.argmin(dots))
         if j in active:
             # no generator improves; stall is at rounding level or a bug
             if gap <= stall_tol:
@@ -141,28 +145,27 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
                 "minimum-norm point stalled above tolerance", best=w, residual=gap
             )
         active.append(j)
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, _ZERO))
         # minor cycles: shrink back to a corral (all-positive affine minimizer)
         for _ in range(m + 2):
             Q = points[active]
             alpha = _affine_minimizer(Q)
-            if np.all(alpha > -1e-13):
-                lam = np.clip(alpha, 0.0, None)
+            if (alpha > -1e-13).all():
+                lam = np.maximum(alpha, 0.0)
                 lam /= lam.sum()
                 w = lam @ Q
                 break
             neg = alpha < -1e-13
             t = lam[neg] / (lam[neg] - alpha[neg])
             theta = min(float(t.min()), 1.0)
-            lam = (1.0 - theta) * lam + theta * alpha
-            lam = np.clip(lam, 0.0, None)
+            lam = np.maximum((1.0 - theta) * lam + theta * alpha, 0.0)
             drop = lam <= 1e-13
             if not drop.any():
                 drop = lam == lam.min()
             keep = ~drop
             if not keep.any():
-                keep[int(np.argmax(lam))] = True
-            active = [a for a, k in zip(active, keep) if k]
+                keep[int(lam.argmax())] = True
+            active = [a for a, k in zip(active, keep.tolist()) if k]
             lam = lam[keep]
             lam /= lam.sum()
         else:
@@ -399,6 +402,13 @@ def _query(s: ConvexSet, x) -> np.ndarray:
     return x
 
 
+def _finite_rows(X):
+    """X, the rows passed to a public batch map, once checked to be finite."""
+    if not np.isfinite(X).all():
+        raise HyperconvexError("query rows must be finite")
+    return X
+
+
 def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
     """Nearest point of the set to x and the distance.
 
@@ -411,10 +421,11 @@ def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
     if isinstance(s, Polytope):
         pts = s.unique_points
         w, _ = min_norm_point(pts - x, gap_tol=cfg.tau_geom**2, max_iter=_wolfe_cap(pts))
-        return x + w, float(np.linalg.norm(w))
+        return x + w, math.sqrt(w @ w)
     base = s.base
     point = base + (s.basis @ (x - base)) @ s.basis
-    return point, float(np.linalg.norm(x - point))
+    r = x - point
+    return point, math.sqrt(r @ r)
 
 
 def nearest_point(s: ConvexSet, tol: ToleranceConfig | None = None):
@@ -427,6 +438,8 @@ def project_hyperplane(a, x) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     check_same_ambient(a, x)
+    if not (np.isfinite(a).all() and np.isfinite(x).all()):
+        raise HyperconvexError("hyperplane vector and query point must be finite")
     nrm2 = float(a @ a)
     if nrm2 == 0.0:
         raise HyperconvexError("zero vector defines no hyperplane")
@@ -435,6 +448,8 @@ def project_hyperplane(a, x) -> np.ndarray:
 
 def contains(s: ConvexSet, x, tol: float, tolerances: ToleranceConfig | None = None) -> bool:
     """True iff d(x, set) <= tol, projecting under the given tolerances."""
+    if not math.isfinite(tol):
+        raise HyperconvexError("containment tolerance must be finite")
     return metric_projection(s, x, tolerances)[1] <= tol
 
 
@@ -618,10 +633,11 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     once, _BLOCK_ROWS rows at a time.  Larger polytopes run the batched Wolfe
     solver: a row's Wolfe gap g at exit certifies its distance to within
     sqrt(2 g).
-    Property tests compare both routes with metric_projection.
+    Property tests compare both routes with metric_projection.  Non-finite
+    rows raise HyperconvexError.
     """
     residuals = _residual_rows(s)
-    return lambda X: np.linalg.norm(residuals(X)[0], axis=1)
+    return lambda X: np.linalg.norm(residuals(_finite_rows(X))[0], axis=1)
 
 
 def _ball_cut_point(project, x, p0, y1, radius, tol):
@@ -636,7 +652,7 @@ def _ball_cut_point(project, x, p0, y1, radius, tol):
     that did not halve the bracket bisects.
     """
     lo, hi, y_lo, y_hi = 0.0, 1.0, p0, y1
-    step = tol / float(np.linalg.norm(x))
+    step = tol / math.sqrt(x @ x)
     last = np.inf
     while hi - lo > step:
         width = hi - lo
@@ -652,7 +668,7 @@ def _ball_cut_point(project, x, p0, y1, radius, tol):
                 break
         last = width
         y = project(t * x)
-        if float(np.linalg.norm(y)) <= radius:
+        if math.sqrt(y @ y) <= radius:
             lo, y_lo = t, y
         else:
             hi, y_hi = t, y
@@ -687,7 +703,8 @@ def _truncated_rows(
 
         def row(x: np.ndarray) -> float:
             w, _ = min_norm_point(pts - x, gap_tol=gap_tol, max_iter=cap)
-            if float(np.linalg.norm(x + w)) > radius:
+            y = x + w
+            if math.sqrt(y @ y) > radius:
                 p0, nu = origin()
                 if nu > radius + cfg.tau_geom:
                     raise EmptyIntersectionError(
@@ -695,8 +712,8 @@ def _truncated_rows(
                     )
                 if nu > radius:
                     return float(np.linalg.norm(x - p0))
-                w = _ball_cut_point(project, x, p0, x + w, radius, tol) - x
-            return float(np.linalg.norm(w))
+                w = _ball_cut_point(project, x, p0, y, radius, tol) - x
+            return math.sqrt(w @ w)
 
         return lambda X: np.array([row(x) for x in np.atleast_2d(X)], dtype=float)
     p = flat_min_norm_point(s)
@@ -722,5 +739,7 @@ def truncated_distance_evaluator(
     """Batch map X -> d(x_i, set ∩ radius-ball): closed forms for flats and
     subspaces, the multiplier point to max(tau_geom, 1e-12) for polytopes.
     A flat that misses the ball raises EmptyIntersectionError here, a
-    polytope on the first row evaluated (see _truncated_rows)."""
-    return _truncated_rows(s, radius, resolve(tol))
+    polytope on the first row evaluated (see _truncated_rows).  Non-finite
+    rows raise HyperconvexError."""
+    rows = _truncated_rows(s, radius, resolve(tol))
+    return lambda X: rows(_finite_rows(X))

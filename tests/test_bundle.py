@@ -23,8 +23,6 @@ from hyperconvex import (
     zero_subspace,
 )
 
-from hyperconvex import bundle, grassmann
-
 from conftest import poly, seg, span
 
 W1 = span((1, 0))
@@ -196,21 +194,6 @@ class TestLiftSetChecksOncePerBody:
             a = poly(*(rng.normal(size=(6, 2)) @ w.basis * 10 ** rng.uniform(-2, 4)))
             lifted = lift_set(w, v, a).points
             np.testing.assert_array_equal(lifted, [lift_point(w, v, g) for g in a.points])
-
-    def test_one_domain_and_one_conditioning_test(self, monkeypatch, rng):
-        calls = []
-
-        def counted(module, name):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
-
-        counted(bundle, "in_chart_domain")
-        counted(grassmann, "in_chart_domain")
-        counted(np.linalg, "cond")
-        w = span((1, 0, 0), (0, 1, 0))
-        v = orthonormal_basis(np.array([[1.0, 0, 0.3], [0, 1.0, -0.2]]))
-        lift_set(w, v, poly(*np.c_[rng.normal(size=(7, 2)), np.zeros(7)]))
-        assert sorted(calls) == ["cond", "in_chart_domain"]
 
     def test_errors_keep_their_messages(self):
         w = span((1, 0, 0), (0, 1, 0))

@@ -1,0 +1,68 @@
+"""Non-finite inputs are rejected at the API boundary with HyperconvexError.
+
+Without a check, each entry point below returns NaN or False for a NaN
+input, or fails inside a solver.  The messages are matched, since
+ConvergenceError is itself a HyperconvexError.
+"""
+
+import numpy as np
+import pytest
+
+from hyperconvex import (
+    Flat,
+    HyperconvexError,
+    Polytope,
+    Subspace,
+    barycentric_coordinates,
+    contains,
+    distance_evaluator,
+    in_relative_interior,
+    lift_point,
+    project_hyperplane,
+    truncated_distance_evaluator,
+)
+
+NAN = float("nan")
+SQUARE = Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+LINE = Flat(np.array([0.0, 0.5]), np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("tol", [NAN, np.inf])
+def test_contains_rejects_a_non_finite_tolerance(tol):
+    with pytest.raises(HyperconvexError, match="tolerance must be finite"):
+        contains(SQUARE, [0.5, 0.5], tol)
+
+
+@pytest.mark.parametrize("a,x", [([1.0, 0.0], [NAN, 0.0]), ([np.inf, 0.0], [1.0, 0.0])])
+def test_project_hyperplane_rejects_non_finite_vectors(a, x):
+    with pytest.raises(HyperconvexError, match="must be finite"):
+        project_hyperplane(a, x)
+
+
+def test_distance_evaluator_rejects_non_finite_rows():
+    f = distance_evaluator(SQUARE)
+    with pytest.raises(HyperconvexError, match="query rows must be finite"):
+        f([[NAN, 0.0]])
+    with pytest.raises(HyperconvexError, match="query rows must be finite"):
+        distance_evaluator(LINE)(np.array([[0.0, 0.0], [np.inf, 1.0]]))
+
+
+@pytest.mark.parametrize("s", [SQUARE, LINE], ids=["polytope", "flat"])
+def test_truncated_distance_evaluator_rejects_non_finite_rows(s):
+    f = truncated_distance_evaluator(s, 1.0)
+    with pytest.raises(HyperconvexError, match="query rows must be finite"):
+        f([[NAN, 0.0]])
+    assert np.isfinite(f([[2.0, 0.5]])).all()
+
+
+def test_lift_point_rejects_a_non_finite_point():
+    w = Subspace(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(HyperconvexError, match="point to lift must be finite"):
+        lift_point(w, w, [NAN, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("check", [barycentric_coordinates, in_relative_interior])
+def test_barycentric_helpers_reject_a_non_finite_point(check):
+    simplex = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(HyperconvexError, match="point must be finite"):
+        check(simplex, [NAN, 0.2])
