@@ -36,9 +36,10 @@ Ambient sups (ball_sup) run through a hierarchical branch-and-bound over box
 covers of the ball (Horst and Tuy, Global Optimization, 1996): boxes are
 evaluated at centers clamped into the domain, bounded above, then split
 along every axis within a factor 2 of their widest until the requested
-width is certified, so a level halves every side of a cube at once.  Take a
-box with clamped center c and half-diagonal rho.  Three facts keep the tree
-small:
+width is certified.  While the search span has at most _SPLIT_AXES = 16
+dimensions, the boxes stay cubes, and a level halves every side of a cube
+at once, its children read off one sign table.  Take a box with clamped
+center c and half-diagonal rho.  Three facts keep the tree small:
 
 * the search covers only the ball of S, the span of both sets' data: for
   C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,6 +81,7 @@ from .intervals import Interval
 from .projection import (
     _clamp_rows,
     _residual_rows,
+    _row_norms,
     flat_min_norm_point,
     nearest_point,
 )
@@ -213,15 +215,15 @@ def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale
     """
     Ra, ea = ra(X)
     Rb, eb = rb(X)
-    da = np.linalg.norm(Ra, axis=1)
-    db = np.linalg.norm(Rb, axis=1)
+    da = _row_norms(Ra)
+    db = _row_norms(Rb)
     g = da - db
     ea = 0.0 if ea is None else ea
     eb = 0.0 if eb is None else eb
     lo = np.abs(g) - (ea + eb)
     if rho is None:
         return lo, None
-    tiny = _ROUNDING * (scale + np.linalg.norm(X, axis=1) + da + db)
+    tiny = _ROUNDING * (scale + _row_norms(X) + da + db)
     sides = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for R, d, e in ((Ra, da, ea + tiny), (Rb, db, eb + tiny)):
@@ -232,27 +234,31 @@ def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale
             sides.append((u, quad, turn, e))
     (ua, qa, ta, ea), (ub, qb, tb, eb) = sides
     V = np.stack([ua - ub, ub - ua, -ub, -ua])
-    L = rho * np.linalg.norm(V, axis=-1) if reach is None else reach(V)
+    L = rho * _row_norms(V) if reach is None else reach(V)
     up = g + tb + np.minimum(L[0] + qa, rho + L[2])
     down = -g + ta + np.minimum(L[1] + qb, rho + L[3])
     return lo, np.maximum(up, down) + ea + eb
 
 
-def _box_reach(c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float, B: np.ndarray | None = None):
+def _box_reach(
+    c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float, B: np.ndarray | None = None, rho=None
+):
     """The reach of _box_bounds for the boxes of centers C and half-widths H
     cut by the r-ball, each seen from its center c clamped into the ball
     (rows, in the coordinates of the rows B, or ambient when B is None):
     V -> min(rho |v|, v . (C - c) + sum |v_i| H_i, r |v| - v . c), with v
     the rows of V in those coordinates.  Clamping is non-expansive, so every
-    point y of the box in the ball lies within rho = |H| of c; the second
-    term is the max of v . (y - c) over the box, the third over the ball.
+    point y of the box in the ball lies within rho = |H| of c (the row
+    norms of H, computed here unless the caller has them); the second term
+    is the max of v . (y - c) over the box, the third over the ball.
     """
-    rho = np.linalg.norm(H, axis=1)
+    if rho is None:
+        rho = _row_norms(H)
 
     def reach(V: np.ndarray) -> np.ndarray:
         if B is not None:
             V = V @ B.T
-        N = np.linalg.norm(V, axis=-1)
+        N = _row_norms(V)
         box = np.einsum("...ik,ik->...i", V, C - c) + np.einsum("...ik,ik->...i", np.abs(V), H)
         return np.minimum(np.minimum(rho * N, box), r * N - np.einsum("...ik,ik->...i", V, c))
 
@@ -268,9 +274,30 @@ def _split_axes(H: np.ndarray) -> np.ndarray:
     return axes
 
 
+@cache
+def _signs(k: int) -> np.ndarray:
+    """(2^k, k) table, row t holding +1 at the axes p where bit p of t is set
+    and -1 elsewhere; read-only, as every caller shares it."""
+    signs = 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) - 1.0
+    signs.setflags(write=False)
+    return signs
+
+
 def _split(C: np.ndarray, H: np.ndarray, axes: np.ndarray):
     """The children of the boxes (C, H) halved along their axes, 2^m for a
-    box with m axes; a cube thus yields 2^k cubes."""
+    box with m axes; a cube thus yields 2^k cubes.
+
+    While the span has at most _SPLIT_AXES dimensions, every box of ball_sup
+    is a cube that splits along every axis, and its children are its center
+    plus the rows of one sign table (_signs) times its half-widths.  Boxes
+    that split fewer axes take the general construction, which orders and
+    rounds the children the same way.
+    """
+    if axes.all():
+        signs = _signs(C.shape[1])
+        half = 0.5 * H
+        kids = C[:, None, :] + signs * half[:, None, :]
+        return kids.reshape(-1, C.shape[1]), np.repeat(half, signs.shape[0], axis=0)
     count = 1 << axes.sum(axis=1)
     box = np.repeat(np.arange(C.shape[0]), count)
     # child t of a box takes the upper half along its p-th split axis where
@@ -323,7 +350,9 @@ def ball_sup(
     shells leave the search, and their largest weight joins the upper bound.
     Each level splits the boxes of highest upper bound along every wide
     axis (_split), as many as keep the level within _LEVEL_ROWS rows; the
-    others wait with their bounds.
+    others wait with their bounds.  The search starts from one cube, so
+    while S has at most _SPLIT_AXES dimensions every box is a cube, splits
+    along every axis, and takes its children from one sign table.
     """
     B, w0, w1 = pair.span
     widen = w0 + w1 * radius
@@ -345,13 +374,13 @@ def ball_sup(
 
     def lower(Y: np.ndarray):
         lo, _ = _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, None)
-        return np.minimum(lo, weight(np.linalg.norm(Y, axis=1)))
+        return np.minimum(lo, weight(_row_norms(Y)))
 
     def bounds(c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float):
-        rho = np.linalg.norm(H, axis=1)
-        reach = _box_reach(c, C, H, r, B)
+        rho = _row_norms(H)
+        reach = _box_reach(c, C, H, r, B, rho)
         lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale)
-        t = np.linalg.norm(c, axis=1)
+        t = _row_norms(c)
         lo = np.minimum(lo, weight(t))
         # upper bounds take the inner shell at a tie
         first = np.clip(np.ceil((t - rho) / shell) - 1, 0, L - 1).astype(int)
@@ -406,7 +435,7 @@ def ball_sup(
         U = np.concatenate([np.full(Cn.shape[0], np.nan), U[n:]])
         # drop boxes entirely outside the live ball
         r = live_radius()
-        keep = np.linalg.norm(np.clip(np.abs(C) - H, 0.0, None), axis=1) <= r
+        keep = _row_norms(np.maximum(np.abs(C) - H, 0.0)) <= r
         C, H, U = C[keep], H[keep], U[keep]
     return SupEstimate(lb, max(resolved, lb), True, evals)
 
@@ -494,7 +523,23 @@ _PROBE_SEED = 0x5EED
 _LADDER = (1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
-def _unit_directions(a: ConvexSet, b: ConvexSet, n: int, rng: np.random.Generator) -> np.ndarray:
+@cache
+def _probe_draws(n: int):
+    """The random part of the probe rows in R^n, drawn once per n from
+    _PROBE_SEED as read-only arrays: (gauss, dirs, root), gauss the rows
+    that join the unit directions, and each ball probe the unit row of dirs
+    times root, its radius over the ball's."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    gauss = rng.standard_normal((max(4 * n, 16), n))
+    dirs = rng.standard_normal((96, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    root = rng.random((96, 1)) ** (1.0 / n)
+    for a in (gauss, dirs, root):
+        a.setflags(write=False)
+    return gauss, dirs, root
+
+
+def _unit_directions(a: ConvexSet, b: ConvexSet, n: int) -> np.ndarray:
     rows = []
     for s in (a, b):
         if isinstance(s, Polytope):
@@ -508,7 +553,7 @@ def _unit_directions(a: ConvexSet, b: ConvexSet, n: int, rng: np.random.Generato
     if isinstance(a, Polytope) and isinstance(b, Polytope):
         diff = (a.points[:, None, :] - b.points[None, :, :]).reshape(-1, n)
         rows.append(diff)
-    rows.append(rng.standard_normal((max(4 * n, 16), n)))
+    rows.append(_probe_draws(n)[0])
     V = np.concatenate(rows) if rows else np.zeros((0, n))
     nrm = np.linalg.norm(V, axis=1)
     V = V[nrm > 1e-12] / nrm[nrm > 1e-12, None]
@@ -517,8 +562,7 @@ def _unit_directions(a: ConvexSet, b: ConvexSet, n: int, rng: np.random.Generato
 
 def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
     n = check_same_ambient(a, b)
-    rng = np.random.default_rng(_PROBE_SEED)
-    dirs = _unit_directions(a, b, n, rng)
+    dirs = _unit_directions(a, b, n)
     rows = [radius * dirs, -radius * dirs]
     for s in (a, b):
         if isinstance(s, Polytope):
@@ -526,10 +570,8 @@ def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
         else:
             rows.append(s.base[None, :])
     rows.append(np.zeros((1, n)))
-    ball = rng.standard_normal((96, n))
-    ball /= np.linalg.norm(ball, axis=1, keepdims=True)
-    ball *= radius * rng.random((96, 1)) ** (1.0 / n)
-    rows.append(ball)
+    _, ball, root = _probe_draws(n)
+    rows.append(ball * (radius * root))
     return np.concatenate(rows)
 
 
@@ -539,7 +581,7 @@ def _ladder_probes(a: ConvexSet, b: ConvexSet, radius: int) -> np.ndarray:
     just inside its sphere so that it scores in that shell, and the points
     of either polytope."""
     n = check_same_ambient(a, b)
-    dirs = _unit_directions(a, b, n, np.random.default_rng(_PROBE_SEED))
+    dirs = _unit_directions(a, b, n)
     radii = [j for j in _LADDER if j < radius] + [radius]
     rows = [sign * (1.0 - 1e-12) * r * dirs for sign in (1.0, -1.0) for r in radii]
     rows += [s.points for s in (a, b) if isinstance(s, Polytope)]
