@@ -16,7 +16,7 @@ import numpy as np
 from .config import ToleranceConfig, resolve
 from .errors import ChartDomainError
 from .grassmann import lift_rows, parallel_subspace
-from .sets import ConvexSet, Flat, Polytope, Subspace, affine_hull, check_same_ambient
+from .sets import ConvexSet, Polytope, Subspace, affine_hull, check_same_ambient
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ def base_map(s: ConvexSet) -> Subspace:
     to themselves)."""
     if isinstance(s, Subspace):
         return s
-    if isinstance(s, Flat):
-        return parallel_subspace(s)[0]
-    return parallel_subspace(affine_hull(s))[0]
+    if isinstance(s, Polytope):
+        s = affine_hull(s)
+    return Subspace(s.basis)
 
 
 def lift_set(
@@ -62,8 +62,8 @@ def chart_convex(
         1.0, float(np.linalg.norm(triple.offset))
     ):
         raise ChartDomainError("offset must lie in the orthogonal complement of w")
-    lifted = lift_set(w, triple.direction, triple.body, cfg)
-    return Polytope(lifted.points + triple.offset)
+    lifted = lift_rows(w, triple.direction, triple.body.points, cfg, "direction subspace outside the chart domain")
+    return Polytope(lifted + triple.offset)
 
 
 def chart_convex_inv(

@@ -7,6 +7,7 @@ failure modes (orthonormality drift, rank decisions, geometric residuals).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -32,8 +33,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for name in ("tau_orth", "tau_rank", "tau_geom"):
             v = getattr(self, name)
-            if not (v > 0.0):
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 _DEFAULTS = ToleranceConfig()
@@ -48,7 +49,7 @@ def default_tolerances() -> ToleranceConfig:
     try:
         return replace(_DEFAULTS, tau_geom=float(raw))
     except ValueError as exc:
-        raise SchemaError(f"{ENV_TOL} must be a positive float, got {raw!r}") from exc
+        raise SchemaError(f"{ENV_TOL} must be a finite positive float, got {raw!r}") from exc
 
 
 def resolve(tol: ToleranceConfig | None) -> ToleranceConfig:

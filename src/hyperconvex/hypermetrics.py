@@ -62,6 +62,10 @@ center c and half-diagonal rho.  Three facts keep the tree small:
   lb is known, the shells whose weights cannot beat lb + eps leave the
   search, which shrinks the ball to radius ceil(1/(lb + eps)) - 1 or less.
 
+The first lower bound comes from one deterministic probe set (_probes): the
+unit directions of both sets' data on a ladder of radii, their points and
+the origin, so the same pair always searches the same tree.
+
 Every interval returned encloses the true value.  certified=False marks a
 width request missed because an evaluation budget ran out.  The enclosure
 itself always holds.
@@ -123,6 +127,14 @@ class SupEstimate:
     evals: int
 
 
+def _rows(s: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
+    """(P, L) with s = conv(rows of P) + span(rows of L): a polytope's points
+    and no rows, a flat's or subspace's base and basis."""
+    if isinstance(s, Polytope):
+        return s.points, s.points[:0]
+    return s.base[None], s.basis
+
+
 def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
     """(B, w0, w1): orthonormal rows B spanning the data of both sets
     (polytope points, a flat's nearest point to the origin and its basis),
@@ -136,13 +148,9 @@ def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
     That moves the sup over the r-ball by at most 2 (delta_a + delta_b) =
     w0 + w1 r from the sup over the ball of S (see ball_sup).
     """
-    rows = []
-    for s in (a, b):
-        if isinstance(s, Polytope):
-            rows.append(s.points)
-        else:
-            rows += [flat_min_norm_point(s)[None, :], s.basis]
-    M = np.concatenate(rows)
+    # P - (P L^T) L: a polytope's points, a flat's nearest point to the origin
+    data = [(P - (P @ L.T) @ L, L) for P, L in (_rows(a), _rows(b))]
+    M = np.concatenate([m for rows in data for m in rows])
     n = M.shape[1]
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
     k = max(int((sv > tau_rank * sv[0]).sum()), 1)
@@ -151,21 +159,17 @@ def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
     B = Vt[:k]
     E = np.eye(n) - B.T @ B
     w0 = w1 = 0.0
-    for s in (a, b):
-        if isinstance(s, Polytope):
-            w0 += float(np.linalg.norm(s.points @ E, axis=1).max())
-        else:
-            p = flat_min_norm_point(s)
-            eta = float(np.linalg.norm(s.basis @ E, 2)) if s.basis.size else 0.0
-            w0 += float(np.linalg.norm(E @ p)) + float(np.linalg.norm(p)) * eta
-            w1 += eta
+    for Q, L in data:
+        eta = float(np.linalg.norm(L @ E, 2)) if L.size else 0.0
+        w0 += float(_row_norms(Q @ E).max()) + float(_row_norms(Q).max()) * eta
+        w1 += eta
     return B, 2.0 * w0, 2.0 * w1
 
 
 class _Pair:
     """Two sets with their residual maps (projection._residual_rows), built
-    once per public call; the common span is computed on the first
-    ball_sup."""
+    once per public call; the common span and the gap caps (_gap_caps) are
+    computed on first use."""
 
     def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
         self.a, self.b, self.cfg = a, b, cfg
@@ -174,6 +178,36 @@ class _Pair:
     @cached_property
     def span(self):
         return _common_span(self.a, self.b, self.cfg.tau_rank)
+
+    @cached_property
+    def caps(self):
+        return _gap_caps(self.a, self.b, self.ra, self.rb)
+
+
+def _pair(
+    a: ConvexSet,
+    b: ConvexSet,
+    tol: ToleranceConfig | None,
+    origin: str = "",
+    radius: float = 1.0,
+    eps: float = 1.0,
+) -> _Pair | None:
+    """The front door of the four estimators: the _Pair of a and b, or None
+    when they are the same representation, whose distance is exactly 0.
+
+    Checks that the ambient dimensions agree and that radius and eps are
+    finite and positive (the defaults pass, for callers without them).  A
+    non-empty origin is the error raised when either set misses the origin
+    by more than tau_geom.
+    """
+    cfg = resolve(tol)
+    check_same_ambient(a, b)
+    for name, v in (("radius", radius), ("eps", eps)):
+        if not 0.0 < v < np.inf:
+            raise HyperconvexError(f"{name} must be positive and finite")
+    if origin and any(nearest_point(s, cfg)[1] > cfg.tau_geom for s in (a, b)):
+        raise HyperconvexError(origin)
+    return None if same_representation(a, b) else _Pair(a, b, cfg)
 
 
 _CHUNK = 1 << 17
@@ -331,7 +365,7 @@ def ball_sup(
     c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  floor is
     a known lower bound of the result; the estimate then encloses the max
     of floor and the sup.  The search starts from the probe rows (default
-    _ambient_probes), which only raise the lower bound.
+    _probes), which only raise the lower bound.
 
     The search runs over the ball of S, the pair's common span: for sets
     inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
@@ -357,9 +391,7 @@ def ball_sup(
     B, w0, w1 = pair.span
     widen = w0 + w1 * radius
     k = pair.a.ambient_dim if B is None else B.shape[0]
-    scale = 1.0 + max(
-        float(np.abs(s.points if isinstance(s, Polytope) else s.base).max(initial=0.0)) for s in (pair.a, pair.b)
-    )
+    scale = 1.0 + max(float(np.abs(_rows(s)[0]).max(initial=0.0)) for s in (pair.a, pair.b))
     w = np.asarray(weights, dtype=float)
     L = w.shape[0]
     shell = radius / L
@@ -387,7 +419,7 @@ def ball_sup(
         last = np.clip(np.ceil((t + rho) / shell) - 1, 0, L - 1).astype(int)
         return lo, np.minimum(hi, top[first, last]) + widen
 
-    Y = _ambient_probes(pair.a, pair.b, radius) if probes is None else probes
+    Y = _probes(pair.a, pair.b, radius) if probes is None else probes
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
     Y = _clamp_rows(Y, radius)
@@ -519,73 +551,30 @@ def _gap_caps(
 # probe points (deterministic exploration; all lower bounds are sound
 # because they come from genuine evaluations inside the domain)
 
-_PROBE_SEED = 0x5EED
 _LADDER = (1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
-@cache
-def _probe_draws(n: int):
-    """The random part of the probe rows in R^n, drawn once per n from
-    _PROBE_SEED as read-only arrays: (gauss, dirs, root), gauss the rows
-    that join the unit directions, and each ball probe the unit row of dirs
-    times root, its radius over the ball's."""
-    rng = np.random.default_rng(_PROBE_SEED)
-    gauss = rng.standard_normal((max(4 * n, 16), n))
-    dirs = rng.standard_normal((96, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    root = rng.random((96, 1)) ** (1.0 / n)
-    for a in (gauss, dirs, root):
-        a.setflags(write=False)
-    return gauss, dirs, root
+def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
+    """The rows a ball_sup search starts from: plus and minus the unit
+    directions of the pair's data at the _LADDER radii below radius and at
+    radius, each 1e-12 inside its sphere so that it scores in the shell
+    that sphere closes, then the P rows of both sets and the origin.
 
-
-def _unit_directions(a: ConvexSet, b: ConvexSet, n: int) -> np.ndarray:
-    rows = []
-    for s in (a, b):
-        if isinstance(s, Polytope):
-            rows.append(s.points)
-        else:
-            if s.basis.size:
-                rows.append(s.basis)
-                rows.append(-s.basis)
-            if s.base.any():
-                rows.append(s.base[None, :])
-    if isinstance(a, Polytope) and isinstance(b, Polytope):
-        diff = (a.points[:, None, :] - b.points[None, :, :]).reshape(-1, n)
-        rows.append(diff)
-    rows.append(_probe_draws(n)[0])
-    V = np.concatenate(rows) if rows else np.zeros((0, n))
-    nrm = np.linalg.norm(V, axis=1)
-    V = V[nrm > 1e-12] / nrm[nrm > 1e-12, None]
-    return V
-
-
-def _ambient_probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
-    n = check_same_ambient(a, b)
-    dirs = _unit_directions(a, b, n)
-    rows = [radius * dirs, -radius * dirs]
-    for s in (a, b):
-        if isinstance(s, Polytope):
-            rows.append(s.points)
-        else:
-            rows.append(s.base[None, :])
-    rows.append(np.zeros((1, n)))
-    _, ball, root = _probe_draws(n)
-    rows.append(ball * (radius * root))
-    return np.concatenate(rows)
-
-
-def _ladder_probes(a: ConvexSet, b: ConvexSet, radius: int) -> np.ndarray:
-    """Probe rows for a scan over integer shells: plus and minus the pair's
-    unit directions at the _LADDER radii below radius and at radius, each
-    just inside its sphere so that it scores in that shell, and the points
-    of either polytope."""
-    n = check_same_ambient(a, b)
-    dirs = _unit_directions(a, b, n)
+    The data are the P and L rows of both sets (_rows), and the differences
+    P_a - P_b when neither set has L rows.  The ladder stays because the
+    probes set the first lower bound, which prunes shells and boxes: from
+    the origin alone an aw-sweep round took about 1.5x as long.
+    """
+    (Pa, La), (Pb, Lb) = _rows(a), _rows(b)
+    data = [Pa, La, Pb, Lb]
+    if not (La.size or Lb.size):
+        data.append((Pa[:, None, :] - Pb[None, :, :]).reshape(-1, Pa.shape[1]))
+    V = np.concatenate(data)
+    nrm = _row_norms(V)
+    U = V[nrm > 1e-12] / nrm[nrm > 1e-12, None]
     radii = [j for j in _LADDER if j < radius] + [radius]
-    rows = [sign * (1.0 - 1e-12) * r * dirs for sign in (1.0, -1.0) for r in radii]
-    rows += [s.points for s in (a, b) if isinstance(s, Polytope)]
-    return np.concatenate(rows)
+    rows = [sign * (1.0 - 1e-12) * r * U for sign in (1.0, -1.0) for r in radii]
+    return np.concatenate(rows + [Pa, Pb, np.zeros((1, Pa.shape[1]))])
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +601,10 @@ def _spectral(a: ConvexSet, b: ConvexSet, r):
     return np.maximum(r * theta - slack, 0.0), r * theta + slack
 
 
-def _th_estimate(pair: _Pair, r: float, eps: float, cap: float, budget: int) -> SupEstimate:
+def _th_estimate(pair: _Pair, r: float, eps: float, budget: int) -> SupEstimate:
     """Hausdorff distance between a∩rB and b∩rB for the pair's sets a and
     b, which contain the origin up to tau_geom (callers check), with
-    cap = _gap_caps(a, b)[1](r).
+    cap = pair.caps[1](r).
 
     Pairs without a polytope take the spectral formula (_spectral).  A
     polytope pair inside the ball is its Hausdorff distance, which cap
@@ -628,6 +617,7 @@ def _th_estimate(pair: _Pair, r: float, eps: float, cap: float, budget: int) -> 
     if not (pa or pb):
         lo, hi = _spectral(a, b, r)
         return SupEstimate(float(lo), float(hi), True, 0)
+    cap = pair.caps[1](r)
     if pa and pb and _reach(a, b) <= r:
         return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
     return ball_sup(pair, r, eps, budget=budget, weights=[min(cap, r + pair.cfg.tau_geom)])
@@ -649,20 +639,10 @@ def truncated_hausdorff(
     """Certified interval for the Hausdorff distance between a ∩ rB and
     b ∩ rB.  Requires both sets to contain the origin (up to tau_geom),
     which makes the routes of the module docstring valid."""
-    cfg = resolve(tol)
-    check_same_ambient(a, b)
-    if not radius > 0:
-        raise HyperconvexError("radius must be positive")
-    if not eps > 0:
-        raise HyperconvexError("eps must be positive")
-    for s in (a, b):
-        if nearest_point(s, cfg)[1] > cfg.tau_geom:
-            raise HyperconvexError("truncated_hausdorff requires origin-containing sets")
-    if same_representation(a, b):
+    pair = _pair(a, b, tol, "truncated_hausdorff requires origin-containing sets", radius, eps)
+    if pair is None:
         return Interval(0.0, 0.0)
-    pair = _Pair(a, b, cfg)
-    _, cap = _gap_caps(a, b, pair.ra, pair.rb)
-    est = _th_estimate(pair, radius, eps, cap(radius), budget)
+    est = _th_estimate(pair, radius, eps, budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -683,20 +663,13 @@ def sup_distance_gap(
     Subspace pairs ride the truncated-Hausdorff identity (origin sets), all
     other pairs are estimated directly on the ambient grid.
     """
-    cfg = resolve(tol)
-    check_same_ambient(a, b)
-    if not radius > 0:
-        raise HyperconvexError("radius must be positive")
-    if not eps > 0:
-        raise HyperconvexError("eps must be positive")
-    if same_representation(a, b):
+    pair = _pair(a, b, tol, radius=radius, eps=eps)
+    if pair is None:
         return Interval(0.0, 0.0)
-    pair = _Pair(a, b, cfg)
-    _, cap = _gap_caps(a, b, pair.ra, pair.rb)
     if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(pair, radius, eps, cap(radius), budget)
+        est = _th_estimate(pair, radius, eps, budget)
     else:
-        est = ball_sup(pair, radius, eps, budget=budget, weights=[cap(radius)])
+        est = ball_sup(pair, radius, eps, budget=budget, weights=[pair.caps[1](radius)])
     return Interval(est.lo, est.hi, est.certified)
 
 
@@ -704,18 +677,18 @@ def sup_distance_gap(
 # the Attouch-Wets metric as one weighted sup
 
 
-def _aw_scan(pair: _Pair, p: AWParams, cap, radius: int, h: float, floor=-np.inf) -> Interval:
+def _aw_scan(pair: _Pair, p: AWParams, radius: int, floor=-np.inf) -> Interval:
     """The Attouch-Wets metric of the pair from one ball_sup over the
-    radius-ball with weights min(1/j, cap(j)) on its unit shells; floor is
-    a known lower bound of the terms past radius, h bounds every term, and
-    the terms past j_cap add min(1/(j_cap+1), h).  A scan that ran out of
-    budget leaves the result certified while its width meets eps_sup.
+    radius-ball with weights min(1/j, cap(j)) on its unit shells, with
+    (h, cap) = pair.caps; floor is a known lower bound of the terms past
+    radius, h bounds every term, and the terms past j_cap add
+    min(1/(j_cap+1), h).  A scan that ran out of budget leaves the result
+    certified while its width meets eps_sup.
     """
+    h, cap = pair.caps
     j = np.arange(1.0, radius + 1.0)
-    est = ball_sup(
-        pair, float(radius), p.eps_sup, budget=p.budget, floor=floor,
-        weights=np.minimum(1.0 / j, cap(j)), probes=_ladder_probes(pair.a, pair.b, radius),
-    )
+    weights = np.minimum(1.0 / j, cap(j))
+    est = ball_sup(pair, float(radius), p.eps_sup, budget=p.budget, floor=floor, weights=weights)
     tail = min(1.0 / (p.j_cap + 1), h)
     return Interval(est.lo, max(est.hi, tail), est.certified or est.hi - est.lo <= p.eps_sup)
 
@@ -735,14 +708,9 @@ def attouch_wets(
     ball_sup and without assuming anything about where the sets sit.
     Width is at most eps_sup, plus 1/(j_cap+1) for the terms past j_cap.
     """
-    cfg = resolve(tol)
     p = params or AWParams()
-    check_same_ambient(a, b)
-    if same_representation(a, b):
-        return Interval(0.0, 0.0)
-    pair = _Pair(a, b, cfg)
-    h, cap = _gap_caps(a, b, pair.ra, pair.rb)
-    return _aw_scan(pair, p, cap, p.j_cap, h)
+    pair = _pair(a, b, tol)
+    return Interval(0.0, 0.0) if pair is None else _aw_scan(pair, p, p.j_cap)
 
 
 def aw_origin(
@@ -764,16 +732,11 @@ def aw_origin(
     no estimation route with attouch_wets, which keeps their agreement a
     meaningful cross-check; ball-cut terms take the same weighted scan.
     """
-    cfg = resolve(tol)
     p = params or AWParams()
-    check_same_ambient(a, b)
-    for s in (a, b):
-        if nearest_point(s, cfg)[1] > cfg.tau_geom:
-            raise HyperconvexError("aw_origin requires both sets to contain the origin")
-    if same_representation(a, b):
+    pair = _pair(a, b, tol, "aw_origin requires both sets to contain the origin")
+    if pair is None:
         return Interval(0.0, 0.0)
-    pair = _Pair(a, b, cfg)
-    h, cap = _gap_caps(a, b, pair.ra, pair.rb)
+    h = pair.caps[0]
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if not (pa or pb):
         j = np.arange(1.0, p.j_cap + 1.0)
@@ -788,4 +751,4 @@ def aw_origin(
             radius, floor = j0 - 1, min(1.0 / j0, h)
         if radius == 0:
             return Interval(floor, floor)
-    return _aw_scan(pair, p, cap, radius, h, floor)
+    return _aw_scan(pair, p, radius, floor)

@@ -1,15 +1,27 @@
 """The row kernels of a ball_sup level, each against the construction it
-replaces, bit for bit: the row norms against np.linalg.norm, the cube split
-against the general box split, and the probe rows against fresh draws from
-the probe seed.
+replaces, bit for bit: the row norms against np.linalg.norm and the cube
+split against the general box split; and the deterministic probe rows a
+search starts from.
 """
 
 import numpy as np
 import pytest
 
 import hyperconvex.hypermetrics as hm
-from hyperconvex import Flat, Polytope
+from hyperconvex import (
+    AWParams,
+    Flat,
+    Polytope,
+    Subspace,
+    attouch_wets,
+    aw_origin,
+    sup_distance_gap,
+    truncated_hausdorff,
+    zero_subspace,
+)
 from hyperconvex.projection import _row_norms
+
+from test_ball_bounds import _count_sup_evals
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -71,24 +83,57 @@ def test_cube_split_keeps_cubes_within_the_axis_cap():
     assert kids.shape[0] == 1 << k and (halves == 1.5).all() and hm._split_axes(halves).all()
 
 
+def _probe_pairs(rng, n):
+    """A polytope against a flat, two polytopes and two subspaces in R^n."""
+    frame = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    yield Polytope(rng.normal(size=(3, n))), Flat(rng.normal(size=n), frame[:1])
+    yield Polytope(rng.normal(size=(3, n))), Polytope(rng.normal(size=(2, n)))
+    yield Subspace(frame[:1]), Subspace(frame[-1:])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
-def test_probe_rows_equal_fresh_draws(n):
-    # the probe rows as drawn from a fresh generator on every call
+def test_probe_rows_are_the_data_directions_on_the_ladder(n):
     rng = np.random.default_rng(n)
-    a = Polytope(rng.normal(size=(3, n)))
-    b = Flat(rng.normal(size=n), np.eye(n)[:1])
-    radius = 2.5
-    gen = np.random.default_rng(hm._PROBE_SEED)
-    gauss = gen.standard_normal((max(4 * n, 16), n))
-    ball = gen.standard_normal((96, n))
-    ball /= np.linalg.norm(ball, axis=1, keepdims=True)
-    ball *= radius * gen.random((96, 1)) ** (1.0 / n)
-    for _ in range(2):
-        probes = hm._ambient_probes(a, b, radius)
-        assert np.array_equal(_bits(probes[-96:]), _bits(ball))
-        dirs = hm._unit_directions(a, b, n)
-        assert np.array_equal(_bits(dirs[-gauss.shape[0] :]), _bits(gauss / np.linalg.norm(gauss, axis=1)[:, None]))
-        ladder = hm._ladder_probes(a, b, 4)
-        assert np.array_equal(_bits(ladder[: dirs.shape[0]]), _bits((1.0 - 1e-12) * 1.0 * dirs))
-    for draw in hm._probe_draws(n):
-        assert not draw.flags.writeable
+    for a, b in _probe_pairs(rng, n):
+        for radius in (0.5, 4.0, 64.0):
+            probes = hm._probes(a, b, radius)
+            # the same rows on every call, whatever numpy's global state
+            np.random.seed(n)
+            np.random.standard_normal(5)
+            assert np.array_equal(_bits(hm._probes(a, b, radius)), _bits(probes))
+            (Pa, La), (Pb, Lb) = hm._rows(a), hm._rows(b)
+            data = [Pa, La, Pb, Lb]
+            if not (La.size or Lb.size):
+                data += [p - q for p in Pa for q in Pb]
+            U = [u / np.linalg.norm(u) for u in np.vstack(data) if np.linalg.norm(u) > 1e-12]
+            radii = [r for r in hm._LADDER if r < radius] + [radius]
+            expected = [s * (1.0 - 1e-12) * r * u for s in (1.0, -1.0) for r in radii for u in U]
+            expected += list(Pa) + list(Pb) + [np.zeros(n)]
+            # each row once: a basis row L enters as +L and -L, not twice each
+            assert probes.shape == (len(expected), n)
+            for row in expected:
+                assert np.isclose(probes, row, rtol=1e-14, atol=1e-14).all(axis=1).any()
+
+
+def test_sets_without_data_directions_are_at_distance_zero():
+    # both sets are {0}: the pair has no data direction, and its probes are
+    # the origin rows alone
+    a, b = Flat(np.zeros(3), np.zeros((0, 3))), zero_subspace(3)
+    assert not hm._probes(a, b, 2.0).any()
+    for iv in (
+        truncated_hausdorff(a, b, 2.0),
+        sup_distance_gap(a, b, 2.0),
+        attouch_wets(a, b),
+        aw_origin(a, b),
+    ):
+        assert (iv.lo, iv.hi) == (0.0, 0.0) and iv.certified
+
+
+def test_readme_pair_certifies_in_few_evaluations(monkeypatch):
+    # README's segment pair, whose value 1/11 is exact in floating point
+    evals = _count_sup_evals(monkeypatch)
+    a = Polytope(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    b = Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))
+    iv = attouch_wets(a, b, AWParams())
+    assert (iv.lo, iv.hi) == (1.0 / 11.0, 1.0 / 11.0) and iv.certified
+    assert sum(evals) <= 400

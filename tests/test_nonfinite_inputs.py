@@ -19,7 +19,9 @@ from hyperconvex import (
     in_relative_interior,
     lift_point,
     project_hyperplane,
+    sup_distance_gap,
     truncated_distance_evaluator,
+    truncated_hausdorff,
 )
 
 NAN = float("nan")
@@ -66,3 +68,23 @@ def test_barycentric_helpers_reject_a_non_finite_point(check):
     simplex = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(HyperconvexError, match="point must be finite"):
         check(simplex, [NAN, 0.2])
+
+
+BAD_SIZES = [np.inf, -np.inf, NAN, 0.0, -1.0]
+ORIGIN_PAIRS = {
+    "polytope-subspace": (Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])), Subspace(np.array([[0.6, 0.8]]))),
+    "subspaces": (Subspace(np.array([[1.0, 0.0]])), Subspace(np.array([[0.6, 0.8]]))),
+}
+
+
+@pytest.mark.parametrize("estimator", [truncated_hausdorff, sup_distance_gap])
+@pytest.mark.parametrize("pair", sorted(ORIGIN_PAIRS))
+@pytest.mark.parametrize("value", BAD_SIZES)
+def test_sup_estimators_reject_a_bad_radius_or_eps(estimator, pair, value):
+    # an infinite radius used to fail inside the search with an IndexError
+    # or in Interval with a ValueError, an infinite eps likewise
+    a, b = ORIGIN_PAIRS[pair]
+    with pytest.raises(HyperconvexError, match="radius must be positive and finite"):
+        estimator(a, b, value)
+    with pytest.raises(HyperconvexError, match="eps must be positive and finite"):
+        estimator(a, b, 1.0, eps=value)

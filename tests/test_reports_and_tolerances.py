@@ -3,6 +3,7 @@ construction never reads the environment, and every report carries
 runtime_ms as an int."""
 
 import numpy as np
+import pytest
 
 import hyperconvex.suites as suites
 from hyperconvex import (
@@ -30,6 +31,13 @@ def test_contains_and_truncated_evaluator_take_the_callers_tolerances(monkeypatc
     f = truncated_distance_evaluator(TRIANGLE, 1.0, cfg)
     # the nearest point of the cut triangle is (1, 0), found to within tau_geom
     assert abs(f(np.array([[3.0, 0.0]]))[0] - 2.0) <= 2 * cfg.tau_geom
+
+
+@pytest.mark.parametrize("field", ["tau_orth", "tau_rank", "tau_geom"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        ToleranceConfig(**{field: value})
 
 
 def test_set_construction_ignores_a_malformed_environment(monkeypatch):

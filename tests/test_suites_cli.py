@@ -226,6 +226,17 @@ class TestGeometricToleranceEnv:
         assert code == 2
         assert "HYPERCONVEX_TOL" in err
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    def test_non_finite_override_is_rejected(self, tmp_path, capsys, monkeypatch, raw):
+        # an infinite tau_geom would stop the projection at its first vertex:
+        # (0, 4) at distance 3.162 instead of (2, 2) at sqrt(2)
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"type": "polytope", "ambient_dim": 2, "points": [[0, 0], [4, 0], [0, 4]]}))
+        monkeypatch.setenv("HYPERCONVEX_TOL", raw)
+        code, _, err = run_cli(["project", str(path), "--point", "3,3"], capsys)
+        assert code == 2
+        assert "HYPERCONVEX_TOL" in err
+
     def test_rejected_even_when_command_needs_no_tolerance(self, docs, capsys, monkeypatch):
         # exact polytope hausdorff never consults tau_geom; the CLI must
         # still refuse a malformed override up front
