@@ -228,6 +228,27 @@ def test_singular_bordered_systems(rng):
     np.testing.assert_array_equal(alpha[0], _affine_minimizer_rows(stacks[:1], np.full(1, 3))[0])
 
 
+def test_mixed_counts_solve_each_row_as_alone(monkeypatch, rng):
+    # counts 1, 2, 3 and 5 in one call, an exactly singular count-3 row
+    # among regular ones: each row's coefficients, bit for bit, are those
+    # of the same row solved by itself
+    n, k = 4, 5
+    cnt = np.array([3, 1, 5, 2, 3, 3, 5, 2, 1, 3])
+    Qs = rng.normal(size=(cnt.size, k, n))
+    Qs[4, 2] = Qs[4, 1]  # repeated generator: exactly singular
+    real = np.linalg.slogdet
+    calls = []
+    monkeypatch.setattr(np.linalg, "slogdet", lambda A: calls.append(A.shape) or real(A))
+    alpha = _affine_minimizer_rows(Qs, cnt)
+    assert calls == [(4, 4, 4)]  # the count-3 group, singular row and all
+    monkeypatch.undo()
+    for i in range(cnt.size):
+        alone = _affine_minimizer_rows(Qs[i : i + 1], cnt[i : i + 1])[0]
+        assert alpha[i].tobytes() == alone.tobytes(), i
+        assert not alpha[i, cnt[i] :].any()
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_batched_route_under_numpy1_solve_rules(monkeypatch, rng):
     # numpy before 2.0 reads b as one vector per matrix only when
     # b.ndim == a.ndim - 1; any other 1-D b fails against a stack
