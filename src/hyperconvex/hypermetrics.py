@@ -73,6 +73,7 @@ itself always holds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
@@ -109,10 +110,14 @@ class AWParams:
     def __post_init__(self):
         if not self.eps_sup > 0:
             raise HyperconvexError("eps_sup must be positive")
-        if self.j_cap < 1:
-            raise HyperconvexError("j_cap must be at least 1")
-        if self.budget < 1000:
-            raise HyperconvexError("budget too small to certify anything")
+        try:
+            whole = not isinstance(self.j_cap, bool) and operator.index(self.j_cap) >= 1
+        except TypeError:
+            whole = False
+        if not whole:
+            raise HyperconvexError("j_cap must be an integer of at least 1")
+        if not (math.isfinite(self.budget) and self.budget >= 1000):
+            raise HyperconvexError("budget must be finite and at least 1000")
 
 
 # ---------------------------------------------------------------------------

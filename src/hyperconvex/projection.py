@@ -20,11 +20,13 @@ per point: the affine maps of all pieces are packed side by side
 elementwise pass per slot and coordinate over all pieces.  Above it they
 run the same Wolfe scheme on the rows of a block in lockstep
 (_min_norm_rows), certified by each row's Wolfe gap; a max query (hausdorff)
-gives it a floor, below which rows stop early.  Single points stay on
-the scalar min_norm_point, which solves each corral by LU with lstsq as the
-fallback (_affine_minimizer); its cost is numpy's per-call overhead, so it
-issues as few numpy calls as it can, and tests/test_wolfe_reference.py pins
-its arithmetic bit for bit.  All routes read Polytope.unique_points.
+gives it a floor, below which rows stop early.  A lockstep pass costs about
+0.1 ms at one row and 0.2-0.4 ms at 64, mostly numpy's per-call overhead,
+so a pass issues as few numpy calls as it can.  Single points stay on the
+scalar min_norm_point, which solves each corral by LU, lstsq the fallback
+(_affine_minimizer), and pays numpy's per-call overhead too.  Both solvers'
+arithmetic is pinned bit for bit, by tests/test_wolfe_reference.py and
+tests/test_wolfe_block_reference.py.  All routes read Polytope.unique_points.
 Non-finite points, rows of the public batch maps and contains tolerances
 raise HyperconvexError; ball_sup reads _residual_rows, which does not check.
 
@@ -189,12 +191,12 @@ _BLOCK_ROWS = 1024
 def _solve_e0(A: np.ndarray) -> np.ndarray:
     """x_i with A[i] x_i = e_0 for every matrix of the stack A (rows, s, s).
 
-    e_0 goes in as one column per matrix: numpy before 2.0 reads a 1-D
-    right-hand side as a matrix whenever A is a stack.
+    e_0 goes in as one (1, s, 1) column broadcast over the stack: numpy
+    before 2.0 reads a right-hand side of fewer dimensions as vectors.
     """
-    B = np.zeros(A.shape[:-1] + (1,))
-    B[:, 0] = 1.0
-    return np.linalg.solve(A, B)[..., 0]
+    e0 = np.zeros((1, A.shape[-1], 1))
+    e0[0, 0] = 1.0
+    return np.linalg.solve(A, e0)[..., 0]
 
 
 def _slot_sum(a: np.ndarray) -> np.ndarray:
@@ -214,12 +216,13 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     equal count, so a row's result does not depend on the other rows.
     """
     alpha = np.zeros(Qs.shape[:2])
-    lo = int(cnt.min())
-    if lo == cnt.max():
-        groups = [(lo, slice(None))]  # one count: no gather
-    else:
-        groups = [(c, np.flatnonzero(cnt == c)) for c in np.unique(cnt)]
-    for c, rows in groups:
+    order = np.argsort(cnt, kind="stable")  # each count's rows, in row order
+    start = 0
+    for c, size in enumerate(np.bincount(cnt).tolist()):
+        if not size:
+            continue
+        rows = slice(None) if size == cnt.size else order[start : start + size]
+        start += size
         if c == 1:
             alpha[rows, 0] = 1.0
             continue
@@ -235,8 +238,9 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
             regular = np.linalg.slogdet(A)[0] != 0
             if regular.any():
                 sol[regular] = _solve_e0(A[regular])
-        bad = ~(np.abs(sol[:, 1:]) <= _ALPHA_MAX).all(axis=1)
-        if bad.any():
+        fine = np.abs(sol[:, 1:]) <= _ALPHA_MAX
+        if not fine.all():
+            bad = ~fine.all(axis=1)
             sol[bad] = np.linalg.pinv(A[bad], rcond=_EPS * (c + 1))[:, :, 0]
         alpha[rows, :c] = sol[:, 1:]
     return alpha
@@ -288,9 +292,9 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
     Q = pts[None, :, :] - X[:, None, :]  # (rows, m, n): generators shifted per row
     sq = np.einsum("bij,bij->bi", Q, Q)
     scale2 = np.maximum(1.0, sq.max(axis=1))
-    tol = np.maximum(gap_tol, 64.0 * _EPS * scale2)
-    stall_tol = 1e5 * 64.0 * _EPS * scale2
-    allow = 64.0 * _EPS * (n + 1) * np.sqrt(scale2)  # the floor's rounding allowance
+    # per row, one array for one gather: gap tolerance, stall level, floor allowance
+    lim = np.stack((np.maximum(gap_tol, 64.0 * _EPS * scale2), 1e5 * 64.0 * _EPS * scale2,
+                    64.0 * _EPS * (n + 1) * np.sqrt(scale2)), axis=1)
 
     b = X.shape[0]
     W_out = np.empty((b, n))
@@ -312,35 +316,34 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
         j = dots.argmin(axis=1)
         low = dots[rows, j]
         gap = w2 - low
-        active = slots < cnt[:, None]
-        done = gap <= tol
+        done = gap <= lim[:, 0]
         if floor is not None:
             nw = np.sqrt(w2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lower = np.where(nw > 0, low / nw, 0.0) - allow
-            floor = max(floor, float(lower.max()))
+            lower = np.zeros(nw.shape)
+            np.divide(low, nw, out=lower, where=nw > 0)
+            floor = max(floor, float((lower - lim[:, 2]).max()))
             # rows that cannot hold the largest distance leave as they are
             done |= nw < floor
         # no generator improves: a stall at rounding level, or a failure
-        stalled = ~done & ((idx == j[:, None]) & active).any(axis=1)
-        if (stalled & (gap > stall_tol)).any():
+        k = int(cnt.max())
+        stalled = ~done & ((idx[:, :k] == j[:, None]) & (slots[:k] < cnt[:, None])).any(axis=1)
+        if (stalled & (gap > lim[:, 1])).any():
             raise _block_error(
                 "minimum-norm point stalled above tolerance", Q, W,
-                np.flatnonzero(stalled & (gap > stall_tol)),
+                np.flatnonzero(stalled & (gap > lim[:, 1])),
             )
         # a major iteration that did not lower |w|^2 near rounding level would
         # cycle through the same corrals until the cap
-        done |= stalled | ((w2 >= w2_last) & (gap <= stall_tol))
+        done |= stalled | ((w2 >= w2_last) & (gap <= lim[:, 1]))
         if done.any():
             W_out[ids[done]] = W[done]
             gap_out[ids[done]] = np.maximum(gap[done], 0.0)
-            live = ~done
-            if not live.any():
+            live = np.flatnonzero(~done)
+            if not live.size:
                 return W_out, gap_out, floor
-            ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol, allow = (
-                v[live] for v in (ids, Q, W, w2, idx, lam, cnt, j, tol, stall_tol, allow)
-            )
-            rows = np.arange(ids.size)
+            ids, w2, cnt, j = ids[live], w2[live], cnt[live], j[live]
+            Q, W, idx, lam, lim = (v.take(live, axis=0) for v in (Q, W, idx, lam, lim))
+            rows = rows[: live.size]
         w2_last = w2
         idx[rows, cnt] = j
         lam[rows, cnt] = 0.0
@@ -349,38 +352,45 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
         # minor cycles: shrink back to a corral (all-positive affine minimizer)
         pend = rows
         for _ in range(m + 2):
-            k = int(cnt[pend].max())
+            have = cnt[pend]
+            k = int(have.max())
             sub = idx[pend, :k]
-            valid = np.arange(k) < cnt[pend, None]
             Qs = Q[pend[:, None], sub]
-            alpha = _affine_minimizer_rows(Qs, cnt[pend])
-            corral = ((alpha > -1e-13) | ~valid).all(axis=1)
-            if corral.any():
-                c = np.clip(alpha[corral], 0.0, None)
+            alpha = _affine_minimizer_rows(Qs, have)
+            # alpha is 0 past a row's count, so the test needs no slot mask
+            corral = (alpha > -1e-13).all(axis=1)
+            every = corral.all()
+            if every or corral.any():
+                met = slice(None) if every else corral  # a slice skips the gathers
+                c = np.maximum(alpha[met], 0.0)
                 c /= _slot_sum(c)[:, None]
-                lam[pend[corral], :k] = c
-                W[pend[corral]] = _slot_sum(c[:, :, None] * Qs[corral])
-                if corral.all():
+                lam[pend[met], :k] = c
+                W[pend[met]] = _slot_sum(c[:, :, None] * Qs[met])
+                if every:
                     break
-                pend, sub, valid, alpha = pend[~corral], sub[~corral], valid[~corral], alpha[~corral]
+                left = ~corral
+                pend, sub, alpha = pend[left], sub[left], alpha[left]
+            valid = slots[:k] < cnt[pend, None]
             lm = lam[pend, :k]
-            neg = valid & (alpha < -1e-13)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(neg, lm / (lm - alpha), np.inf)
+            t = np.full(lm.shape, np.inf)
+            np.divide(lm, lm - alpha, out=t, where=alpha < -1e-13)
             theta = np.minimum(t.min(axis=1), 1.0)[:, None]
-            lm = np.clip((1.0 - theta) * lm + theta * alpha, 0.0, None)
+            lm = np.maximum((1.0 - theta) * lm + theta * alpha, 0.0)
             drop = valid & (lm <= 1e-13)
             none = ~drop.any(axis=1)
             if none.any():
                 lmin = np.where(valid, lm, np.inf).min(axis=1, keepdims=True)
                 drop[none] = (valid & (lm == lmin))[none]
             keep = valid & ~drop
-            empty = np.flatnonzero(~keep.any(axis=1))
-            keep[empty, lm[empty].argmax(axis=1)] = True
+            held = keep.any(axis=1)
+            if not held.all():
+                empty = np.flatnonzero(~held)
+                keep[empty, lm[empty].argmax(axis=1)] = True
             # move the kept slots to the front, in order
             order = np.argsort(~keep, axis=1, kind="stable")
-            lm = np.take_along_axis(np.where(keep, lm, 0.0), order, axis=1)
-            idx[pend, :k] = np.take_along_axis(sub, order, axis=1)
+            at = rows[: pend.size, None]
+            lm = np.where(keep, lm, 0.0)[at, order]
+            idx[pend, :k] = sub[at, order]
             lam[pend, :k] = lm / _slot_sum(lm)[:, None]
             cnt[pend] = keep.sum(axis=1)
         else:
@@ -508,13 +518,13 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 # iteration.  Per-row cost of the stacked face kernel against the batched
 # solver at 1k, 4k and 16k rows, then a build plus one 64-row call, on one
 # Xeon core with OpenBLAS on one thread (two runs on a shared 2-vCPU VM):
-#   n3m4 (11 pieces)  0.8-1.2 vs 3.9-4.9 us   0.5-0.6 vs 1.7-1.8 ms
-#   n2m5 (20)         0.9-1.4 vs 3.3-3.9 us   0.5-0.6 vs 1.1 ms
-#   n3m5 (25)         1.6-2.3 vs 3.9-6.5 us   0.7-0.8 vs 1.6-1.9 ms
-#   n2m6 (35)         1.3-2.4 vs 3.4-5.0 us   0.5-0.7 vs 1.0-1.7 ms
-#   n3m6 (50)         2.0-4.2 vs 3.4-6.4 us   0.8-0.9 vs 0.9-1.1 ms
-#   n2m7 (56)         1.6-2.8 vs 3.2-5.2 us   0.5-0.7 vs 1.7-1.8 ms
-#   n4m8 (210)       11-16    vs 4.6-6.1 us   1.7-1.9 vs 1.9-2.1 ms
+#   n3m4 (11 pieces)  0.8-1.2 vs 3.4-4.0 us   0.4-0.5 vs 0.7-1.2 ms
+#   n2m5 (20)         0.7-1.4 vs 1.5-2.6 us   0.2-0.4 vs 0.3-0.6 ms
+#   n3m5 (25)         1.2-2.0 vs 2.6-4.6 us   0.3-0.5 vs 0.9-1.4 ms
+#   n2m6 (35)         1.0-2.4 vs 1.9-2.3 us   0.2-0.3 vs 0.5-0.6 ms
+#   n3m6 (50)         2.0-3.5 vs 2.3-4.3 us   0.4      vs 0.6-0.8 ms
+#   n2m7 (56)         1.3-2.2 vs 1.7-2.7 us   0.3      vs 0.5-0.7 ms
+#   n4m8 (210)       12-14    vs 4.9-6.2 us   1.5-1.8 vs 1.0-1.5 ms
 # The switch was set at 25 against the per-piece loop this kernel replaced;
 # the stacked kernel wins up to 56 pieces, but a higher switch moves
 # polytope-batch's n3m6 cells to another route and wants its own

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hyperconvex import (
+    AWParams,
     Flat,
     HyperconvexError,
     Polytope,
@@ -88,3 +89,23 @@ def test_sup_estimators_reject_a_bad_radius_or_eps(estimator, pair, value):
         estimator(a, b, value)
     with pytest.raises(HyperconvexError, match="eps must be positive and finite"):
         estimator(a, b, 1.0, eps=value)
+
+
+@pytest.mark.parametrize("j_cap", [np.inf, NAN, 2.5, True, 0])
+def test_aw_params_reject_a_j_cap_that_is_not_a_positive_integer(j_cap):
+    # j_cap = inf used to end in numpy's "Maximum allowed size exceeded";
+    # 2.5 and True were taken as they came
+    with pytest.raises(HyperconvexError, match="j_cap must be an integer of at least 1"):
+        AWParams(j_cap=j_cap)
+
+
+@pytest.mark.parametrize("budget", [NAN, np.inf])
+def test_aw_params_reject_a_non_finite_budget(budget):
+    # a NaN budget passed the old "< 1000" test and turned the budget off
+    with pytest.raises(HyperconvexError, match="budget must be finite and at least 1000"):
+        AWParams(budget=budget)
+
+
+def test_aw_params_take_integer_j_caps():
+    assert AWParams(j_cap=np.int64(3)).j_cap == 3
+    assert AWParams(j_cap=1, budget=1000).budget == 1000
