@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ToleranceConfig, resolve
-from .errors import ChartDomainError
-from .grassmann import lift_rows, parallel_subspace
+from .grassmann import chart_flat_inv, check_complement_offset, lift_rows
 from .sets import ConvexSet, Polytope, Subspace, affine_hull, check_same_ambient
 
 
@@ -58,10 +57,7 @@ def chart_convex(
     subspace, translated by the offset."""
     cfg = resolve(tol)
     check_same_ambient(w, triple.direction)
-    if np.linalg.norm((w.basis @ triple.offset) @ w.basis) > cfg.tau_geom * max(
-        1.0, float(np.linalg.norm(triple.offset))
-    ):
-        raise ChartDomainError("offset must lie in the orthogonal complement of w")
+    check_complement_offset(w, triple.offset, cfg)
     lifted = lift_rows(w, triple.direction, triple.body.points, cfg, "direction subspace outside the chart domain")
     return Polytope(lifted + triple.offset)
 
@@ -70,24 +66,13 @@ def chart_convex_inv(
     w: Subspace, b: Polytope, tol: ToleranceConfig | None = None
 ) -> ChartTriple:
     """Chart coordinates of a polytope: hull direction, hull offset in the
-    complement of w, and the shadow of the translated body inside w.
+    complement of w (chart_flat_inv of the affine hull), and the shadow of
+    the translated body inside w.
 
     The hull direction must have the chart dimension; flatter bodies have
     no preimage with a w-dimensional shadow and are rejected.
     """
     cfg = resolve(tol)
-    check_same_ambient(w, b)
-    hull = affine_hull(b, cfg)
-    v, p = parallel_subspace(hull)
-    if v.dim != w.dim:
-        raise ChartDomainError(
-            f"hull direction dimension {v.dim} does not match the chart dimension {w.dim}"
-        )
-    if w.dim == 0:
-        offset = p
-    else:
-        x = ((w.basis @ p) @ w.basis)[None, :]
-        offset = p - lift_rows(w, v, x, cfg, "hull direction outside the chart domain")[0]
-        offset = offset - (w.basis @ offset) @ w.basis
+    v, offset = chart_flat_inv(w, affine_hull(b, cfg), cfg)
     shadow = (b.points - offset) @ (w.basis.T @ w.basis)
     return ChartTriple(v, offset, Polytope(shadow))

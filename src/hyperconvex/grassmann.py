@@ -172,11 +172,16 @@ def chart_flat(
     check_same_ambient(w, v, omega)
     if not in_chart_domain(w, v, cfg):
         raise ChartDomainError("direction subspace outside the chart domain")
-    if np.linalg.norm((w.basis @ omega) @ w.basis) > cfg.tau_geom * max(
-        1.0, float(np.linalg.norm(omega))
-    ):
-        raise ChartDomainError("offset must lie in the orthogonal complement of w")
+    check_complement_offset(w, omega, cfg)
     return Flat(omega, v.basis)
+
+
+def check_complement_offset(w: Subspace, omega: np.ndarray, cfg: ToleranceConfig) -> None:
+    """ChartDomainError unless omega lies in the orthogonal complement of w,
+    up to tau_geom max(1, |omega|): the offset test of both chart maps."""
+    bound = cfg.tau_geom * max(1.0, float(np.linalg.norm(omega)))
+    if np.linalg.norm((w.basis @ omega) @ w.basis) > bound:
+        raise ChartDomainError("offset must lie in the orthogonal complement of w")
 
 
 def chart_flat_inv(w: Subspace, f: Flat, tol: ToleranceConfig | None = None):

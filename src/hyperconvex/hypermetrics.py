@@ -98,9 +98,10 @@ class AWParams:
     """Knobs for the localized-convergence metric estimators.
 
     eps_sup is the width requested from the metric's weighted sup, j_cap
-    the largest ball index scanned (past it the result can widen by at most
-    1/(j_cap+1)), budget the evaluation allowance of the whole call, which
-    is one weighted sup.
+    the largest ball index scanned, an integer from 1 to 1024 (past it the
+    result can widen by at most 1/(j_cap+1); the scan keeps a j_cap x j_cap
+    table of shell weights, 8 MB at 1024), budget the evaluation allowance
+    of the whole call, which is one weighted sup.
     """
 
     eps_sup: float = 1e-3
@@ -116,6 +117,8 @@ class AWParams:
             whole = False
         if not whole:
             raise HyperconvexError("j_cap must be an integer of at least 1")
+        if self.j_cap > 1024:
+            raise HyperconvexError("j_cap must be at most 1024")
         if not (math.isfinite(self.budget) and self.budget >= 1000):
             raise HyperconvexError("budget must be finite and at least 1000")
 

@@ -42,6 +42,18 @@ def _diff_matrix(pts: np.ndarray) -> np.ndarray:
     return pts[1:] - pts[0]
 
 
+def _independent_svd(d: np.ndarray, tol: float, compute_uv: bool = False):
+    """The SVD of the difference matrix d (k >= 1 rows) of a family, its
+    singular values alone unless compute_uv, or None when the family is
+    affinely dependent: k above the dimension, or a smallest singular value
+    at or below tol times the largest floored at 1."""
+    if d.shape[0] > d.shape[1]:
+        return None
+    svd = np.linalg.svd(d, full_matrices=False, compute_uv=compute_uv)
+    sv = svd[1] if compute_uv else svd
+    return svd if sv[-1] > tol * max(float(sv[0]), 1.0) else None
+
+
 def is_affinely_independent(points, tol: float | None = None) -> bool:
     """True when no point lies in the affine hull of the others.
 
@@ -49,15 +61,8 @@ def is_affinely_independent(points, tol: float | None = None) -> bool:
     cutoff tol times the largest singular value floored at 1.
     """
     pts = _family(points)
-    if tol is None:
-        tol = ToleranceConfig().tau_rank
-    k = pts.shape[0] - 1
-    if k == 0:
-        return True
-    if k > pts.shape[1]:
-        return False
-    sv = np.linalg.svd(_diff_matrix(pts), compute_uv=False)
-    return bool(sv[-1] > tol * max(float(sv[0]), 1.0))
+    tol = ToleranceConfig().tau_rank if tol is None else tol
+    return pts.shape[0] == 1 or _independent_svd(_diff_matrix(pts), tol) is not None
 
 
 def independence_radius(points, tol: ToleranceConfig | None = None) -> float:
@@ -69,15 +74,10 @@ def independence_radius(points, tol: ToleranceConfig | None = None) -> float:
     k = pts.shape[0] - 1
     if k == 0:
         return math.inf
-    if not is_affinely_independent(pts, cfg.tau_rank):
+    sv = _independent_svd(_diff_matrix(pts), cfg.tau_rank)
+    if sv is None:
         raise HyperconvexError("family is affinely dependent; no radius exists")
-    sv = np.linalg.svd(_diff_matrix(pts), compute_uv=False)
     return float(sv[-1]) / (4.0 * math.sqrt(k))
-
-
-def _dependence_floor(pts: np.ndarray) -> float:
-    sv = np.linalg.svd(_diff_matrix(pts), compute_uv=False)
-    return min(1e-9, float(sv[-1]) / 4.0)
 
 
 _BLOCK = 256
@@ -107,7 +107,8 @@ def adversarial_independence_check(
     if trials == 0 or k == 0:
         report.runtime_ms = int(round((time.perf_counter() - t0) * 1000))
         return report
-    floor = _dependence_floor(pts) if is_affinely_independent(pts) else 1e-9
+    sv = _independent_svd(_diff_matrix(pts), ToleranceConfig().tau_rank)
+    floor = 1e-9 if sv is None else min(1e-9, float(sv[-1]) / 4.0)
 
     def record(perturbed: np.ndarray, sigma: float, kind: str) -> None:
         report.failures.append(
@@ -156,6 +157,23 @@ def adversarial_independence_check(
     return report
 
 
+def _barycentric(pts: np.ndarray, x: np.ndarray, tol: float):
+    """Barycentric coordinates of x in the family pts from one SVD of its
+    difference matrix, or None when x sits off the affine hull by more than
+    tol relative to the data scale; a dependent family raises."""
+    d, r, mu = _diff_matrix(pts), x - pts[0], np.zeros(0)
+    if d.shape[0]:
+        svd = _independent_svd(d, ToleranceConfig().tau_rank, compute_uv=True)
+        if svd is None:
+            raise HyperconvexError("simplex points must be affinely independent")
+        u, sv, vt = svd
+        mu = u @ ((vt @ r) / sv)  # the least-squares solution of mu @ d = r
+    scale = max(1.0, float(np.linalg.norm(x)), float(np.abs(pts).max()))
+    if np.linalg.norm(mu @ d - r) > tol * scale:
+        return None
+    return np.concatenate([[1.0 - mu.sum()], mu])
+
+
 def barycentric_coordinates(simplex, x, tol: float = 1e-9) -> np.ndarray:
     """Barycentric coordinates of x with respect to an affinely independent
     family; unique because the difference matrix has full row rank.
@@ -164,34 +182,20 @@ def barycentric_coordinates(simplex, x, tol: float = 1e-9) -> np.ndarray:
     affine hull by more than tol relative to the data scale.
     """
     pts = _family(simplex)
-    x = _point(pts, x)
-    if not is_affinely_independent(pts):
-        raise HyperconvexError("simplex points must be affinely independent")
-    scale = max(1.0, float(np.linalg.norm(x)), float(np.abs(pts).max()))
-    if pts.shape[0] == 1:
-        if np.linalg.norm(x - pts[0]) > tol * scale:
-            raise HyperconvexError("point lies off the affine hull of the simplex")
-        return np.ones(1)
-    d = _diff_matrix(pts)
-    mu, *_ = np.linalg.lstsq(d.T, x - pts[0], rcond=None)
-    if np.linalg.norm(mu @ d - (x - pts[0])) > tol * scale:
+    lam = _barycentric(pts, _point(pts, x), tol)
+    if lam is None:
         raise HyperconvexError("point lies off the affine hull of the simplex")
-    return np.concatenate([[1.0 - mu.sum()], mu])
+    return lam
 
 
 def in_relative_interior(simplex, x, tol: float = 1e-9) -> bool:
     """True when x lies strictly inside the simplex: every barycentric
-    coordinate in (tol, 1 - tol).  Points off the affine hull are outside;
-    a non-finite x raises.
+    coordinate in (tol, 1 - tol).  Points off the affine hull (by 1e-9
+    relative to the data scale) are outside; a non-finite x raises.
     """
     pts = _family(simplex)
     x = _point(pts, x)
-    if not is_affinely_independent(pts):
-        raise HyperconvexError("simplex points must be affinely independent")
     if pts.shape[0] == 1:
         return bool(np.linalg.norm(x - pts[0]) <= tol)
-    try:
-        lam = barycentric_coordinates(pts, x)
-    except HyperconvexError:
-        return False
-    return bool(np.all(lam > tol) and np.all(lam < 1.0 - tol))
+    lam = _barycentric(pts, x, 1e-9)
+    return lam is not None and bool(np.all(lam > tol) and np.all(lam < 1.0 - tol))

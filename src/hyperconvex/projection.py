@@ -23,10 +23,14 @@ run the same Wolfe scheme on the rows of a block in lockstep
 gives it a floor, below which rows stop early.  A lockstep pass costs about
 0.1 ms at one row and 0.2-0.4 ms at 64, mostly numpy's per-call overhead,
 so a pass issues as few numpy calls as it can.  Single points stay on the
-scalar min_norm_point, which solves each corral by LU, lstsq the fallback
-(_affine_minimizer), and pays numpy's per-call overhead too.  Both solvers'
-arithmetic is pinned bit for bit, by tests/test_wolfe_reference.py and
-tests/test_wolfe_block_reference.py.  All routes read Polytope.unique_points.
+scalar min_norm_point, which pays numpy's per-call overhead too.  Both
+solvers share one stopping rule (_limits) and one corral solve
+(_corral_solve: each system divided by its largest entry, LU, and the
+pseudo-inverse as the fallback), which the scalar solver calls with a stack
+of one system and the batched one once per group of equal corral size.
+Both solvers' arithmetic is pinned bit for bit, by
+tests/test_wolfe_reference.py and tests/test_wolfe_block_reference.py.
+All routes read Polytope.unique_points.
 Non-finite points, rows of the public batch maps and contains tolerances
 raise HyperconvexError; ball_sup reads _residual_rows, which does not check.
 
@@ -43,6 +47,7 @@ map and truncated_distance evaluates it at one point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable
@@ -70,42 +75,65 @@ def _wolfe_cap(pts: np.ndarray) -> int:
     return max(10 * pts.shape[0] * pts.shape[1], 50)
 
 
+def _limits(scale2, n: int):
+    """The stopping rule of both Wolfe solvers for a query in R^n, from
+    scale2 = max(1, max_i |p_i - x|^2), a float or one per query: the gap
+    floor 64 eps scale2, below which a gap is numerically 0; the stall
+    level 1e5 times that, below which a major iteration that fails to
+    lower |w|^2 is a stall at rounding level; and the floor allowance of
+    _min_norm_rows."""
+    gap_floor = 64.0 * _EPS * scale2
+    return gap_floor, 1e5 * gap_floor, 64.0 * _EPS * (n + 1) * scale2**0.5
+
+
+# A weight at or below this leaves the corral; coefficients above minus it
+# make a corral.
+_CORRAL_CUT = 1e-13
+
 # Affine coefficients above this come from a nearly singular bordered
-# system, solved again with lstsq's cutoff: by lstsq in the scalar solver,
-# by pseudo-inverse in the batched one.  LU stays the first solve: pinv on
-# every row made the polytope-batch benchmark 1.5x slower (330 against 495
-# ops/s, two runs each, 2-vCPU Xeon VM), and lstsq costs about 20 us a step.
-# On random, flat and integer-lattice polytopes no system exceeds 1e3.  On
-# polytopes 1e-9 thick in R^4 (16 seeds of 17 points, 60 rows each), the
-# batched route failed 3 blocks at 1e3, each where the scalar min_norm_point
-# failed on some row too, and 6 blocks at 1e8.
+# system, solved again by pseudo-inverse.  LU stays the first solve: pinv
+# on every row made the polytope-batch benchmark 1.5x slower (330 against
+# 495 ops/s, two runs each, 2-vCPU Xeon VM).  On random, flat and
+# integer-lattice polytopes no system exceeds 1e3.
 _ALPHA_MAX = 1e3
 
 
-def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
-    """Coefficients alpha (sum 1, sign-free) minimizing ||alpha @ Q||: LU on
-    the bordered system, then lstsq if LU finds it singular or returns a
-    coefficient above _ALPHA_MAX, as repeated or dependent rows of Q do."""
-    s = Q.shape[0]
-    if s == 1:
-        return np.ones(1)
-    # Q Q^T grows like scale^2 beside the border of ones, which then falls
-    # below lstsq's cutoff; alpha is the same for every positive multiple of Q
-    big = float(np.abs(Q).max())
-    if big > 0:
-        Q = Q / big
-    bordered = np.ones((s + 1, s + 1))
-    bordered[0, 0] = 0.0
-    bordered[1:, 1:] = Q @ Q.T
-    rhs = np.zeros(s + 1)
-    rhs[0] = 1.0
+@functools.lru_cache(maxsize=None)
+def _e0(size: int) -> np.ndarray:
+    """e_0 of R^size as a read-only (1, size, 1) column, which numpy 1.x
+    also reads as one column per matrix of a stack."""
+    return np.broadcast_to(np.eye(size, 1), (1, size, 1))
+
+
+def _corral_solve(S: np.ndarray) -> np.ndarray:
+    """The corral solve of both Wolfe solvers: for each system S[i] of the
+    stack S (rows, c, n) on its own, the coefficients (sum 1, sign-free)
+    that minimize ||alpha_i @ S[i]||.
+
+    Each system is divided by its largest entry, which is never 0 (a zero
+    generator ends either solver at once): alpha does not change, and S S^T
+    no longer grows like scale^2 beside the border of ones.  LU solves the
+    bordered systems, and the pseudo-inverse, with lstsq's cutoff, those
+    that LU finds singular or that have a coefficient above _ALPHA_MAX, as
+    repeated or dependent generators give.
+    """
+    r, c = S.shape[:2]
+    S = S / abs(S).max(axis=(1, 2), keepdims=True)
+    A = np.ones((r, c + 1, c + 1))
+    A[:, 0, 0] = 0.0
+    A[:, 1:, 1:] = S @ S.transpose(0, 2, 1)
     try:
-        sol = np.linalg.solve(bordered, rhs)
+        alpha = np.linalg.solve(A, _e0(c + 1))[:, 1:, 0]
     except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not (np.abs(sol[1:]) <= _ALPHA_MAX).all():
-        sol, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
-    return sol[1:]
+        # some system is exactly singular: solve the others by LU
+        alpha = np.full((r, c), np.nan)
+        regular = np.linalg.slogdet(A)[0] != 0
+        if regular.any():
+            alpha[regular] = np.linalg.solve(A[regular], _e0(c + 1))[:, 1:, 0]
+    if not abs(alpha).max() <= _ALPHA_MAX:  # also when a coefficient is NaN
+        bad = ~(abs(alpha) <= _ALPHA_MAX).all(axis=1)
+        alpha[bad] = np.linalg.pinv(A[bad], rcond=_EPS * (c + 1))[:, 1:, 0]
+    return alpha
 
 
 def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
@@ -116,12 +144,10 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     bounds the variational-inequality residual of w.
     """
     points = np.asarray(points, dtype=float)
-    m = points.shape[0]
+    m, n = points.shape
     sq = np.einsum("ij,ij->i", points, points)
-    scale2 = max(1.0, float(sq.max()))
-    # below ~64 eps * scale2 the gap is numerically indistinguishable from 0
-    tol = max(gap_tol, 64.0 * _EPS * scale2)
-    stall_tol = 1e5 * 64.0 * _EPS * scale2
+    gap_floor, stall_tol, _ = _limits(max(1.0, float(sq.max())), n)
+    tol = max(gap_tol, gap_floor)
 
     active = [int(sq.argmin())]
     lam = np.ones(1)
@@ -146,21 +172,23 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
                 "minimum-norm point stalled above tolerance", best=w, residual=gap
             )
         active.append(j)
-        lam = np.concatenate((lam, _ZERO))
         # minor cycles: shrink back to a corral (all-positive affine minimizer)
         for _ in range(m + 2):
             Q = points[active]
-            alpha = _affine_minimizer(Q)
-            if (alpha > -1e-13).all():
+            alpha = _corral_solve(Q[None])[0]
+            # min is NaN, and so not a corral, when alpha holds a NaN
+            if alpha.min() > -_CORRAL_CUT:
                 lam = np.maximum(alpha, 0.0)
                 lam /= lam.sum()
                 w = lam @ Q
                 break
-            neg = alpha < -1e-13
+            if lam.size < alpha.size:
+                lam = np.concatenate((lam, _ZERO))
+            neg = alpha < -_CORRAL_CUT
             t = lam[neg] / (lam[neg] - alpha[neg])
             theta = min(float(t.min()), 1.0)
             lam = np.maximum((1.0 - theta) * lam + theta * alpha, 0.0)
-            drop = lam <= 1e-13
+            drop = lam <= _CORRAL_CUT
             if not drop.any():
                 drop = lam == lam.min()
             keep = ~drop
@@ -188,15 +216,6 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
 # floats, and face enumeration's _BLOCK_ROWS * K * (kmax + n) for K pieces
 # of up to kmax coordinates.
 _BLOCK_ROWS = 1024
-def _solve_e0(A: np.ndarray) -> np.ndarray:
-    """x_i with A[i] x_i = e_0 for every matrix of the stack A (rows, s, s).
-
-    e_0 goes in as one (1, s, 1) column broadcast over the stack: numpy
-    before 2.0 reads a right-hand side of fewer dimensions as vectors.
-    """
-    e0 = np.zeros((1, A.shape[-1], 1))
-    e0[0, 0] = 1.0
-    return np.linalg.solve(A, e0)[..., 0]
 
 
 def _slot_sum(a: np.ndarray) -> np.ndarray:
@@ -209,40 +228,24 @@ def _slot_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """_affine_minimizer for a stack of generator sets.
+    """_corral_solve for a stack of generator sets of unequal counts.
 
     Row i of Qs (rows, k, n) holds its set in its first cnt[i] slots; the
     coefficients of the other slots are 0.  Rows are solved in groups of
     equal count, so a row's result does not depend on the other rows.
     """
+    sizes = np.bincount(cnt).tolist()
+    if sizes[-1] == cnt.size and len(sizes) == Qs.shape[1] + 1:
+        return _corral_solve(Qs)  # every row fills every slot
     alpha = np.zeros(Qs.shape[:2])
     order = np.argsort(cnt, kind="stable")  # each count's rows, in row order
     start = 0
-    for c, size in enumerate(np.bincount(cnt).tolist()):
+    for c, size in enumerate(sizes):
         if not size:
             continue
         rows = slice(None) if size == cnt.size else order[start : start + size]
         start += size
-        if c == 1:
-            alpha[rows, 0] = 1.0
-            continue
-        S = Qs[rows, :c]
-        A = np.ones((S.shape[0], c + 1, c + 1))
-        A[:, 0, 0] = 0.0
-        A[:, 1:, 1:] = S @ S.transpose(0, 2, 1)
-        try:
-            sol = _solve_e0(A)
-        except np.linalg.LinAlgError:
-            # some system is exactly singular: solve the others by LU
-            sol = np.full((S.shape[0], c + 1), np.nan)
-            regular = np.linalg.slogdet(A)[0] != 0
-            if regular.any():
-                sol[regular] = _solve_e0(A[regular])
-        fine = np.abs(sol[:, 1:]) <= _ALPHA_MAX
-        if not fine.all():
-            bad = ~fine.all(axis=1)
-            sol[bad] = np.linalg.pinv(A[bad], rcond=_EPS * (c + 1))[:, :, 0]
-        alpha[rows, :c] = sol[:, 1:]
+        alpha[rows, :c] = _corral_solve(Qs[rows, :c])
     return alpha
 
 
@@ -252,11 +255,9 @@ def _min_norm_rows(
     """min_norm_point(pts - x, gap_tol, max_iter) for every row x of X.
 
     The rows run in lockstep, _BLOCK_ROWS at a time, each with its own
-    active slots and weights; a row leaves the block once its Wolfe gap
-    meets its tolerance, or once a major iteration fails to lower |w|^2
-    while the gap is at rounding level (64e5 eps max(1, max_i |p_i - x|^2),
-    the scalar solver's stall level).  Returns (W, gaps).  ConvergenceError
-    names the worst row of the block that failed.
+    active slots and weights, and stops as min_norm_point does (_limits).
+    Returns (W, gaps).  ConvergenceError names the worst row of the block
+    that failed.
 
     A floor asks only for the largest distance over the rows (a max query):
     a row whose |w| falls below the floor leaves early with its current w
@@ -291,10 +292,9 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
     m, n = pts.shape
     Q = pts[None, :, :] - X[:, None, :]  # (rows, m, n): generators shifted per row
     sq = np.einsum("bij,bij->bi", Q, Q)
-    scale2 = np.maximum(1.0, sq.max(axis=1))
+    gap_floor, stall, allow = _limits(np.maximum(1.0, sq.max(axis=1)), n)
     # per row, one array for one gather: gap tolerance, stall level, floor allowance
-    lim = np.stack((np.maximum(gap_tol, 64.0 * _EPS * scale2), 1e5 * 64.0 * _EPS * scale2,
-                    64.0 * _EPS * (n + 1) * np.sqrt(scale2)), axis=1)
+    lim = np.stack((np.maximum(gap_tol, gap_floor), stall, allow), axis=1)
 
     b = X.shape[0]
     W_out = np.empty((b, n))
@@ -358,7 +358,7 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
             Qs = Q[pend[:, None], sub]
             alpha = _affine_minimizer_rows(Qs, have)
             # alpha is 0 past a row's count, so the test needs no slot mask
-            corral = (alpha > -1e-13).all(axis=1)
+            corral = (alpha > -_CORRAL_CUT).all(axis=1)
             every = corral.all()
             if every or corral.any():
                 met = slice(None) if every else corral  # a slice skips the gathers
@@ -373,10 +373,10 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
             valid = slots[:k] < cnt[pend, None]
             lm = lam[pend, :k]
             t = np.full(lm.shape, np.inf)
-            np.divide(lm, lm - alpha, out=t, where=alpha < -1e-13)
+            np.divide(lm, lm - alpha, out=t, where=alpha < -_CORRAL_CUT)
             theta = np.minimum(t.min(axis=1), 1.0)[:, None]
             lm = np.maximum((1.0 - theta) * lm + theta * alpha, 0.0)
-            drop = valid & (lm <= 1e-13)
+            drop = valid & (lm <= _CORRAL_CUT)
             none = ~drop.any(axis=1)
             if none.any():
                 lmin = np.where(valid, lm, np.inf).min(axis=1, keepdims=True)

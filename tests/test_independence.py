@@ -141,3 +141,44 @@ def test_radius_certificate_survives_worst_unit_perturbations(scale, seed):
     shifts = rng.normal(size=pts.shape)
     shifts *= (delta * 0.999) / np.linalg.norm(shifts, axis=1, keepdims=True)
     assert is_affinely_independent(pts + shifts)
+
+
+def _factorizations(monkeypatch):
+    """Count np.linalg.svd and np.linalg.lstsq calls."""
+    calls = {"svd": 0, "lstsq": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: independence_radius(TRIANGLE),
+        lambda: in_relative_interior(TRIANGLE, np.array([0.2, 0.3])),
+        lambda: in_relative_interior(TRIANGLE, np.array([0.2, 0.9])),
+        lambda: barycentric_coordinates(TRIANGLE, np.array([0.2, 0.3])),
+    ],
+    ids=["radius", "interior", "outside", "barycentric"],
+)
+def test_one_svd_per_call(monkeypatch, call):
+    # the independence test and the radius or coordinates read one SVD of
+    # the difference matrix
+    calls = _factorizations(monkeypatch)
+    call()
+    assert calls == {"svd": 1, "lstsq": 0}
+
+
+def test_adversarial_check_factors_the_family_once(monkeypatch):
+    # the family's difference matrix once for its floor, the structured
+    # probe's centred points once (delta is too small to flatten onto the
+    # fitted line), and one stacked SVD for the single block of trials
+    calls = _factorizations(monkeypatch)
+    adversarial_independence_check(TRIANGLE, 1e-3, 10, 5)
+    assert calls == {"svd": 3, "lstsq": 0}

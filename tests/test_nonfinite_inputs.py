@@ -14,6 +14,7 @@ from hyperconvex import (
     HyperconvexError,
     Polytope,
     Subspace,
+    attouch_wets,
     barycentric_coordinates,
     contains,
     distance_evaluator,
@@ -97,6 +98,21 @@ def test_aw_params_reject_a_j_cap_that_is_not_a_positive_integer(j_cap):
     # 2.5 and True were taken as they came
     with pytest.raises(HyperconvexError, match="j_cap must be an integer of at least 1"):
         AWParams(j_cap=j_cap)
+
+
+@pytest.mark.parametrize("j_cap", [1025, 10**4, 10**15, np.int64(2**62)])
+def test_aw_params_reject_an_oversized_j_cap(j_cap):
+    # j_cap = 10**15 used to end in numpy's MemoryError, and the scan's
+    # j_cap x j_cap weight table already takes 0.8 GB at 10**4
+    with pytest.raises(HyperconvexError, match="j_cap must be at most 1024"):
+        AWParams(j_cap=j_cap)
+
+
+def test_aw_params_take_the_largest_j_cap():
+    # two unit segments at distance 1: every term is min(1/j, 1)
+    a = Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    iv = attouch_wets(a, Polytope(a.points + [0.0, 1.0]), AWParams(j_cap=1024))
+    assert iv.certified and iv.lo <= 1.0 <= iv.hi
 
 
 @pytest.mark.parametrize("budget", [NAN, np.inf])

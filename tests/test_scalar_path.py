@@ -1,7 +1,8 @@
 """The scalar polytope path: metric_projection on min_norm_point, whose
-corral step solves by LU with lstsq as the fallback; ball-truncated rows
-that solve P_C(0) only when their projection leaves the ball; and the
-generators a polytope deduplicates once, on first use.
+corral step is the corral solve both Wolfe solvers share, LU with the
+pseudo-inverse as the fallback; ball-truncated rows that solve P_C(0) only
+when their projection leaves the ball; and the generators a polytope
+deduplicates once, on first use.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from hyperconvex.hypermetrics import same_representation
 from hyperconvex.projection import (
     _ALPHA_MAX,
     _ENUM_MAX_PIECES,
-    _affine_minimizer,
+    _corral_solve,
     _face_pieces,
     _residual_rows,
 )
@@ -96,7 +97,7 @@ def test_polytope_grazing_the_ball_within_tau_geom_is_its_nearest_point():
 
 
 # ---------------------------------------------------------------------------
-# LU first, lstsq as the fallback
+# one corral solve: LU first, the pseudo-inverse as the fallback
 
 
 def _generators(rng, n, m, kind):
@@ -154,7 +155,7 @@ def test_projection_matches_the_face_kernel_at_any_scale(seed, n, m, kind, expon
     ],
 )
 def test_affine_minimizer_falls_back_on_repeated_rows(Q, nearest):
-    alpha = _affine_minimizer(Q)
+    alpha = _corral_solve(Q[None])[0]  # the scalar solver's stack of one
     assert np.isfinite(alpha).all()
     assert np.abs(alpha).max() <= _ALPHA_MAX
     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,14 +1,14 @@
 """The batched Wolfe solver against a reference that pins its arithmetic.
 
 The _reference_* functions below are the lockstep solver (_wolfe_block,
-_affine_minimizer_rows, _solve_e0, _slot_sum, _block_error) written with a
-gather per count group, np.clip, np.take_along_axis and a compaction of
-every per-row array whenever a row leaves.  projection's solver may issue
-fewer and cheaper numpy calls but must perform the same floating-point
-operations in the same order, so _min_norm_rows' (W, gaps) and the floor
-that _wolfe_block raises are compared through float.hex, and a failure must
-raise the same exception class with the same message, residual and best
-point.  The draws reach the pseudo-inverse fallback (duplicated and 1e-9
+_affine_minimizer_rows, the corral solve _corral_solve it shares with the
+scalar solver, _slot_sum, _block_error) written with a gather per count
+group, np.clip, np.take_along_axis and a compaction of every per-row array
+whenever a row leaves.  projection's solver may issue fewer and cheaper
+numpy calls but must perform the same floating-point operations in the same
+order, so _min_norm_rows' (W, gaps) and the floor that _wolfe_block raises
+are compared through float.hex, and a failure must raise the same exception
+class with the same message, residual and best point.  The draws reach the pseudo-inverse fallback (duplicated and 1e-9
 thin generators), count groups of mixed size, the floor's early exits, the
 iteration cap (max_iter=2) and blocks on both sides of _BLOCK_ROWS.
 """
@@ -46,6 +46,7 @@ def _reference_affine_minimizer_rows(Qs, cnt):
             alpha[rows, 0] = 1.0
             continue
         S = Qs[rows, :c]
+        S = S / np.abs(S).max(axis=(1, 2))[:, None, None]
         A = np.ones((S.shape[0], c + 1, c + 1))
         A[:, 0, 0] = 0.0
         A[:, 1:, 1:] = S @ S.transpose(0, 2, 1)

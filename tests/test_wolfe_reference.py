@@ -2,14 +2,14 @@
 
 _reference_min_norm_point and _reference_affine_minimizer below are the
 scalar solver written with np.clip, np.append, separate reductions for the
-minimum and its index and a bordered matrix filled from zeros.
-projection.min_norm_point and projection._affine_minimizer issue fewer numpy
-calls but must perform the same floating-point operations in the same
-order, so every (w, gap) is compared through float.hex, and a failure must
-raise the same exception class with the same message and residual.  The
-fixed cases include thin triangles that reach the solver's stall and raise
-branches and a nearly repeated generator whose corral takes the lstsq
-fallback.
+minimum and its index and a bordered matrix filled from zeros, one system
+at a time.  projection.min_norm_point and projection._corral_solve, the
+corral solve it shares with the batched solver, issue fewer numpy calls but
+must perform the same floating-point operations in the same order, so every
+(w, gap) is compared through float.hex, and a failure must raise the same
+exception class with the same message and residual.  The fixed cases
+include thin triangles that reach the solver's stall and raise branches and
+a nearly repeated generator whose corral takes the pseudo-inverse fallback.
 """
 
 import math
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from hyperconvex import ConvergenceError, Polytope, ToleranceConfig
 from hyperconvex import projection
-from hyperconvex.projection import _ALPHA_MAX, _EPS, _affine_minimizer, _wolfe_cap, min_norm_point
+from hyperconvex.projection import _ALPHA_MAX, _EPS, _corral_solve, _wolfe_cap, min_norm_point
 
 GAP_TOL = ToleranceConfig().tau_geom ** 2  # what metric_projection passes
 
@@ -30,9 +30,7 @@ def _reference_affine_minimizer(Q):
     s = Q.shape[0]
     if s == 1:
         return np.ones(1)
-    big = float(np.abs(Q).max())
-    if big > 0:
-        Q = Q / big
+    Q = Q / float(np.abs(Q).max())
     bordered = np.zeros((s + 1, s + 1))
     bordered[0, 1:] = 1.0
     bordered[1:, 0] = 1.0
@@ -44,7 +42,7 @@ def _reference_affine_minimizer(Q):
     except np.linalg.LinAlgError:
         sol = None
     if sol is None or not (np.abs(sol[1:]) <= _ALPHA_MAX).all():
-        sol, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
+        sol = np.linalg.pinv(bordered, rcond=_EPS * (s + 1))[:, 0]
     return sol[1:]
 
 
@@ -179,13 +177,13 @@ def test_thin_triangles_fail_as_the_reference_does(points, x, outcome):
         assert got[1:3] == ("ConvergenceError", "minimum-norm point stalled above tolerance")
 
 
-def test_nearly_repeated_generator_takes_the_lstsq_fallback(monkeypatch):
+def test_nearly_repeated_generator_takes_the_pinv_fallback(monkeypatch):
     # (4, 0) twice, 1e-12 apart: both copies enter the corral on the way to
     # the hypotenuse, and the bordered system's coefficients exceed _ALPHA_MAX
     points = _shifted([(0, 0), (4, 0), (0, 4), (4 + 1e-12, 0)], (4, 2))
-    real = np.linalg.lstsq
+    real = np.linalg.pinv
     calls = []
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or real(*a, **k))
     got = _outcome(min_norm_point, points, GAP_TOL, _wolfe_cap(points))
     assert calls
     monkeypatch.undo()
@@ -230,12 +228,15 @@ def test_min_norm_point_matches_the_reference(seed, n, m, kind, where, exponent)
     n=st.integers(1, 8),
     s=st.integers(1, 9),
     repeats=st.integers(0, 3),
+    jitter=st.sampled_from([0.0, 1e-9, 1e-6]),
     exponent=st.floats(-6.0, 8.0),
 )
-def test_affine_minimizer_matches_the_reference(seed, n, s, repeats, exponent):
-    # repeated rows make the bordered system singular or nearly so, which
-    # takes the lstsq fallback
+def test_affine_minimizer_matches_the_reference(seed, n, s, repeats, jitter, exponent):
+    # repeated rows, exact or moved by jitter, make the bordered system
+    # singular or nearly so, which takes the pseudo-inverse fallback; the
+    # scalar solver passes its corral as a stack of one system
     rng = np.random.default_rng(seed)
-    Q = rng.normal(size=(s, n)) * 10.0**exponent
-    Q = np.concatenate([Q, Q[rng.integers(0, s, size=repeats)]])
-    assert _hex(_affine_minimizer(Q)) == _hex(_reference_affine_minimizer(Q))
+    Q = rng.normal(size=(s, n))
+    Q = np.concatenate([Q, Q[rng.integers(0, s, size=repeats)] + jitter * rng.normal(size=(repeats, n))])
+    Q *= 10.0**exponent
+    assert _hex(_corral_solve(Q[None])[0]) == _hex(_reference_affine_minimizer(Q))
