@@ -28,8 +28,6 @@ solvers share one stopping rule (_limits) and one corral solve
 (_corral_solve: each system divided by its largest entry, LU, and the
 pseudo-inverse as the fallback), which the scalar solver calls with a stack
 of one system and the batched one once per group of equal corral size.
-The scalar solver takes the major iteration after a stall by least squares
-in the corral's affine hull (_corral_lstsq), which thin simplices need.
 Both solvers' arithmetic is pinned bit for bit, by
 tests/test_wolfe_reference.py and tests/test_wolfe_block_reference.py.
 All routes read Polytope.unique_points.
@@ -138,18 +136,6 @@ def _corral_solve(S: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _corral_lstsq(Q: np.ndarray) -> np.ndarray:
-    """_corral_solve for one corral Q (c, n), by least squares in its affine
-    hull: y = Q[0] + beta (Q[1:] - Q[0]) with |y| least.  The error grows
-    with the condition number of the differences, not with its square as
-    in the bordered Gram system, so a thin simplex (a triangle 1e-7 wide)
-    gets the coefficients that the Gram system loses."""
-    if Q.shape[0] == 1:
-        return np.ones(1)
-    beta = np.linalg.lstsq((Q[1:] - Q[0]).T, -Q[0], rcond=None)[0]
-    return np.concatenate(([1.0 - beta.sum()], beta))
-
-
 def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     """Minimum-norm point of conv(rows of points).
 
@@ -167,36 +153,29 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
     lam = np.ones(1)
     w = points[active[0]].copy()
     w2_last = math.inf  # |w|^2 at the previous major iteration
-    precise = False  # whether the last major iteration solved by _corral_lstsq
 
     for _ in range(max_iter):
         dots = points @ w
         w2 = float(w @ w)
         j = int(dots.argmin())
         gap = w2 - float(dots[j])
-        if gap <= tol:
+        # a major iteration that did not lower |w|^2 near rounding level
+        # would cycle through the same corrals until the cap
+        if gap <= tol or (w2 >= w2_last and gap <= stall_tol):
             return w, max(gap, 0.0)
-        # A major iteration that did not lower |w|^2 near rounding level
-        # would cycle through the same corrals until the cap, and a best
-        # generator already in the corral means its weights are off.  Both
-        # happen when the Gram solve loses a thin corral: solve the next
-        # major iteration by least squares, and stop only if that one
-        # stalls too.
-        stalled = (w2 >= w2_last and gap <= stall_tol) or j in active
-        if stalled and precise:
+        w2_last = w2
+        if j in active:
+            # no generator improves; stall is at rounding level or a bug
             if gap <= stall_tol:
                 return w, max(gap, 0.0)
             raise ConvergenceError(
                 "minimum-norm point stalled above tolerance", best=w, residual=gap
             )
-        precise = stalled
-        w2_last = w2
-        if j not in active:
-            active.append(j)
+        active.append(j)
         # minor cycles: shrink back to a corral (all-positive affine minimizer)
         for _ in range(m + 2):
             Q = points[active]
-            alpha = _corral_lstsq(Q) if precise else _corral_solve(Q[None])[0]
+            alpha = _corral_solve(Q[None])[0]
             # min is NaN, and so not a corral, when alpha holds a NaN
             if alpha.min() > -_CORRAL_CUT:
                 lam = np.maximum(alpha, 0.0)
