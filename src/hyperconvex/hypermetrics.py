@@ -32,14 +32,13 @@ set:
   misses the origin by up to tau_geom, the lemma holds to within about
   that much).
 
-Ambient sups (ball_sup) run through a hierarchical branch-and-bound over box
-covers of the ball (Horst and Tuy, Global Optimization, 1996): boxes are
-evaluated at centers clamped into the domain, bounded above, then split
-along every axis within a factor 2 of their widest until the requested
-width is certified.  While the search span has at most _SPLIT_AXES = 16
-dimensions, the boxes stay cubes, and a level halves every side of a cube
-at once, its children read off one sign table.  Take a box with clamped
-center c and half-diagonal rho.  Three facts keep the tree small:
+Ambient sups (ball_sup) run through a hierarchical branch-and-bound over
+cubes covering the ball (Horst and Tuy, Global Optimization, 1996): cubes
+are evaluated at centers clamped into the domain, bounded above, then
+halved along every axis at once, the 2^k children of a cube in k
+dimensions read off one sign table, until the requested width is
+certified.  Take a cube with clamped center c and half-diagonal rho.
+Three facts keep the tree small:
 
 * the search covers only the ball of S, the span of both sets' data: for
   C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
@@ -93,6 +92,12 @@ from .projection import (
 from .sets import ConvexSet, Polytope, Subspace, check_same_ambient
 
 
+def _check_budget(budget) -> None:
+    """The one rule for an evaluation budget, whichever estimator takes it."""
+    if not (math.isfinite(budget) and budget >= 1000):
+        raise HyperconvexError("budget must be finite and at least 1000")
+
+
 @dataclass(frozen=True)
 class AWParams:
     """Knobs for the localized-convergence metric estimators.
@@ -109,8 +114,8 @@ class AWParams:
     budget: int = 1_500_000
 
     def __post_init__(self):
-        if not self.eps_sup > 0:
-            raise HyperconvexError("eps_sup must be positive")
+        if not 0.0 < self.eps_sup < np.inf:
+            raise HyperconvexError("eps_sup must be positive and finite")
         try:
             whole = not isinstance(self.j_cap, bool) and operator.index(self.j_cap) >= 1
         except TypeError:
@@ -119,8 +124,7 @@ class AWParams:
             raise HyperconvexError("j_cap must be an integer of at least 1")
         if self.j_cap > 1024:
             raise HyperconvexError("j_cap must be at most 1024")
-        if not (math.isfinite(self.budget) and self.budget >= 1000):
-            raise HyperconvexError("budget must be finite and at least 1000")
+        _check_budget(self.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +203,30 @@ def _pair(
     origin: str = "",
     radius: float = 1.0,
     eps: float = 1.0,
+    budget: int = 1000,
 ) -> _Pair | None:
     """The front door of the four estimators: the _Pair of a and b, or None
     when they are the same representation, whose distance is exactly 0.
 
-    Checks that the ambient dimensions agree and that radius and eps are
-    finite and positive (the defaults pass, for callers without them).  A
-    non-empty origin is the error raised when either set misses the origin
-    by more than tau_geom.
+    Checks that the ambient dimensions agree, that radius and eps are
+    finite and positive, and that budget passes _check_budget (the defaults
+    pass, for callers without them).  A non-empty origin is the error raised
+    when either set misses the origin by more than tau_geom.
     """
     cfg = resolve(tol)
     check_same_ambient(a, b)
     for name, v in (("radius", radius), ("eps", eps)):
         if not 0.0 < v < np.inf:
             raise HyperconvexError(f"{name} must be positive and finite")
+    _check_budget(budget)
     if origin and any(nearest_point(s, cfg)[1] > cfg.tau_geom for s in (a, b)):
         raise HyperconvexError(origin)
     return None if same_representation(a, b) else _Pair(a, b, cfg)
 
 
 _CHUNK = 1 << 17
-# rows a search level may evaluate, and the most axes a box splits along at
-# once (2^16 children)
+# rows a search level may evaluate
 _LEVEL_ROWS = 1 << 16
-_SPLIT_AXES = 16
 _ROUNDING = 64.0 * np.finfo(float).eps
 
 
@@ -282,38 +286,25 @@ def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale
     return lo, np.maximum(up, down) + ea + eb
 
 
-def _box_reach(
-    c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float, B: np.ndarray | None = None, rho=None
-):
-    """The reach of _box_bounds for the boxes of centers C and half-widths H
+def _box_reach(c: np.ndarray, C: np.ndarray, h: np.ndarray, r: float, B: np.ndarray | None, rho):
+    """The reach of _box_bounds for the cubes of centers C and half-widths h
     cut by the r-ball, each seen from its center c clamped into the ball
     (rows, in the coordinates of the rows B, or ambient when B is None):
-    V -> min(rho |v|, v . (C - c) + sum |v_i| H_i, r |v| - v . c), with v
+    V -> min(rho |v|, v . (C - c) + h sum |v_i|, r |v| - v . c), with v
     the rows of V in those coordinates.  Clamping is non-expansive, so every
-    point y of the box in the ball lies within rho = |H| of c (the row
-    norms of H, computed here unless the caller has them); the second term
-    is the max of v . (y - c) over the box, the third over the ball.
+    point y of the cube in the ball lies within its half-diagonal rho of c;
+    the second term is the max of v . (y - c) over the cube, the third over
+    the ball.
     """
-    if rho is None:
-        rho = _row_norms(H)
 
     def reach(V: np.ndarray) -> np.ndarray:
         if B is not None:
             V = V @ B.T
         N = _row_norms(V)
-        box = np.einsum("...ik,ik->...i", V, C - c) + np.einsum("...ik,ik->...i", np.abs(V), H)
+        box = np.einsum("...ik,ik->...i", V, C - c) + h * np.abs(V).sum(axis=-1)
         return np.minimum(np.minimum(rho * N, box), r * N - np.einsum("...ik,ik->...i", V, c))
 
     return reach
-
-
-def _split_axes(H: np.ndarray) -> np.ndarray:
-    """The axes each box (rows of half-widths H) splits along: those whose
-    half-width exceeds half its widest, at most _SPLIT_AXES of them."""
-    axes = H > 0.5 * H.max(axis=1, keepdims=True)
-    if H.shape[1] > _SPLIT_AXES:
-        axes &= np.argsort(np.argsort(-H, axis=1), axis=1) < _SPLIT_AXES
-    return axes
 
 
 @cache
@@ -325,29 +316,14 @@ def _signs(k: int) -> np.ndarray:
     return signs
 
 
-def _split(C: np.ndarray, H: np.ndarray, axes: np.ndarray):
-    """The children of the boxes (C, H) halved along their axes, 2^m for a
-    box with m axes; a cube thus yields 2^k cubes.
-
-    While the span has at most _SPLIT_AXES dimensions, every box of ball_sup
-    is a cube that splits along every axis, and its children are its center
-    plus the rows of one sign table (_signs) times its half-widths.  Boxes
-    that split fewer axes take the general construction, which orders and
-    rounds the children the same way.
-    """
-    if axes.all():
-        signs = _signs(C.shape[1])
-        half = 0.5 * H
-        kids = C[:, None, :] + signs * half[:, None, :]
-        return kids.reshape(-1, C.shape[1]), np.repeat(half, signs.shape[0], axis=0)
-    count = 1 << axes.sum(axis=1)
-    box = np.repeat(np.arange(C.shape[0]), count)
-    # child t of a box takes the upper half along its p-th split axis where
-    # bit p of t is set, the lower half elsewhere
-    t = np.arange(box.size) - np.repeat(np.cumsum(count) - count, count)
-    bit = (t[:, None] >> np.maximum(np.cumsum(axes, axis=1) - 1, 0)[box]) & 1
-    axes, half = axes[box], 0.5 * H[box]
-    return C[box] + np.where(axes, (2.0 * bit - 1.0) * half, 0.0), np.where(axes, half, H[box])
+def _split(C: np.ndarray, h: np.ndarray):
+    """The 2^k children of the cubes of centers C and half-widths h, each
+    cube's center plus the rows of one sign table (_signs) times h / 2, and
+    their half-widths h / 2."""
+    signs = _signs(C.shape[1])
+    half = 0.5 * h
+    kids = C[:, None, :] + signs * half[:, None, None]
+    return kids.reshape(-1, C.shape[1]), np.repeat(half, signs.shape[0])
 
 
 def ball_sup(
@@ -381,20 +357,18 @@ def ball_sup(
     lies in the shell of x or an inner one, so phi(x_S) >= phi(x).  A rank
     cut adds _common_span's w0 + w1 radius to every upper bound.
 
-    Boxes are evaluated at their centers clamped into the live ball, which
-    is non-expansive, so the clamped center c is within the box
-    half-diagonal rho of every domain point of the box.  _box_bounds bounds
-    the gap there, with v . (y - c) over the box and the ball at most
-    min(rho |v|, v . (C - c) + sum |v_i| H_i, r |v| - v . c) for a box of
-    center C and half-widths H in the live r-ball; phi is also at most the
-    largest weight of the shells that the norms |c| - rho .. |c| + rho reach.
+    The boxes are cubes, evaluated at their centers c clamped into the live
+    ball; _box_bounds bounds the gap over a cube in that ball with the reach
+    of _box_reach, and phi is also at most the largest weight of the shells
+    that the norms |c| - rho .. |c| + rho reach, rho the cube's half-diagonal.
     Once no weight past some shell beats the lower bound by eps, those
     shells leave the search, and their largest weight joins the upper bound.
-    Each level splits the boxes of highest upper bound along every wide
-    axis (_split), as many as keep the level within _LEVEL_ROWS rows; the
-    others wait with their bounds.  The search starts from one cube, so
-    while S has at most _SPLIT_AXES dimensions every box is a cube, splits
-    along every axis, and takes its children from one sign table.
+    The search starts from one cube, and each level halves the cubes of
+    highest upper bound along every axis (_split), as many as keep the level
+    within _LEVEL_ROWS rows; the others wait with their bounds.  Past 16
+    dimensions a cube's 2^k children overflow a level, so the search ends
+    after the probes and the root cube, uncertified, as a spent budget ends
+    it.
     """
     B, w0, w1 = pair.span
     widen = w0 + w1 * radius
@@ -416,9 +390,9 @@ def ball_sup(
         lo, _ = _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, None)
         return np.minimum(lo, weight(_row_norms(Y)))
 
-    def bounds(c: np.ndarray, C: np.ndarray, H: np.ndarray, r: float):
-        rho = _row_norms(H)
-        reach = _box_reach(c, C, H, r, B, rho)
+    def bounds(c: np.ndarray, C: np.ndarray, h: np.ndarray, r: float):
+        rho = h * math.sqrt(k)
+        reach = _box_reach(c, C, h, r, B, rho)
         lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale)
         t = _row_norms(c)
         lo = np.minimum(lo, weight(t))
@@ -446,12 +420,14 @@ def ball_sup(
         return live * shell
 
     r = live_radius()
-    # the boxes (C, H) with their upper bounds U, nan until evaluated
-    C, H, U = np.zeros((1, k)), np.full((1, k), r), np.full(1, np.nan)
+    # the cubes (C, h) with their upper bounds U, nan until evaluated, and
+    # how many of them one level can split (none past 16 dimensions)
+    C, h, U = np.zeros((1, k)), np.full(1, r), np.full(1, np.nan)
+    split = _LEVEL_ROWS >> k
     while r > 0 and C.shape[0]:
         new = np.isnan(U)
         if new.any():
-            vals, U[new] = bounds(_clamp_rows(C[new], r), C[new], H[new], r)
+            vals, U[new] = bounds(_clamp_rows(C[new], r), C[new], h[new], r)
             evals += int(new.sum())
             lb = max(lb, float(vals.max()))
         active = U > lb + eps
@@ -459,24 +435,21 @@ def ball_sup(
             resolved = max(resolved, float(U[~active].max()))
         if not active.any():
             break
-        if evals >= budget:
+        if evals >= budget or not split:
             return SupEstimate(lb, max(resolved, float(U.max()), lb), False, evals)
 
-        C, H, U = C[active], H[active], U[active]
-        axes = _split_axes(H)
-        count = 1 << axes.sum(axis=1)
-        if count.sum() > _LEVEL_ROWS:
-            # split the boxes of highest upper bound first; the rest wait
+        C, h, U = C[active], h[active], U[active]
+        if C.shape[0] > split:
+            # split the cubes of highest upper bound first; the rest wait
             order = np.argsort(-U, kind="stable")
-            C, H, U, axes, count = C[order], H[order], U[order], axes[order], count[order]
-        n = max(int(np.searchsorted(np.cumsum(count), _LEVEL_ROWS, side="right")), 1)
-        Cn, Hn = _split(C[:n], H[:n], axes[:n])
-        C, H = np.concatenate([Cn, C[n:]]), np.concatenate([Hn, H[n:]])
-        U = np.concatenate([np.full(Cn.shape[0], np.nan), U[n:]])
-        # drop boxes entirely outside the live ball
+            C, h, U = C[order], h[order], U[order]
+        Cn, hn = _split(C[:split], h[:split])
+        C, h = np.concatenate([Cn, C[split:]]), np.concatenate([hn, h[split:]])
+        U = np.concatenate([np.full(Cn.shape[0], np.nan), U[split:]])
+        # drop cubes entirely outside the live ball
         r = live_radius()
-        keep = _row_norms(np.maximum(np.abs(C) - H, 0.0)) <= r
-        C, H, U = C[keep], H[keep], U[keep]
+        keep = _row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r
+        C, h, U = C[keep], h[keep], U[keep]
     return SupEstimate(lb, max(resolved, lb), True, evals)
 
 
@@ -647,7 +620,7 @@ def truncated_hausdorff(
     """Certified interval for the Hausdorff distance between a ∩ rB and
     b ∩ rB.  Requires both sets to contain the origin (up to tau_geom),
     which makes the routes of the module docstring valid."""
-    pair = _pair(a, b, tol, "truncated_hausdorff requires origin-containing sets", radius, eps)
+    pair = _pair(a, b, tol, "truncated_hausdorff requires origin-containing sets", radius, eps, budget)
     if pair is None:
         return Interval(0.0, 0.0)
     est = _th_estimate(pair, radius, eps, budget)
@@ -671,7 +644,7 @@ def sup_distance_gap(
     Subspace pairs ride the truncated-Hausdorff identity (origin sets), all
     other pairs are estimated directly on the ambient grid.
     """
-    pair = _pair(a, b, tol, radius=radius, eps=eps)
+    pair = _pair(a, b, tol, radius=radius, eps=eps, budget=budget)
     if pair is None:
         return Interval(0.0, 0.0)
     if isinstance(a, Subspace) and isinstance(b, Subspace):

@@ -32,7 +32,9 @@ Both solvers' arithmetic is pinned bit for bit, by
 tests/test_wolfe_reference.py and tests/test_wolfe_block_reference.py.
 All routes read Polytope.unique_points.
 Non-finite points, rows of the public batch maps and contains tolerances
-raise HyperconvexError; ball_sup reads _residual_rows, which does not check.
+raise HyperconvexError, and batch rows that are not a 2-D array as wide as
+the set's space DimensionMismatchError; ball_sup reads _residual_rows,
+which does not check.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
@@ -57,6 +59,7 @@ import numpy as np
 from .config import ToleranceConfig, resolve
 from .errors import (
     ConvergenceError,
+    DimensionMismatchError,
     EmptyIntersectionError,
     HyperconvexError,
 )
@@ -411,8 +414,14 @@ def _query(s: ConvexSet, x) -> np.ndarray:
     return x
 
 
-def _finite_rows(X):
-    """X, the rows passed to a public batch map, once checked to be finite."""
+def _finite_rows(s: ConvexSet, X) -> np.ndarray:
+    """X, the rows passed to a public batch map of s, as a float array once
+    checked to be 2-D (one row may come as a vector), finite and as wide as
+    the ambient space of s."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    check_same_ambient(s, X)
+    if X.ndim > 2:
+        raise DimensionMismatchError(f"query rows must form a 2-D array, not {X.ndim}-D")
     if not np.isfinite(X).all():
         raise HyperconvexError("query rows must be finite")
     return X
@@ -663,10 +672,11 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     solver: a row's Wolfe gap g at exit certifies its distance to within
     sqrt(2 g).
     Property tests compare both routes with metric_projection.  Non-finite
-    rows raise HyperconvexError.
+    rows raise HyperconvexError, rows that are not a 2-D array as wide as
+    the ambient space DimensionMismatchError.
     """
     residuals = _residual_rows(s)
-    return lambda X: np.linalg.norm(residuals(_finite_rows(X))[0], axis=1)
+    return lambda X: np.linalg.norm(residuals(_finite_rows(s, X))[0], axis=1)
 
 
 def _ball_cut_point(project, x, p0, y1, radius, tol):
@@ -770,6 +780,7 @@ def truncated_distance_evaluator(
     subspaces, the multiplier point to max(tau_geom, 1e-12) for polytopes.
     A flat that misses the ball raises EmptyIntersectionError here, a
     polytope on the first row evaluated (see _truncated_rows).  Non-finite
-    rows raise HyperconvexError."""
+    rows raise HyperconvexError, rows that are not a 2-D array as wide as
+    the ambient space DimensionMismatchError."""
     rows = _truncated_rows(s, radius, resolve(tol))
-    return lambda X: rows(_finite_rows(X))
+    return lambda X: rows(_finite_rows(s, X))

@@ -173,21 +173,21 @@ def _set_point(rng, s):
     return s.base + rng.normal(size=s.basis.shape[0]) @ s.basis
 
 
-def _box_samples(rng, C, H, radius, count):
-    """Points of the box (C, H) that lie in the closed radius-ball, by
-    rejection: uniform points of the box, points of its faces, its corners,
-    and all of those pushed radially onto the sphere, kept only when they
-    lie in both the box and the ball (never clamped, which can leave the
-    box)."""
+def _box_samples(rng, C, h, radius, count):
+    """Points of the cube of center C and half-width h that lie in the
+    closed radius-ball, by rejection: uniform points of the cube, points of
+    its faces, its corners, and all of those pushed radially onto the
+    sphere, kept only when they lie in both the cube and the ball (never
+    clamped, which can leave the cube)."""
     n = C.size
     U = rng.uniform(-1.0, 1.0, size=(count, n))
     F = rng.uniform(-1.0, 1.0, size=(count // 2, n))
     F[np.arange(len(F)), rng.integers(n, size=len(F))] = rng.choice([-1.0, 1.0], size=len(F))
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    Y = C + np.concatenate([U, F, corners]) * H
+    Y = C + np.concatenate([U, F, corners]) * h
     nrm = np.linalg.norm(Y, axis=1, keepdims=True)
     Y = np.concatenate([Y, Y * radius / np.where(nrm > 0, nrm, 1.0)])
-    inside = (np.abs(Y - C) <= H * (1 + 1e-12)).all(axis=1)
+    inside = (np.abs(Y - C) <= h * (1 + 1e-12)).all(axis=1)
     return Y[inside & (np.linalg.norm(Y, axis=1) <= radius * (1 + 1e-12))]
 
 
@@ -200,34 +200,34 @@ def _box_samples(rng, C, H, radius, count):
     where=st.sampled_from(("set", "sphere", "ball")),
 )
 def test_directional_box_bound_covers_dense_samples(seed, kinds, n, log_size, where):
-    # random boxes, bounded from their centers clamped into the ball with
-    # the reach of the box and the ball, as ball_sup does
+    # random cubes, bounded from their centers clamped into the ball with
+    # the reach of the cube and the ball, as ball_sup does
     rng = np.random.default_rng(seed)
     a, b = (_draw(rng, k, n) for k in kinds)
     radius = float(rng.uniform(0.5, 4.0))
     boxes = 6
-    H = rng.uniform(0.1, 1.0, size=(boxes, n)) * radius * 10.0**log_size
-    rho = np.linalg.norm(H, axis=1)
+    h = rng.uniform(0.1, 1.0, size=boxes) * radius * 10.0**log_size
+    rho = h * np.sqrt(n)
     if where == "set":
         # centers on the sets, where the residuals are at rounding level
         C = np.array([_set_point(rng, (a, b)[int(rng.integers(2))]) for _ in range(boxes)])
         radius = max(radius, 1.001 * float(np.linalg.norm(C, axis=1).max()))
     elif where == "sphere":
-        # boxes that straddle the sphere
+        # cubes that straddle the sphere
         u = rng.normal(size=(boxes, n))
         C = u / np.linalg.norm(u, axis=1, keepdims=True) * (radius + rng.uniform(-1.0, 1.0, (boxes, 1)) * rho[:, None])
     else:
         C = _in_ball(rng, n, boxes, 1.2 * radius)
     c = projection._clamp_rows(C, radius)
-    reach = hm._box_reach(c, C, H, radius)
+    reach = hm._box_reach(c, C, h, radius, None, rho)
     lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho, reach)
     assert (lo <= _gap(a, b, c) + 1e-9).all()
-    # the reach bounds v . (y - c) over the box and the ball for any v, and
+    # the reach bounds v . (y - c) over the cube and the ball for any v, and
     # the bound covers the gap, at samples of both
     V = rng.normal(size=(8, boxes, n))
     L = reach(V)
     for i in range(boxes):
-        Y = _box_samples(rng, C[i], H[i], radius, 60)
+        Y = _box_samples(rng, C[i], h[i], radius, 60)
         if len(Y):
             assert (((Y - c[i]) @ V[:, i].T).max(axis=0) <= L[:, i] + 1e-9).all()
             assert _gap(a, b, Y).max() <= hi[i] + 1e-9
@@ -350,33 +350,6 @@ def test_sup_inside_a_set_certifies_in_few_evaluations():
     assert est.lo == pytest.approx(radius) and est.evals < 20_000
 
 
-def test_split_halves_every_wide_axis():
-    rng = np.random.default_rng(5)
-    C = rng.normal(size=(9, 4))
-    H = rng.uniform(0.1, 1.0, size=(9, 4))
-    axes = hm._split_axes(H)
-    kids, halves = hm._split(C, H, axes)
-    start = 0
-    for c, h, ax in zip(C, H, axes):
-        assert (ax == (h > h.max() / 2)).all()
-        # the reference: one child per choice of half along each split axis
-        m = int(ax.sum())
-        ref = set()
-        for signs in itertools.product((-0.5, 0.5), repeat=m):
-            off = np.zeros(4)
-            off[ax] = np.array(signs) * h[ax]
-            ref.add(tuple(np.round(c + off, 12)))
-        assert {tuple(np.round(k, 12)) for k in kids[start : start + 2**m]} == ref
-        assert np.array_equal(halves[start : start + 2**m], np.tile(np.where(ax, h / 2, h), (2**m, 1)))
-        start += 2**m
-    assert start == len(kids)
-    # past 16 wide axes only the 16 widest split, 2^16 children at most
-    H = np.ones((1, 18))
-    H[0, 3] = 1.2
-    axes = hm._split_axes(H)
-    assert axes.sum() == 16 and axes[0, 3]
-
-
 def test_levels_stay_within_the_row_cap(monkeypatch):
     # two simplices in R^6 span all of it, and every box splits into 64
     rng = np.random.default_rng(6)
@@ -396,6 +369,21 @@ def test_levels_stay_within_the_row_cap(monkeypatch):
     assert sum(rows) == est.evals and max(rows[1:]) <= 2 * 2**15
     X = _in_ball(rng, 6, 2000, 1.0)
     assert (_library_gap(a, b, X) <= est.hi + 1e-6).all()
+
+
+def test_spans_past_16_dimensions_end_after_the_root():
+    # two 9-point polytopes in R^17 span all of it, and a cube's 2^17
+    # children overflow a level: the search ends uncertified after the
+    # probes and the root cube, whose bound covers the whole ball
+    rng = np.random.default_rng(17)
+    a, b = Polytope(rng.normal(size=(9, 17))), Polytope(rng.normal(size=(9, 17)))
+    pair = _Pair(a, b, CFG)
+    assert pair.span[0] is None
+    est = hm.ball_sup(pair, 1.0, 1e-2, budget=300_000)
+    assert not est.certified and est.lo <= est.hi
+    assert est.evals <= hm._probes(a, b, 1.0).shape[0] + 1
+    X = np.concatenate([_in_ball(rng, 17, 2000, 1.0), hm._probes(a, b, 1.0)])
+    assert (_library_gap(a, b, projection._clamp_rows(X, 1.0)) <= est.hi + 1e-6).all()
 
 
 # ---------------------------------------------------------------------------

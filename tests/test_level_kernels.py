@@ -1,7 +1,7 @@
 """The row kernels of a ball_sup level, each against the construction it
 replaces, bit for bit: the row norms against np.linalg.norm and the cube
-split against the general box split; and the deterministic probe rows a
-search starts from.
+split against the general box split, kept here as the reference; and the
+deterministic probe rows a search starts from.
 """
 
 import numpy as np
@@ -64,23 +64,22 @@ def test_cube_split_equals_the_general_split(k):
     rng = np.random.default_rng(100 + k)
     for boxes in (1, 5, 230):
         C = rng.normal(size=(boxes, k)) * 10.0 ** rng.uniform(-3, 3, size=(boxes, 1))
-        for H in (rng.uniform(1e-6, 2.0, size=(boxes, k)), np.repeat(rng.uniform(1e-6, 2.0, (boxes, 1)), k, axis=1)):
-            axes = np.ones((boxes, k), dtype=bool)
-            kids, halves = hm._split(C, H, axes)
-            ref_kids, ref_halves = _general_split(C, H, axes)
-            assert kids.shape == ref_kids.shape == (boxes << k, k)
-            assert np.array_equal(_bits(kids), _bits(ref_kids))
-            assert np.array_equal(_bits(halves), _bits(ref_halves))
+        h = rng.uniform(1e-6, 2.0, boxes)
+        kids, halves = hm._split(C, h)
+        H = np.repeat(h[:, None], k, axis=1)
+        ref_kids, ref_halves = _general_split(C, H, np.ones((boxes, k), dtype=bool))
+        assert kids.shape == ref_kids.shape == (boxes << k, k)
+        assert np.array_equal(_bits(kids), _bits(ref_kids))
+        assert (ref_halves == halves[:, None]).all()
 
 
 def test_cube_split_keeps_cubes_within_the_axis_cap():
-    # a cube's children are cubes that split every axis again
-    k = hm._SPLIT_AXES
-    C, H = np.zeros((1, k)), np.full((1, k), 3.0)
-    axes = hm._split_axes(H)
-    assert axes.all()
-    kids, halves = hm._split(C, H, axes)
-    assert kids.shape[0] == 1 << k and (halves == 1.5).all() and hm._split_axes(halves).all()
+    # a 16-D cube's 2^16 children fill one level, the widest span a level
+    # can split
+    k = 16
+    kids, halves = hm._split(np.zeros((1, k)), np.full(1, 3.0))
+    assert kids.shape[0] == 1 << k == hm._LEVEL_ROWS and (halves == 1.5).all()
+    assert hm._LEVEL_ROWS >> k == 1 and hm._LEVEL_ROWS >> (k + 1) == 0
 
 
 def _probe_pairs(rng, n):

@@ -92,6 +92,27 @@ def test_sup_estimators_reject_a_bad_radius_or_eps(estimator, pair, value):
         estimator(a, b, 1.0, eps=value)
 
 
+@pytest.mark.parametrize("estimator", [truncated_hausdorff, sup_distance_gap])
+@pytest.mark.parametrize("pair", sorted(ORIGIN_PAIRS))
+@pytest.mark.parametrize("budget", [NAN, np.inf, 0, -5, 2.5, True])
+def test_sup_estimators_reject_the_budgets_aw_params_reject(estimator, pair, budget):
+    # a NaN or infinite budget used to switch the cap off, so the search ran
+    # until it certified; the rest were taken as they came
+    a, b = ORIGIN_PAIRS[pair]
+    with pytest.raises(HyperconvexError, match="budget must be finite and at least 1000"):
+        AWParams(budget=budget)
+    with pytest.raises(HyperconvexError, match="budget must be finite and at least 1000"):
+        estimator(a, b, 1.0, budget=budget)
+
+
+@pytest.mark.parametrize("eps_sup", [np.inf, NAN, 0.0, -1.0])
+def test_aw_params_reject_an_eps_sup_that_is_not_positive_and_finite(eps_sup):
+    # eps_sup = inf used to certify any interval: attouch_wets on the
+    # segments [0, e1] and [0, 2 e1] returned [0.5, 1.0] as certified
+    with pytest.raises(HyperconvexError, match="eps_sup must be positive and finite"):
+        AWParams(eps_sup=eps_sup)
+
+
 @pytest.mark.parametrize("j_cap", [np.inf, NAN, 2.5, True, 0])
 def test_aw_params_reject_a_j_cap_that_is_not_a_positive_integer(j_cap):
     # j_cap = inf used to end in numpy's "Maximum allowed size exceeded";

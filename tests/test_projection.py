@@ -13,12 +13,15 @@ from hyperconvex import (
     HyperconvexError,
     Polytope,
     contains,
+    distance_evaluator,
     metric_projection,
     min_norm_point,
     nearest_point,
     project_hyperplane,
     truncated_distance,
+    truncated_distance_evaluator,
 )
+from hyperconvex.projection import _ENUM_MAX_PIECES, _face_pieces
 
 from conftest import flat, grid_distance, poly, seg, span
 
@@ -242,3 +245,30 @@ def test_polytope_projection_is_scale_equivariant(seed, c):
     ref = max(float(np.linalg.norm(x)), float(np.linalg.norm(pts, axis=1).max()))
     assert np.abs(pc / c - p1).max() <= 1e-12 * ref
     assert abs(dc / c - d1) <= 1e-12 * ref
+
+
+# sets in R^2: a polytope on each route, a flat and a subspace
+PLANE_SETS = {
+    "enumerated": poly((0, 0), (1, 0), (0, 1), (1, 1)),
+    "wolfe": poly(*[(np.cos(t), np.sin(t)) for t in np.linspace(0.0, 5.0, 6)]),
+    "flat": flat((0, 0.5), (1, 0)),
+    "subspace": span((1, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLANE_SETS))
+@pytest.mark.parametrize("truncated", [False, True], ids=["distance", "truncated"])
+@pytest.mark.parametrize(
+    "rows", [[[5.0]], np.ones((3, 1)), np.ones((2, 3)), np.ones((2, 3, 2))], ids=["one", "column", "wide", "stack"]
+)
+def test_batch_maps_reject_rows_of_the_wrong_shape(kind, truncated, rows):
+    # rows of width 1 used to broadcast against the set's two coordinates,
+    # rows of width 3 to fail inside numpy with a ValueError, and a 3-D
+    # stack to do either
+    s = PLANE_SETS[kind]
+    if isinstance(s, Polytope):
+        assert (_face_pieces(*s.points.shape) > _ENUM_MAX_PIECES) == (kind == "wolfe")
+    f = truncated_distance_evaluator(s, 2.0) if truncated else distance_evaluator(s)
+    with pytest.raises(DimensionMismatchError):
+        f(rows)
+    assert f([[0.25, 0.5]]).shape == (1,)
