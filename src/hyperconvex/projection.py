@@ -22,8 +22,15 @@ run the same Wolfe scheme on the rows of a block in lockstep
 (_min_norm_rows), certified by each row's Wolfe gap; a max query (hausdorff)
 gives it a floor, below which rows stop early.  A lockstep pass costs about
 0.1 ms at one row and 0.2-0.4 ms at 64, mostly numpy's per-call overhead,
-so a pass issues as few numpy calls as it can.  Single points stay on the
-scalar min_norm_point, which pays numpy's per-call overhead too.  Both
+so a pass issues as few numpy calls as it can, and a block runs as many
+passes as its slowest row needs.  So each batched row starts where
+min_norm_point's first pass would take it at best: at its nearest
+generator, or at the nearest point of a segment from it where that is
+nearer (_wolfe_seed, one O(rows m n) step).  Single points stay on the
+scalar min_norm_point, which pays numpy's per-call overhead too; it keeps
+the nearest-generator start, as the seed's numpy calls (about 20 us) cost
+a third to a half of a whole call there (34-62 us for 6 to 24 generators
+in R^3 to R^8).  Both
 solvers share one stopping rule (_limits) and one corral solve
 (_corral_solve: each system divided by its largest entry, LU, and the
 pseudo-inverse as the fallback), which the scalar solver calls with a stack
@@ -255,12 +262,17 @@ def _affine_minimizer_rows(Qs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
 def _min_norm_rows(
     pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, floor: float | None = None
 ):
-    """min_norm_point(pts - x, gap_tol, max_iter) for every row x of X.
+    """The minimum-norm point of conv(pts - x) for every row x of X, with
+    min_norm_point's stopping rule (_limits) and certificate (the Wolfe
+    gap) but from another start.
 
     The rows run in lockstep, _BLOCK_ROWS at a time, each with its own
-    active slots and weights, and stops as min_norm_point does (_limits).
-    Returns (W, gaps).  ConvergenceError names the worst row of the block
-    that failed.
+    active slots and weights.  A row starts at its nearest generator, or at
+    the nearest point of a segment from it where that is nearer
+    (_wolfe_seed), where min_norm_point starts at the nearest generator; so
+    a row may take fewer major iterations and end at another point, within
+    both solvers' certificates.  Returns (W, gaps).  ConvergenceError names
+    the worst row of the block that failed.
 
     A floor asks only for the largest distance over the rows (a max query):
     a row whose |w| falls below the floor leaves early with its current w
@@ -290,6 +302,37 @@ def _block_error(message: str, Q: np.ndarray, W: np.ndarray, rows: np.ndarray):
     return ConvergenceError(message, best=W[rows[worst]], residual=float(gap[worst]))
 
 
+def _wolfe_seed(Q: np.ndarray, sq: np.ndarray):
+    """The starting corral of each row of _wolfe_block: (idx, lam, cnt, W)
+    for the shifted generators Q (rows, m, n) and their squared norms sq.
+
+    A row starts at its nearest generator q_f, or, where one is strictly
+    nearer, at the nearest point q_f + t (q_j - q_f) of a segment from q_f
+    with 0 < t < 1.  That point is the segment's minimum-norm point, so
+    {f, j} with weights (1 - t, t) is a corral.  With e = q_f - q_j,
+    t = <q_f, e> / |e|^2 and the point lies |q_f|^2 - t <q_f, e> from the
+    origin squared, so the segment with the largest t <q_f, e> wins (the
+    first on a tie).  Segments with <q_f, e> <= 0 or |e|^2 <= <q_f, e>
+    give t = 0 (t >= 1 only by rounding, as q_f is nearest), and no
+    division by |e|^2 = 0.  idx and lam get at least 2 slots.
+    """
+    b, m = sq.shape
+    rows = np.arange(b)
+    first = sq.argmin(axis=1)
+    qf = Q[rows, first]
+    E = qf[:, None] - Q
+    ee = np.einsum("bij,bij->bi", E, E)
+    num = np.maximum(np.einsum("bij,bj->bi", E, qf), 0.0)
+    t = num / np.where(ee > num, ee, np.inf)
+    j = (num * t).argmax(axis=1)
+    tj = t[rows, j]
+    idx = np.zeros((b, max(m, 2)), dtype=np.intp)  # active generators, in the front slots
+    idx[:, 0], idx[:, 1] = first, j
+    lam = np.zeros(idx.shape)
+    lam[:, 0], lam[:, 1] = 1.0 - tj, tj
+    return idx, lam, 1 + (tj > 0), qf - tj[:, None] * E[rows, j]
+
+
 def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, floor=None):
     """_min_norm_rows on one block of rows: (W, gaps, the raised floor)."""
     m, n = pts.shape
@@ -304,13 +347,7 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
     gap_out = np.empty(b)
     ids = np.arange(b)  # block row of each live row
     rows, slots = np.arange(b), np.arange(m)
-    first = sq.argmin(axis=1)
-    idx = np.zeros((b, m), dtype=np.intp)  # active generators, in the front slots
-    idx[:, 0] = first
-    lam = np.zeros(idx.shape)
-    lam[:, 0] = 1.0
-    cnt = np.ones(b, dtype=np.intp)
-    W = Q[ids, first]
+    idx, lam, cnt, W = _wolfe_seed(Q, sq)
     w2_last = np.full(b, np.inf)  # |w|^2 at the previous major iteration
 
     for _ in range(max_iter):
@@ -525,20 +562,22 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 # enumerating faces.  Enumeration builds its pieces once per evaluator and
 # then pays per row and piece; the batched solver pays per row and Wolfe
 # iteration.  Per-row cost of the stacked face kernel against the batched
-# solver at 1k, 4k and 16k rows, then a build plus one 64-row call, on one
-# Xeon core with OpenBLAS on one thread (two runs on a shared 2-vCPU VM):
-#   n3m4 (11 pieces)  0.8-1.2 vs 3.4-4.0 us   0.4-0.5 vs 0.7-1.2 ms
-#   n2m5 (20)         0.7-1.4 vs 1.5-2.6 us   0.2-0.4 vs 0.3-0.6 ms
-#   n3m5 (25)         1.2-2.0 vs 2.6-4.6 us   0.3-0.5 vs 0.9-1.4 ms
-#   n2m6 (35)         1.0-2.4 vs 1.9-2.3 us   0.2-0.3 vs 0.5-0.6 ms
-#   n3m6 (50)         2.0-3.5 vs 2.3-4.3 us   0.4      vs 0.6-0.8 ms
-#   n2m7 (56)         1.3-2.2 vs 1.7-2.7 us   0.3      vs 0.5-0.7 ms
-#   n4m8 (210)       12-14    vs 4.9-6.2 us   1.5-1.8 vs 1.0-1.5 ms
+# solver (each row started on an edge, _wolfe_seed) at 1k, 4k and 16k rows,
+# then a build plus one 64-row call, on one Xeon core with OpenBLAS on one
+# thread (two runs on a shared 2-vCPU VM, rows 1.5 N(0, I) around
+# N(0, I) generators):
+#   n3m4 (11 pieces)  0.5-0.7 vs 1.0-1.1 us   0.21-0.22 vs 0.30-0.31 ms
+#   n2m5 (20)         0.5-0.8 vs 1.4-2.2 us   0.18-0.29 vs 0.48-0.75 ms
+#   n3m5 (25)         1.0-1.7 vs 1.7-2.7 us   0.27      vs 0.41-0.42 ms
+#   n2m6 (35)         0.9-1.4 vs 1.2-1.3 us   0.22-0.23 vs 0.32-0.35 ms
+#   n3m6 (50)         1.8-2.4 vs 2.3-2.6 us   0.34      vs 0.55-0.57 ms
+#   n2m7 (56)         1.3-2.3 vs 1.1-1.4 us   0.28-0.44 vs 0.34-0.41 ms
+#   n4m8 (210)        8.6-12  vs 3.3-5.0 us   1.18-1.23 vs 0.93      ms
 # The switch was set at 25 against the per-piece loop this kernel replaced;
-# the stacked kernel wins up to 56 pieces, but a higher switch moves
-# polytope-batch's n3m6 cells to another route and wants its own
-# measurement.  It also keeps a block's _BLOCK_ROWS * K * (kmax + n) floats
-# small: 0.3 GB at n6m12 (3289 pieces).
+# the stacked kernel still wins a build plus 64 rows up to 56 pieces and
+# per row up to 50, but a higher switch moves polytope-batch's n3m6 cells
+# to another route and wants its own measurement.  It also keeps a block's
+# _BLOCK_ROWS * K * (kmax + n) floats small: 0.3 GB at n6m12 (3289 pieces).
 _ENUM_MAX_PIECES = 25
 
 

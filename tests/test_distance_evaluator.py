@@ -316,17 +316,19 @@ def test_empty_batch():
 
 
 def test_iteration_cap_names_worst_row(rng):
+    # a cap of one major iteration: from an edge start (_wolfe_seed) every
+    # row here needs at most two
     pts = rng.normal(size=(17, 4))
     rows, residuals = [], []
     for x in 3.0 * rng.normal(size=(20, 4)):
         try:
-            _min_norm_rows(pts, x[None, :], 1e-18, 2)
+            _min_norm_rows(pts, x[None, :], 1e-18, 1)
         except ConvergenceError as one:
             rows.append(x)
             residuals.append(one.residual)
     assert len(rows) >= 2
     with pytest.raises(ConvergenceError) as err:
-        _min_norm_rows(pts, np.array(rows), 1e-18, 2)
+        _min_norm_rows(pts, np.array(rows), 1e-18, 1)
     assert err.value.residual == max(residuals)
     assert "iteration cap" in str(err.value)
 

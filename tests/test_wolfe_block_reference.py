@@ -8,9 +8,13 @@ whenever a row leaves.  projection's solver may issue fewer and cheaper
 numpy calls but must perform the same floating-point operations in the same
 order, so _min_norm_rows' (W, gaps) and the floor that _wolfe_block raises
 are compared through float.hex, and a failure must raise the same exception
-class with the same message, residual and best point.  The draws reach the pseudo-inverse fallback (duplicated and 1e-9
-thin generators), count groups of mixed size, the floor's early exits, the
-iteration cap (max_iter=2) and blocks on both sides of _BLOCK_ROWS.
+class with the same message, residual and best point.  The starting corrals
+(_wolfe_seed) come from a loop over rows and over the segments from each
+row's nearest generator, and are also compared on their own, weights
+included.  The draws reach the pseudo-inverse fallback (duplicated and
+1e-9 thin generators), generators that coincide once shifted by a row, one
+and two generators, count groups of mixed size, the floor's early exits,
+the iteration cap (max_iter=2) and blocks on both sides of _BLOCK_ROWS.
 """
 
 import numpy as np
@@ -70,6 +74,36 @@ def _reference_block_error(message, Q, W, rows):
     return ConvergenceError(message, best=W[rows[worst]], residual=float(gap[worst]))
 
 
+def _reference_seed(Q, sq):
+    """The starting corral of each row, one row and one segment at a time:
+    the nearest generator q_f, or the minimum-norm point q_f - t e,
+    e = q_f - q_j, of the segment from q_f whose point lies nearest, where
+    that point is strictly inside it (0 < t < 1)."""
+    b, m, n = Q.shape
+    first = sq.argmin(axis=1)
+    idx = np.zeros((b, max(m, 2)), dtype=np.intp)
+    lam = np.zeros(idx.shape)
+    cnt = np.ones(b, dtype=np.intp)
+    W = np.empty((b, n))
+    for r in range(b):
+        f = int(first[r])
+        qf = Q[r, f]
+        edges = [qf - q for q in Q[r]]
+        best, j_best, t_best = 0.0, 0, 0.0
+        for j, e in enumerate(edges):
+            ee, num = float(np.einsum("i,i->", e, e)), float(np.einsum("i,i->", e, qf))
+            if not 0.0 < num < ee:  # t = num / ee would not lie in (0, 1)
+                continue
+            t = num / ee
+            if num * t > best:  # |q_f|^2 - num t is the point's squared norm
+                best, j_best, t_best = num * t, j, t
+        W[r] = qf - t_best * edges[j_best]
+        idx[r, :2] = f, j_best
+        lam[r, :2] = 1.0 - t_best, t_best
+        cnt[r] = 2 if t_best > 0.0 else 1
+    return idx, lam, cnt, W
+
+
 def _reference_wolfe_block(pts, X, gap_tol, max_iter, floor=None):
     m, n = pts.shape
     Q = pts[None, :, :] - X[:, None, :]
@@ -83,14 +117,8 @@ def _reference_wolfe_block(pts, X, gap_tol, max_iter, floor=None):
     W_out = np.empty((b, n))
     gap_out = np.empty(b)
     ids = np.arange(b)
-    rows, slots = np.arange(b), np.arange(m)
-    first = sq.argmin(axis=1)
-    idx = np.zeros((b, m), dtype=np.intp)
-    idx[:, 0] = first
-    lam = np.zeros(idx.shape)
-    lam[:, 0] = 1.0
-    cnt = np.ones(b, dtype=np.intp)
-    W = Q[ids, first]
+    idx, lam, cnt, W = _reference_seed(Q, sq)
+    rows, slots = np.arange(b), np.arange(idx.shape[1])
     w2_last = np.full(b, np.inf)
 
     for _ in range(max_iter):
@@ -223,6 +251,11 @@ def _generators(rng, n, m, kind):
         st_ = rng.uniform(-1.0, 1.0, size=(m, 2))
         return c + st_[:, :1] * u + st_[:, 1:] * v
     pts = rng.normal(size=(m, n))
+    if kind == "coincident":
+        # half of them 1e8 out and the rest near the origin beside twins 1e-9
+        # away, which rows at the hull's scale shift onto the same point
+        pts[: m // 2] *= 1e8
+        return np.concatenate([pts, pts[m // 2 :] + 1e-9 * rng.normal(size=(m - m // 2, n))])
     if kind == "thin":
         pts[:, -1] *= 1e-9
     if kind == "duplicated":
@@ -266,7 +299,7 @@ SHAPE = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
     m=st.integers(1, 40),
-    kind=st.sampled_from(["generic", "duplicated", "collinear", "coplanar", "thin"]),
+    kind=st.sampled_from(["generic", "duplicated", "collinear", "coplanar", "thin", "coincident"]),
     exponent=st.floats(-6.0, 8.0),
     floor_kind=st.sampled_from(["none", "zero", "positive"]),
     capped=st.sampled_from([False, False, False, True]),
@@ -276,6 +309,29 @@ SHAPE = dict(
 @settings(max_examples=500, deadline=None)
 @given(count=st.integers(1, 64), **SHAPE)
 def test_wolfe_block_matches_the_reference(seed, n, m, kind, exponent, count, floor_kind, capped):
+    _assert_same(*_draw(seed, n, m, kind, exponent, count, floor_kind, capped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(1, 64), **SHAPE)
+def test_seed_matches_the_reference(seed, n, m, kind, exponent, count, floor_kind, capped):
+    # the weights too, which the solve reads only when a corral step has
+    # two negative coefficients to choose between
+    pts, X = _draw(seed, n, m, kind, exponent, count, floor_kind, capped)[:2]
+    Q = pts[None, :, :] - X[:, None, :]
+    sq = np.einsum("bij,bij->bi", Q, Q)
+    idx, lam, cnt, W = projection._wolfe_seed(Q, sq)
+    ref_idx, ref_lam, ref_cnt, ref_W = _reference_seed(Q, sq)
+    assert (cnt == ref_cnt).all() and (idx[:, :2] == ref_idx[:, :2]).all()
+    assert _hex(lam[:, :2]) == _hex(ref_lam[:, :2]) and _hex(W) == _hex(ref_W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 64), **{**SHAPE, "m": st.sampled_from([1, 2])})
+def test_one_or_two_generators_match_the_reference(
+    seed, n, m, kind, exponent, count, floor_kind, capped
+):
+    # one generator leaves the seed no segment, two leave it one
     _assert_same(*_draw(seed, n, m, kind, exponent, count, floor_kind, capped))
 
 
