@@ -37,8 +37,12 @@ cubes covering the ball (Horst and Tuy, Global Optimization, 1996): cubes
 are evaluated at centers clamped into the domain, bounded above, then
 halved along every axis at once, the 2^k children of a cube in k
 dimensions read off one sign table, until the requested width is
-certified.  Take a cube with clamped center c and half-diagonal rho.
-Three facts keep the tree small:
+certified.  A level costs a fixed numpy overhead, about as much as a few
+dozen rows, so children that would number at most _LEVEL_MIN are halved
+again before they are evaluated: up to 6 dimensions a search starts from
+the root cube cut into 16 to 64 cubes, and no level holds a handful of
+rows.  Take a cube with clamped center c and half-diagonal rho.  Three
+facts keep the tree small:
 
 * the search covers only the ball of S, the span of both sets' data: for
   C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
@@ -83,7 +87,6 @@ from .config import ToleranceConfig, resolve
 from .errors import HyperconvexError
 from .intervals import Interval
 from .projection import (
-    _clamp_rows,
     _residual_rows,
     _row_norms,
     flat_min_norm_point,
@@ -137,6 +140,7 @@ class SupEstimate:
     hi: float
     certified: bool
     evals: int
+    levels: int = 0
 
 
 def _rows(s: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -227,10 +231,25 @@ def _pair(
 _CHUNK = 1 << 17
 # rows a search level may evaluate
 _LEVEL_ROWS = 1 << 16
+# Children of a level that number at most this many are halved again
+# before they are evaluated (_split_small).  A level costs about 60 us of
+# numpy calls plus 0.2-1.5 us a row, so levels of a few rows waste their
+# fixed cost, and past a few hundred rows the deeper split evaluates
+# children that an evaluated parent would have pruned.  aw-sweep round 0 of
+# seed 1 (benchmarks/), per value: levels, evals, and the median over six
+# runs of the sum of per-slot minima over 10 rounds, on one core of a
+# shared 2-vCPU Xeon VM:
+#     0 (no deeper split)  106 levels  25,916 evals  43.0 ms
+#    32                     68         25,923        38.0 ms
+#    64                     59         26,149        36.7 ms
+#   128                     55         26,745        36.5 ms
+#   256                     53         27,798        36.7 ms
+# The time is flat from 64 to 256; 64 takes the fewest evaluations there.
+_LEVEL_MIN = 64
 _ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale: float = 1.0):
+def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale=None):
     """(lo, hi): lo[i] <= |d_a - d_b|(x_i), and hi[i] >= |d_a - d_b|(y) at
     every point y of the box around x_i, from the residual maps ra and rb.
 
@@ -251,39 +270,47 @@ def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale
     gradient that points out of the box adds nothing.
 
     A residual is known to within e: the batched Wolfe route's error, plus
-    for every route a rounding allowance of 64 eps (scale + |x| + d_a + d_b),
-    scale being 1 plus the largest coordinate of the sets' data (1 by
-    default).  A row with d <= e counts as on the
-    set (u = 0, no quadratic term).  Otherwise |R + delta| moves by at most
-    e and u by at most 2 e / (d - e), which widens the convexity term by
-    2 e rho / (d - e); hi also widens by e.  lo widens by the Wolfe error
-    alone.
+    for every route a rounding allowance of 64 eps (s + d_a + d_b), s being
+    scale[i], by default 1 + |x_i| (ball_sup passes 1 plus the largest
+    coordinate of the sets' data plus |x_i|).  A row with d <= e counts as
+    on the set (u = 0, no quadratic term).  Otherwise |R + delta| moves by
+    at most e and u by at most 2 e / (d - e), which widens the convexity
+    term by 2 e rho / (d - e); hi also widens by e.  lo widens by the Wolfe
+    error alone.  Both sets' rows run side by side, stacked on a leading
+    axis of two.
     """
-    Ra, ea = ra(X)
-    Rb, eb = rb(X)
-    da = _row_norms(Ra)
-    db = _row_norms(Rb)
-    g = da - db
+    (Ra, ea), (Rb, eb) = ra(X), rb(X)
+    R = np.concatenate((Ra[None], Rb[None]))
+    d = _row_norms(R)
+    g = d[0] - d[1]
     ea = 0.0 if ea is None else ea
     eb = 0.0 if eb is None else eb
     lo = np.abs(g) - (ea + eb)
     if rho is None:
         return lo, None
-    tiny = _ROUNDING * (scale + _row_norms(X) + da + db)
-    sides = []
+    if scale is None:
+        scale = 1.0 + _row_norms(X)
+    tiny = _ROUNDING * (scale + d[0] + d[1])
+    e = np.empty(d.shape)
+    np.add(ea, tiny, out=e[0])
+    np.add(eb, tiny, out=e[1])
+    on = d <= e
     with np.errstate(divide="ignore", invalid="ignore"):
-        for R, d, e in ((Ra, da, ea + tiny), (Rb, db, eb + tiny)):
-            on = d <= e
-            u = np.where(on[:, None], 0.0, R / d[:, None])
-            quad = np.where(on, np.inf, rho * rho / (2.0 * d))
-            turn = np.where(on, 0.0, 2.0 * e * rho / (d - e))
-            sides.append((u, quad, turn, e))
-    (ua, qa, ta, ea), (ub, qb, tb, eb) = sides
-    V = np.stack([ua - ub, ub - ua, -ub, -ua])
+        u = np.divide(R, d[..., None], out=R)
+        quad = rho * rho / (2.0 * d)
+        turn = 2.0 * e * rho / (d - e)
+    u[on], quad[on], turn[on] = 0.0, np.inf, 0.0
+    # the directions u_a - u_b, u_b - u_a, -u_b, -u_a
+    V = np.empty((4,) + Ra.shape)
+    np.subtract(u[0], u[1], out=V[0])
+    np.negative(V[0], out=V[1])
+    np.negative(u[::-1], out=V[2:])
     L = rho * _row_norms(V) if reach is None else reach(V)
-    up = g + tb + np.minimum(L[0] + qa, rho + L[2])
-    down = -g + ta + np.minimum(L[1] + qb, rho + L[3])
-    return lo, np.maximum(up, down) + ea + eb
+    # up = g + t_b + min(L(u_a - u_b) + q_a, rho + L(-u_b)), down likewise
+    side = np.minimum(L[:2] + quad, rho + L[2:])
+    up = g + turn[1] + side[0]
+    down = turn[0] - g + side[1]
+    return lo, np.maximum(up, down) + e[0] + e[1]
 
 
 def _box_reach(c: np.ndarray, C: np.ndarray, h: np.ndarray, r: float, B: np.ndarray | None, rho):
@@ -301,8 +328,10 @@ def _box_reach(c: np.ndarray, C: np.ndarray, h: np.ndarray, r: float, B: np.ndar
         if B is not None:
             V = V @ B.T
         N = _row_norms(V)
-        box = np.einsum("...ik,ik->...i", V, C - c) + h * np.abs(V).sum(axis=-1)
-        return np.minimum(np.minimum(rho * N, box), r * N - np.einsum("...ik,ik->...i", V, c))
+        # sum |v_i| as a product with ones: a sum over a short last axis is slow
+        box = np.einsum("...ik,ik->...i", V, C - c) + h * (np.abs(V) @ np.ones(V.shape[-1]))
+        np.minimum(box, rho * N, out=box)
+        return np.minimum(box, r * N - np.einsum("...ik,ik->...i", V, c), out=box)
 
     return reach
 
@@ -323,7 +352,21 @@ def _split(C: np.ndarray, h: np.ndarray):
     signs = _signs(C.shape[1])
     half = 0.5 * h
     kids = C[:, None, :] + signs * half[:, None, None]
-    return kids.reshape(-1, C.shape[1]), np.repeat(half, signs.shape[0])
+    return kids.reshape(-1, C.shape[1]), half.repeat(signs.shape[0])
+
+
+def _split_small(C: np.ndarray, h: np.ndarray):
+    """The cubes (C, h), split (_split) again and again while their children
+    number at most _LEVEL_MIN."""
+    while C.shape[0] << C.shape[1] <= _LEVEL_MIN:
+        C, h = _split(C, h)
+    return C, h
+
+
+def _inside(C: np.ndarray, h: np.ndarray, r: float):
+    """The cubes (C, h) that meet the r-ball."""
+    keep = _row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r
+    return C[keep], h[keep]
 
 
 def ball_sup(
@@ -365,92 +408,123 @@ def ball_sup(
     shells leave the search, and their largest weight joins the upper bound.
     The search starts from one cube, and each level halves the cubes of
     highest upper bound along every axis (_split), as many as keep the level
-    within _LEVEL_ROWS rows; the others wait with their bounds.  Past 16
-    dimensions a cube's 2^k children overflow a level, so the search ends
-    after the probes and the root cube, uncertified, as a spent budget ends
-    it.
+    within _LEVEL_ROWS rows; the others wait with their bounds.  Children
+    that number at most _LEVEL_MIN are halved again (_split_small), the root
+    cube too, so the first levels of a search, which would hold a few rows
+    each, are one level; those children cover what their parents covered,
+    so the bounds are those of any other level.  Past 16 dimensions a cube's
+    2^k children overflow a level, so the search ends after the probes and
+    the root cube, uncertified, as a spent budget ends it.  The estimate
+    counts the rows evaluated (evals, the probes included) and the levels.
     """
     B, w0, w1 = pair.span
-    widen = w0 + w1 * radius
     k = pair.a.ambient_dim if B is None else B.shape[0]
-    scale = 1.0 + max(float(np.abs(_rows(s)[0]).max(initial=0.0)) for s in (pair.a, pair.b))
     w = np.asarray(weights, dtype=float)
     L = w.shape[0]
     shell = radius / L
-    # top[i, l] = max(w[i..l]) for i <= l, the most a box reaching shells
-    # i..l can score; top[i, -1] bounds phi beyond the inner sphere of shell i
-    top = np.maximum.accumulate(np.where(np.tri(L, dtype=bool).T, w, -np.inf), axis=1)
-    tail = top[:, -1]
+    # tail[i] = max(w[i:]) bounds phi beyond the inner sphere of shell i
+    tail = np.maximum.accumulate(w[::-1])[::-1]
 
-    def weight(t: np.ndarray) -> np.ndarray:
+    def weight(t: np.ndarray):
         # lower bounds take the outer shell at a tie
-        return w[np.minimum(t // shell, L - 1).astype(int)]
-
-    def lower(Y: np.ndarray):
-        lo, _ = _box_bounds(pair.ra, pair.rb, Y if B is None else Y @ B, None)
-        return np.minimum(lo, weight(_row_norms(Y)))
-
-    def bounds(c: np.ndarray, C: np.ndarray, h: np.ndarray, r: float):
-        rho = h * math.sqrt(k)
-        reach = _box_reach(c, C, h, r, B, rho)
-        lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale)
-        t = _row_norms(c)
-        lo = np.minimum(lo, weight(t))
-        # upper bounds take the inner shell at a tie
-        first = np.clip(np.ceil((t - rho) / shell) - 1, 0, L - 1).astype(int)
-        last = np.clip(np.ceil((t + rho) / shell) - 1, 0, L - 1).astype(int)
-        return lo, np.minimum(hi, top[first, last]) + widen
+        return w[np.minimum(t // shell, L - 1).astype(int)] if L > 1 else w[0]
 
     Y = _probes(pair.a, pair.b, radius) if probes is None else probes
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
-    Y = _clamp_rows(Y, radius)
-    lb = max([floor] + [float(lower(Y[i : i + _CHUNK]).max()) for i in range(0, Y.shape[0], _CHUNK)])
-    evals = Y.shape[0]
-
+    Y, t = _clamp(Y, radius)
+    X = Y if B is None else Y @ B
+    lb = floor
+    for i in range(0, Y.shape[0], _CHUNK):
+        lo, _ = _box_bounds(pair.ra, pair.rb, X[i : i + _CHUNK], None)
+        lb = max(lb, float(np.minimum(lo, weight(t[i : i + _CHUNK])).max()))
+    evals, levels = Y.shape[0], 0
     resolved = -np.inf
 
     def live_radius() -> float:
         # the shells whose weights can beat lb + eps are a prefix, as tail
         # does not increase; the others resolve at their largest weight
         nonlocal resolved
-        live = int((tail > lb + eps).sum())
+        live = int(np.count_nonzero(tail > lb + eps))
         if live < L:
             resolved = max(resolved, float(tail[live]))
         return live * shell
 
     r = live_radius()
-    # the cubes (C, h) with their upper bounds U, nan until evaluated, and
-    # how many of them one level can split (none past 16 dimensions)
-    C, h, U = np.zeros((1, k)), np.full(1, r), np.full(1, np.nan)
-    split = _LEVEL_ROWS >> k
-    while r > 0 and C.shape[0]:
-        new = np.isnan(U)
-        if new.any():
-            vals, U[new] = bounds(_clamp_rows(C[new], r), C[new], h[new], r)
-            evals += int(new.sum())
-            lb = max(lb, float(vals.max()))
+    if r == 0:
+        return SupEstimate(lb, max(resolved, lb), True, evals, levels)
+
+    widen = w0 + w1 * radius
+    scale = 1.0 + max(float(np.abs(_rows(s)[0]).max(initial=0.0)) for s in (pair.a, pair.b))
+    root_k = math.sqrt(k)
+    if L > 1:
+        # top[i, l] = max(w[i..l]) for i <= l, the most a box reaching
+        # shells i..l can score
+        top = np.maximum.accumulate(np.where(np.tri(L, dtype=bool).T, w, -np.inf), axis=1)
+
+    def bounds(C: np.ndarray, h: np.ndarray, r: float):
+        c, t = _clamp(C, r)
+        rho = h * root_k
+        reach = _box_reach(c, C, h, r, B, rho)
+        lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale + t)
+        if L > 1:
+            # upper bounds take the inner shell at a tie
+            ends = np.ceil(np.concatenate((t - rho, t + rho)) / shell) - 1.0
+            ends = np.minimum(np.maximum(ends, 0.0), L - 1).astype(int)
+            hi = np.minimum(hi, top[ends[: t.size], ends[t.size :]])
+        else:
+            hi = np.minimum(hi, w[0])
+        return np.minimum(lo, weight(t)), hi + widen
+
+    # the cubes (C, h) with their upper bounds U; the first `fresh` of them
+    # are new and wait for their bounds.  One level splits at most `split`
+    # cubes (none past 16 dimensions).
+    C, h = _split_small(np.zeros((1, k)), np.full(1, r))
+    C, h = _inside(C, h, r)
+    U = np.empty(h.size)
+    fresh, split = h.size, _LEVEL_ROWS >> k
+    while h.size:
+        if fresh:
+            lo, U[:fresh] = bounds(C[:fresh], h[:fresh], r)
+            evals += fresh
+            levels += 1
+            lb = max(lb, float(lo.max()))
         active = U > lb + eps
         if not active.all():
             resolved = max(resolved, float(U[~active].max()))
-        if not active.any():
-            break
+            C, h, U = C[active], h[active], U[active]
+            if not h.size:
+                break
         if evals >= budget or not split:
-            return SupEstimate(lb, max(resolved, float(U.max()), lb), False, evals)
+            return SupEstimate(lb, max(resolved, float(U.max()), lb), False, evals, levels)
 
-        C, h, U = C[active], h[active], U[active]
-        if C.shape[0] > split:
+        r = live_radius()
+        if r == 0:
+            break
+        wait = h.size > split
+        if wait:
             # split the cubes of highest upper bound first; the rest wait
             order = np.argsort(-U, kind="stable")
             C, h, U = C[order], h[order], U[order]
-        Cn, hn = _split(C[:split], h[:split])
-        C, h = np.concatenate([Cn, C[split:]]), np.concatenate([hn, h[split:]])
-        U = np.concatenate([np.full(Cn.shape[0], np.nan), U[split:]])
-        # drop cubes entirely outside the live ball
-        r = live_radius()
-        keep = _row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r
-        C, h, U = C[keep], h[keep], U[keep]
-    return SupEstimate(lb, max(resolved, lb), True, evals)
+        kids, half = _inside(*_split_small(*_split(C[:split], h[:split])), r)
+        fresh = half.size
+        if wait:
+            C, h = np.concatenate([kids, C[split:]]), np.concatenate([half, h[split:]])
+            U = np.concatenate([np.empty(fresh), U[split:]])
+        else:
+            C, h, U = kids, half, np.empty(fresh)
+    return SupEstimate(lb, max(resolved, lb), True, evals, levels)
+
+
+def _clamp(Y: np.ndarray, r: float):
+    """(the rows of Y clamped into the r-ball, their norms), the rows bit
+    for bit those of projection._clamp_rows."""
+    t = _row_norms(Y)
+    out = t > r
+    if out.any():
+        Y = Y * np.where(out, r / np.where(out, t, 1.0), 1.0)[:, None]
+        t = _row_norms(Y)
+    return Y, t
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +626,12 @@ def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
         data.append((Pa[:, None, :] - Pb[None, :, :]).reshape(-1, Pa.shape[1]))
     V = np.concatenate(data)
     nrm = _row_norms(V)
-    U = V[nrm > 1e-12] / nrm[nrm > 1e-12, None]
+    big = nrm > 1e-12
+    U = V[big] / nrm[big, None]
     radii = [j for j in _LADDER if j < radius] + [radius]
-    rows = [sign * (1.0 - 1e-12) * r * U for sign in (1.0, -1.0) for r in radii]
-    return np.concatenate(rows + [Pa, Pb, np.zeros((1, Pa.shape[1]))])
+    s = np.array([sign * (1.0 - 1e-12) * r for sign in (1.0, -1.0) for r in radii])
+    rows = (s[:, None, None] * U).reshape(-1, U.shape[1])
+    return np.concatenate([rows, Pa, Pb, np.zeros((1, Pa.shape[1]))])
 
 
 # ---------------------------------------------------------------------------

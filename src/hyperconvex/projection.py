@@ -322,15 +322,17 @@ def _wolfe_seed(Q: np.ndarray, sq: np.ndarray):
     qf = Q[rows, first]
     E = qf[:, None] - Q
     ee = np.einsum("bij,bij->bi", E, E)
-    num = np.maximum(np.einsum("bij,bj->bi", E, qf), 0.0)
-    t = num / np.where(ee > num, ee, np.inf)
-    j = (num * t).argmax(axis=1)
+    num = np.einsum("bij,bj->bi", E, qf)
+    np.maximum(num, 0.0, out=num)
+    ee[ee <= num] = np.inf
+    t = num / ee
+    j = np.multiply(num, t, out=num).argmax(axis=1)
     tj = t[rows, j]
     idx = np.zeros((b, max(m, 2)), dtype=np.intp)  # active generators, in the front slots
     idx[:, 0], idx[:, 1] = first, j
     lam = np.zeros(idx.shape)
     lam[:, 0], lam[:, 1] = 1.0 - tj, tj
-    return idx, lam, 1 + (tj > 0), qf - tj[:, None] * E[rows, j]
+    return idx, lam, (tj > 0) + 1, qf - tj[:, None] * E[rows, j]
 
 
 def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, floor=None):

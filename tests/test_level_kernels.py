@@ -1,6 +1,7 @@
 """The row kernels of a ball_sup level, each against the construction it
-replaces, bit for bit: the row norms against np.linalg.norm and the cube
-split against the general box split, kept here as the reference; and the
+replaces, bit for bit: the row norms against np.linalg.norm, the cube
+split against the general box split, kept here as the reference, and the
+clamp of cube centers against projection._clamp_rows; and the
 deterministic probe rows a search starts from.
 """
 
@@ -19,6 +20,7 @@ from hyperconvex import (
     truncated_hausdorff,
     zero_subspace,
 )
+import hyperconvex.projection as projection
 from hyperconvex.projection import _row_norms
 
 from test_ball_bounds import _count_sup_evals
@@ -80,6 +82,19 @@ def test_cube_split_keeps_cubes_within_the_axis_cap():
     kids, halves = hm._split(np.zeros((1, k)), np.full(1, 3.0))
     assert kids.shape[0] == 1 << k == hm._LEVEL_ROWS and (halves == 1.5).all()
     assert hm._LEVEL_ROWS >> k == 1 and hm._LEVEL_ROWS >> (k + 1) == 0
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_clamp_equals_clamp_rows_bit_for_bit(k):
+    # ball_sup's clamp of cube centers and probes against the library's row
+    # clamp, and its norms against the norms of the clamped rows
+    rng = np.random.default_rng(200 + k)
+    for X in _norm_inputs(rng, k):
+        X = X.reshape(-1, k)
+        for r in (1e-3, 1.0, float(np.median(_row_norms(X))), 1e3):
+            Y, t = hm._clamp(X, r)
+            assert np.array_equal(_bits(Y), _bits(projection._clamp_rows(X, r)))
+            assert np.array_equal(_bits(t), _bits(_row_norms(Y)))
 
 
 def _probe_pairs(rng, n):
