@@ -87,6 +87,7 @@ from .config import ToleranceConfig, resolve
 from .errors import HyperconvexError
 from .intervals import Interval
 from .projection import (
+    _clamp_rows,
     _residual_rows,
     _row_norms,
     flat_min_norm_point,
@@ -363,10 +364,9 @@ def _split_small(C: np.ndarray, h: np.ndarray):
     return C, h
 
 
-def _inside(C: np.ndarray, h: np.ndarray, r: float):
-    """The cubes (C, h) that meet the r-ball."""
-    keep = _row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r
-    return C[keep], h[keep]
+def _inside(C: np.ndarray, h: np.ndarray, r: float) -> np.ndarray:
+    """Mask of the cubes (C, h) that meet the r-ball."""
+    return _row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r
 
 
 def ball_sup(
@@ -408,14 +408,16 @@ def ball_sup(
     shells leave the search, and their largest weight joins the upper bound.
     The search starts from one cube, and each level halves the cubes of
     highest upper bound along every axis (_split), as many as keep the level
-    within _LEVEL_ROWS rows; the others wait with their bounds.  Children
-    that number at most _LEVEL_MIN are halved again (_split_small), the root
-    cube too, so the first levels of a search, which would hold a few rows
-    each, are one level; those children cover what their parents covered,
-    so the bounds are those of any other level.  Past 16 dimensions a cube's
-    2^k children overflow a level, so the search ends after the probes and
-    the root cube, uncertified, as a spent budget ends it.  The estimate
-    counts the rows evaluated (evals, the probes included) and the levels.
+    within _LEVEL_ROWS rows; the others wait with their bounds.  After the
+    split every cube that misses the live ball leaves, waiting ones too
+    (_inside).  Children that number at most _LEVEL_MIN are halved again
+    (_split_small), the root cube too, so the first levels of a search,
+    which would hold a few rows each, are one level; those children cover
+    what their parents covered, so the bounds are those of any other level.
+    Past 16 dimensions a cube's 2^k children overflow a level, so the search
+    ends after the probes and the root cube, uncertified, as a spent budget
+    ends it.  The estimate counts the rows evaluated (evals, the probes
+    included) and the levels.
     """
     B, w0, w1 = pair.span
     k = pair.a.ambient_dim if B is None else B.shape[0]
@@ -432,7 +434,7 @@ def ball_sup(
     Y = _probes(pair.a, pair.b, radius) if probes is None else probes
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
-    Y, t = _clamp(Y, radius)
+    Y, t = _clamp_rows(Y, radius)
     X = Y if B is None else Y @ B
     lb = floor
     for i in range(0, Y.shape[0], _CHUNK):
@@ -463,7 +465,7 @@ def ball_sup(
         top = np.maximum.accumulate(np.where(np.tri(L, dtype=bool).T, w, -np.inf), axis=1)
 
     def bounds(C: np.ndarray, h: np.ndarray, r: float):
-        c, t = _clamp(C, r)
+        c, t = _clamp_rows(C, r)
         rho = h * root_k
         reach = _box_reach(c, C, h, r, B, rho)
         lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale + t)
@@ -476,12 +478,13 @@ def ball_sup(
             hi = np.minimum(hi, w[0])
         return np.minimum(lo, weight(t)), hi + widen
 
-    # the cubes (C, h) with their upper bounds U; the first `fresh` of them
-    # are new and wait for their bounds.  One level splits at most `split`
-    # cubes (none past 16 dimensions).
+    # the cubes (C, h) with their upper bounds U, nan until evaluated; the
+    # first `fresh` of them are the new ones.  One level splits at most
+    # `split` cubes (none past 16 dimensions).
     C, h = _split_small(np.zeros((1, k)), np.full(1, r))
-    C, h = _inside(C, h, r)
-    U = np.empty(h.size)
+    keep = _inside(C, h, r)
+    C, h = C[keep], h[keep]
+    U = np.full(h.size, np.nan)
     fresh, split = h.size, _LEVEL_ROWS >> k
     while h.size:
         if fresh:
@@ -501,30 +504,18 @@ def ball_sup(
         r = live_radius()
         if r == 0:
             break
-        wait = h.size > split
-        if wait:
+        if h.size > split:
             # split the cubes of highest upper bound first; the rest wait
             order = np.argsort(-U, kind="stable")
             C, h, U = C[order], h[order], U[order]
-        kids, half = _inside(*_split_small(*_split(C[:split], h[:split])), r)
-        fresh = half.size
-        if wait:
-            C, h = np.concatenate([kids, C[split:]]), np.concatenate([half, h[split:]])
-            U = np.concatenate([np.empty(fresh), U[split:]])
-        else:
-            C, h, U = kids, half, np.empty(fresh)
+        kids, half = _split_small(*_split(C[:split], h[:split]))
+        C, h = np.concatenate([kids, C[split:]]), np.concatenate([half, h[split:]])
+        U = np.concatenate([np.full(half.size, np.nan), U[split:]])
+        # drop the cubes, waiting ones too, that miss the live ball
+        keep = _inside(C, h, r)
+        fresh = int(np.count_nonzero(keep[: half.size]))
+        C, h, U = C[keep], h[keep], U[keep]
     return SupEstimate(lb, max(resolved, lb), True, evals, levels)
-
-
-def _clamp(Y: np.ndarray, r: float):
-    """(the rows of Y clamped into the r-ball, their norms), the rows bit
-    for bit those of projection._clamp_rows."""
-    t = _row_norms(Y)
-    out = t > r
-    if out.any():
-        Y = Y * np.where(out, r / np.where(out, t, 1.0), 1.0)[:, None]
-        t = _row_norms(Y)
-    return Y, t
 
 
 # ---------------------------------------------------------------------------

@@ -534,11 +534,15 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
-def _clamp_rows(y: np.ndarray, radius: float) -> np.ndarray:
-    nrm = _row_norms(y)[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(nrm > radius, radius / np.where(nrm > 0, nrm, 1.0), 1.0)
-    return y * scale
+def _clamp_rows(y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(the rows of y clamped into the radius-ball, their norms), radius >= 0.
+    When every row is inside, y itself comes back."""
+    t = _row_norms(y)
+    out = t > radius
+    if out.any():
+        y = y * np.where(out, radius / np.where(out, t, 1.0), 1.0)[..., None]
+        t = _row_norms(y)
+    return y, t
 
 
 def flat_min_norm_point(f: Flat) -> np.ndarray:
@@ -809,7 +813,7 @@ def _truncated_rows(
     def f_flat(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         V = (X - p) @ P
-        return np.linalg.norm(X - (p + _clamp_rows(V, rho)), axis=1)
+        return np.linalg.norm(X - (p + _clamp_rows(V, rho)[0]), axis=1)
 
     return f_flat
 

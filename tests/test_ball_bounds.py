@@ -100,7 +100,7 @@ def _shell_samples(rng, n, radius, shells):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     radii = (radius / shells * np.arange(1.0, shells + 1.0)[:, None] + np.array([-1e-9, 1e-9])).ravel()
     X = np.concatenate([_in_ball(rng, n, 300, radius), (radii[:, None, None] * u).reshape(-1, n)])
-    return projection._clamp_rows(X, radius)
+    return projection._clamp_rows(X, radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_box_bound_covers_dense_samples(seed, kinds, n, log_size):
     # a random box, its center clamped into the ball as ball_sup does
     center = rng.uniform(-radius, radius, size=n)
     half = rng.uniform(0.1, 1.0, size=n) * radius * 10.0**log_size
-    c = projection._clamp_rows(center[None, :], radius)
+    c = projection._clamp_rows(center[None, :], radius)[0]
     rho = np.array([np.linalg.norm(half)])
     lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho)
     g_c = float(_gap(a, b, c)[0])
@@ -218,7 +218,7 @@ def test_directional_box_bound_covers_dense_samples(seed, kinds, n, log_size, wh
         C = u / np.linalg.norm(u, axis=1, keepdims=True) * (radius + rng.uniform(-1.0, 1.0, (boxes, 1)) * rho[:, None])
     else:
         C = _in_ball(rng, n, boxes, 1.2 * radius)
-    c = projection._clamp_rows(C, radius)
+    c = projection._clamp_rows(C, radius)[0]
     reach = hm._box_reach(c, C, h, radius, None, rho)
     lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho, reach)
     assert (lo <= _gap(a, b, c) + 1e-9).all()
@@ -383,7 +383,7 @@ def test_spans_past_16_dimensions_end_after_the_root():
     assert not est.certified and est.lo <= est.hi
     assert est.evals <= hm._probes(a, b, 1.0).shape[0] + 1
     X = np.concatenate([_in_ball(rng, 17, 2000, 1.0), hm._probes(a, b, 1.0)])
-    assert (_library_gap(a, b, projection._clamp_rows(X, 1.0)) <= est.hi + 1e-6).all()
+    assert (_library_gap(a, b, projection._clamp_rows(X, 1.0)[0]) <= est.hi + 1e-6).all()
 
 
 # ---------------------------------------------------------------------------

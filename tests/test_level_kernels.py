@@ -1,8 +1,8 @@
 """The row kernels of a ball_sup level, each against the construction it
-replaces, bit for bit: the row norms against np.linalg.norm, the cube
-split against the general box split, kept here as the reference, and the
-clamp of cube centers against projection._clamp_rows; and the
-deterministic probe rows a search starts from.
+replaces, bit for bit: the row norms against np.linalg.norm and the cube
+split against the general box split, kept here as the reference; the norms
+that the row clamp returns; and the deterministic probe rows a search
+starts from.
 """
 
 import numpy as np
@@ -85,16 +85,17 @@ def test_cube_split_keeps_cubes_within_the_axis_cap():
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_clamp_equals_clamp_rows_bit_for_bit(k):
-    # ball_sup's clamp of cube centers and probes against the library's row
-    # clamp, and its norms against the norms of the clamped rows
+def test_clamp_rows_returns_the_norms_of_its_rows(k):
+    # ball_sup reads the shells of clamped centers and probes off these norms
     rng = np.random.default_rng(200 + k)
     for X in _norm_inputs(rng, k):
         X = X.reshape(-1, k)
         for r in (1e-3, 1.0, float(np.median(_row_norms(X))), 1e3):
-            Y, t = hm._clamp(X, r)
-            assert np.array_equal(_bits(Y), _bits(projection._clamp_rows(X, r)))
+            Y, t = projection._clamp_rows(X, r)
             assert np.array_equal(_bits(t), _bits(_row_norms(Y)))
+            inside = _row_norms(X) <= r
+            assert np.array_equal(_bits(Y[inside]), _bits(X[inside]))
+            assert (t <= r * (1.0 + 4e-16)).all()
 
 
 def _probe_pairs(rng, n):

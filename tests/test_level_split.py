@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hyperconvex.hypermetrics as hm
 from hyperconvex import AWParams, Flat, Polytope, attouch_wets
 from hyperconvex.hypermetrics import _Pair
+from hyperconvex.projection import _row_norms
 
 from test_ball_bounds import CFG, _frame, _gap, _shell_samples
 
@@ -136,3 +137,46 @@ def test_deeper_split_sup_covers_dense_samples(seed, family, weighted):
     X = _shell_samples(rng, n, radius, len(w))
     shells = np.clip(np.ceil(np.linalg.norm(X, axis=1) * len(w) / radius) - 1, 0, len(w) - 1).astype(int)
     assert (np.minimum(w[shells], _gap(a, b, X)) <= est.hi + 1e-9).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 9, 10, 13])
+def test_waiting_cubes_leave_with_the_live_ball(monkeypatch, seed):
+    # cubes wait once a level cannot split them all, from 7 dimensions up
+    # at the real cap; a cap of 512 rows makes them wait in R^4 (32 cubes a
+    # level).  Every cube a level splits must meet the live ball of the
+    # filter before it, which runs over the waiting cubes too.
+    monkeypatch.setattr(hm, "_LEVEL_ROWS", 512)
+    events = []
+    real_split, real_inside = hm._split, hm._inside
+
+    def split(C, h):
+        kids, half = real_split(C, h)
+        events.append(("split", C, h, kids.shape[0]))
+        return kids, half
+
+    def inside(C, h, r):
+        events.append(("inside", C.shape[0], r))
+        return real_inside(C, h, r)
+
+    monkeypatch.setattr(hm, "_split", split)
+    monkeypatch.setattr(hm, "_inside", inside)
+    rng = np.random.default_rng(seed)
+    a, b = (Polytope(rng.normal(size=(int(rng.integers(1, 4)), 4))) for _ in range(2))
+    pair = _Pair(a, b, CFG)
+    assert pair.span[0] is None
+    w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(2, 9))))[::-1]
+    radius = float(rng.uniform(1.0, 4.0))
+    hm.ball_sup(pair, radius, 1e-4, budget=20_000, weights=w, probes=np.zeros((1, 4)))
+
+    r, kids, prev, waited = None, 0, None, 0
+    for event in events:
+        if event[0] == "inside":
+            waited += event[1] - kids
+            r = event[2]
+        else:
+            if prev == "inside":
+                C, h = event[1], event[2]
+                assert (_row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r).all()
+            kids = event[3]
+        prev = event[0]
+    assert waited > 0
