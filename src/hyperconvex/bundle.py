@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ToleranceConfig, resolve
 from .grassmann import chart_flat_inv, check_complement_offset, lift_rows
-from .sets import ConvexSet, Polytope, Subspace, affine_hull, check_same_ambient
+from .sets import ConvexSet, Polytope, Subspace, _point, affine_hull, check_same_ambient
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,8 @@ class ChartTriple:
     body: Polytope
 
     def __post_init__(self):
-        offset = np.asarray(self.offset, dtype=float)
-        object.__setattr__(self, "offset", offset)
-        check_same_ambient(self.direction, offset, self.body)
+        check_same_ambient(self.direction, self.body)
+        object.__setattr__(self, "offset", _point(self.offset, self.body.ambient_dim, "offset"))
 
 
 def base_map(s: ConvexSet) -> Subspace:

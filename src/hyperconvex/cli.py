@@ -102,8 +102,6 @@ def _cmd_chart(args) -> int:
     if args.inverse is not None:
         target = _load_set(args.inverse)
         if args.kind == "flat":
-            if isinstance(target, Subspace):
-                target = Flat(np.zeros(target.ambient_dim), target.basis)
             if not isinstance(target, Flat):
                 raise SchemaError("chart flat --inverse needs a flat document")
             v, omega = chart_flat_inv(w, target)

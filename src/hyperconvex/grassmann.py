@@ -17,7 +17,7 @@ from .errors import ChartDomainError, DimensionMismatchError, HyperconvexError
 from .intervals import Interval
 from .hypermetrics import sup_distance_gap
 from .projection import flat_min_norm_point
-from .sets import Flat, Subspace, check_same_ambient
+from .sets import Flat, Subspace, _point, check_same_ambient
 
 _COND_CAP = 1e12
 
@@ -123,10 +123,8 @@ def lift_point(
     Solves the k x k system (B_w B_v^T) c = B_w x and returns c @ B_v.
     """
     cfg = resolve(tol)
-    x = np.asarray(x, dtype=float)
-    check_same_ambient(w, v, x)
-    if not np.isfinite(x).all():
-        raise HyperconvexError("point to lift must be finite")
+    check_same_ambient(w, v)
+    x = _point(x, w.ambient_dim, "point to lift")
     outside = "projection onto the reference subspace is singular on v"
     return lift_rows(w, v, x[None, :], cfg, outside)[0]
 
@@ -153,7 +151,7 @@ def lift_rows(w: Subspace, v: Subspace, X: np.ndarray, cfg: ToleranceConfig, out
     return np.array([np.linalg.solve(g, w.basis @ x) @ v.basis for x in X])
 
 
-def parallel_subspace(f: Flat | Subspace):
+def parallel_subspace(f: Flat):
     """(direction subspace, anchor): the anchor is the nearest point of the
     flat to the origin, so it is orthogonal to the direction span.  Acting
     on a subspace returns the subspace itself with a zero anchor."""
@@ -168,8 +166,8 @@ def chart_flat(
     """Flat v + omega for v in the chart domain of w and omega in the
     orthogonal complement of w."""
     cfg = resolve(tol)
-    omega = np.asarray(omega, dtype=float)
-    check_same_ambient(w, v, omega)
+    check_same_ambient(w, v)
+    omega = _point(omega, w.ambient_dim, "offset")
     if not in_chart_domain(w, v, cfg):
         raise ChartDomainError("direction subspace outside the chart domain")
     check_complement_offset(w, omega, cfg)

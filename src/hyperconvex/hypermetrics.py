@@ -87,6 +87,7 @@ from .config import ToleranceConfig, resolve
 from .errors import HyperconvexError
 from .intervals import Interval
 from .projection import (
+    _ROUNDING,
     _clamp_rows,
     _residual_rows,
     _row_norms,
@@ -108,9 +109,10 @@ class AWParams:
 
     eps_sup is the width requested from the metric's weighted sup, j_cap
     the largest ball index scanned, an integer from 1 to 1024 (past it the
-    result can widen by at most 1/(j_cap+1); the scan keeps a j_cap x j_cap
-    table of shell weights, 8 MB at 1024), budget the evaluation allowance
-    of the whole call, which is one weighted sup.
+    result can widen by at most 1/(j_cap+1), below the default eps_sup at
+    1024, and a larger cap only widens the ball the scan searches),
+    budget the evaluation allowance of the whole call, which is one
+    weighted sup.
     """
 
     eps_sup: float = 1e-3
@@ -211,7 +213,7 @@ def _pair(
     budget: int = 1000,
 ) -> _Pair | None:
     """The front door of the four estimators: the _Pair of a and b, or None
-    when they are the same representation, whose distance is exactly 0.
+    when they are equal sets (a == b), whose distance is exactly 0.
 
     Checks that the ambient dimensions agree, that radius and eps are
     finite and positive, and that budget passes _check_budget (the defaults
@@ -226,7 +228,7 @@ def _pair(
     _check_budget(budget)
     if origin and any(nearest_point(s, cfg)[1] > cfg.tau_geom for s in (a, b)):
         raise HyperconvexError(origin)
-    return None if same_representation(a, b) else _Pair(a, b, cfg)
+    return None if a == b else _Pair(a, b, cfg)
 
 
 _CHUNK = 1 << 17
@@ -247,7 +249,6 @@ _LEVEL_ROWS = 1 << 16
 #   256                     53         27,798        36.7 ms
 # The time is flat from 64 to 256; 64 takes the fewest evaluations there.
 _LEVEL_MIN = 64
-_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale=None):
@@ -402,8 +403,12 @@ def ball_sup(
 
     The boxes are cubes, evaluated at their centers c clamped into the live
     ball; _box_bounds bounds the gap over a cube in that ball with the reach
-    of _box_reach, and phi is also at most the largest weight of the shells
-    that the norms |c| - rho .. |c| + rho reach, rho the cube's half-diagonal.
+    of _box_reach, and phi is also at most min(tail[i], head[l]) for the
+    shells i..l that the norms |c| - rho .. |c| + rho reach, rho the cube's
+    half-diagonal: tail[i] is the largest weight from shell i out, head[l]
+    the largest up to shell l.  That is at least the largest weight of
+    shells i..l, and equal to it when the weights rise and then fall, as
+    min(1/j, cap(j)) does with cap constant or nondecreasing.
     Once no weight past some shell beats the lower bound by eps, those
     shells leave the search, and their largest weight joins the upper bound.
     The search starts from one cube, and each level halves the cubes of
@@ -424,8 +429,10 @@ def ball_sup(
     w = np.asarray(weights, dtype=float)
     L = w.shape[0]
     shell = radius / L
-    # tail[i] = max(w[i:]) bounds phi beyond the inner sphere of shell i
+    # tail[i] = max(w[i:]) bounds phi beyond the inner sphere of shell i,
+    # head[l] = max(w[:l + 1]) within the outer sphere of shell l
     tail = np.maximum.accumulate(w[::-1])[::-1]
+    head = np.maximum.accumulate(w)
 
     def weight(t: np.ndarray):
         # lower bounds take the outer shell at a tie
@@ -459,10 +466,6 @@ def ball_sup(
     widen = w0 + w1 * radius
     scale = 1.0 + max(float(np.abs(_rows(s)[0]).max(initial=0.0)) for s in (pair.a, pair.b))
     root_k = math.sqrt(k)
-    if L > 1:
-        # top[i, l] = max(w[i..l]) for i <= l, the most a box reaching
-        # shells i..l can score
-        top = np.maximum.accumulate(np.where(np.tri(L, dtype=bool).T, w, -np.inf), axis=1)
 
     def bounds(C: np.ndarray, h: np.ndarray, r: float):
         c, t = _clamp_rows(C, r)
@@ -473,7 +476,7 @@ def ball_sup(
             # upper bounds take the inner shell at a tie
             ends = np.ceil(np.concatenate((t - rho, t + rho)) / shell) - 1.0
             ends = np.minimum(np.maximum(ends, 0.0), L - 1).astype(int)
-            hi = np.minimum(hi, top[ends[: t.size], ends[t.size :]])
+            hi = np.minimum(hi, np.minimum(tail[ends[: t.size]], head[ends[t.size :]]))
         else:
             hi = np.minimum(hi, w[0])
         return np.minimum(lo, weight(t)), hi + widen
@@ -520,16 +523,6 @@ def ball_sup(
 
 # ---------------------------------------------------------------------------
 # exact pieces
-
-
-def same_representation(a: ConvexSet, b: ConvexSet) -> bool:
-    """True when the two descriptions are literally the same set data."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Polytope):
-        pa, pb = a.unique_points, b.unique_points
-        return pa.shape == pb.shape and np.array_equal(pa, pb)
-    return np.array_equal(a.basis, b.basis) and np.array_equal(a.base, b.base)
 
 
 def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from .config import ToleranceConfig, resolve
 from .errors import HyperconvexError
 from .report import Report
+from .sets import _point
 
 
 def _family(points) -> np.ndarray:
@@ -26,16 +27,6 @@ def _family(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise HyperconvexError("points must be finite")
     return pts
-
-
-def _point(pts: np.ndarray, x) -> np.ndarray:
-    """x as a finite point of the space of the family pts."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pts.shape[1],):
-        raise HyperconvexError("point dimension does not match the simplex")
-    if not np.isfinite(x).all():
-        raise HyperconvexError("point must be finite")
-    return x
 
 
 def _diff_matrix(pts: np.ndarray) -> np.ndarray:
@@ -182,7 +173,7 @@ def barycentric_coordinates(simplex, x, tol: float = 1e-9) -> np.ndarray:
     affine hull by more than tol relative to the data scale.
     """
     pts = _family(simplex)
-    lam = _barycentric(pts, _point(pts, x), tol)
+    lam = _barycentric(pts, _point(x, pts.shape[1], "point"), tol)
     if lam is None:
         raise HyperconvexError("point lies off the affine hull of the simplex")
     return lam
@@ -194,7 +185,7 @@ def in_relative_interior(simplex, x, tol: float = 1e-9) -> bool:
     relative to the data scale) are outside; a non-finite x raises.
     """
     pts = _family(simplex)
-    x = _point(pts, x)
+    x = _point(x, pts.shape[1], "point")
     if pts.shape[0] == 1:
         return bool(np.linalg.norm(x - pts[0]) <= tol)
     lam = _barycentric(pts, x, 1e-9)

@@ -1,12 +1,12 @@
 """Metric projections and distances onto the representable convex sets.
 
 Flats and subspaces project by orthogonal linear algebra, through the same
-closed forms: a subspace is the flat through the origin (Subspace.base), so
-each routine has one branch for polytopes and one for the rest.  Polytopes
-project via the minimum-norm point of the shifted generator set, computed
-with a Wolfe-style active-set scheme whose duality gap doubles as the
-certificate: the variational-inequality residual of the returned point is
-bounded by the final gap.
+closed forms: a subspace is the flat through the origin (a Flat whose base
+is the origin), so each routine has one branch for polytopes and one for
+the rest.  Polytopes project via the minimum-norm point of the shifted
+generator set, computed with a Wolfe-style active-set scheme whose duality
+gap doubles as the certificate: the variational-inequality residual of the
+returned point is bounded by the final gap.
 
 Batched distances come from one residual map per set kind (_residual_rows),
 X -> X - P(X) with P the metric projection; distance_evaluator returns its
@@ -39,8 +39,9 @@ Both solvers' arithmetic is pinned bit for bit, by
 tests/test_wolfe_reference.py and tests/test_wolfe_block_reference.py.
 All routes read Polytope.unique_points.
 Non-finite points, rows of the public batch maps and contains tolerances
-raise HyperconvexError, and batch rows that are not a 2-D array as wide as
-the set's space DimensionMismatchError; ball_sup reads _residual_rows,
+raise HyperconvexError, points that are not vectors of the set's dimension
+(sets._point) and batch rows that are not a 2-D array as wide as the set's
+space DimensionMismatchError; ball_sup reads _residual_rows,
 which does not check.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
@@ -70,9 +71,12 @@ from .errors import (
     EmptyIntersectionError,
     HyperconvexError,
 )
-from .sets import ConvexSet, Flat, Polytope, check_same_ambient
+from .sets import ConvexSet, Flat, Polytope, _point
 
 _EPS = float(np.finfo(float).eps)
+# the rounding allowance, in units of a computation's scale, of the Wolfe
+# solvers' stopping rule (_limits) and of hypermetrics._box_bounds
+_ROUNDING = 64.0 * _EPS
 _ZERO = np.zeros(1)  # the weight of a generator entering the corral
 
 
@@ -92,8 +96,8 @@ def _limits(scale2, n: int):
     level 1e5 times that, below which a major iteration that fails to
     lower |w|^2 is a stall at rounding level; and the floor allowance of
     _min_norm_rows."""
-    gap_floor = 64.0 * _EPS * scale2
-    return gap_floor, 1e5 * gap_floor, 64.0 * _EPS * (n + 1) * scale2**0.5
+    gap_floor = _ROUNDING * scale2
+    return gap_floor, 1e5 * gap_floor, _ROUNDING * (n + 1) * scale2**0.5
 
 
 # A weight at or below this leaves the corral; coefficients above minus it
@@ -444,23 +448,15 @@ def _wolfe_block(pts: np.ndarray, X: np.ndarray, gap_tol: float, max_iter: int, 
 # projections
 
 
-def _query(s: ConvexSet, x) -> np.ndarray:
-    """x as a float vector in the ambient space of s; rejects non-finite x."""
-    x = np.asarray(x, dtype=float)
-    check_same_ambient(s, x)
-    if not np.isfinite(x).all():
-        raise HyperconvexError("query point must be finite")
-    return x
-
-
 def _finite_rows(s: ConvexSet, X) -> np.ndarray:
     """X, the rows passed to a public batch map of s, as a float array once
     checked to be 2-D (one row may come as a vector), finite and as wide as
     the ambient space of s."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    check_same_ambient(s, X)
     if X.ndim > 2:
         raise DimensionMismatchError(f"query rows must form a 2-D array, not {X.ndim}-D")
+    if X.shape[1] != s.ambient_dim:
+        raise DimensionMismatchError(f"query rows must have {s.ambient_dim} columns, not {X.shape[1]}")
     if not np.isfinite(X).all():
         raise HyperconvexError("query rows must be finite")
     return X
@@ -474,7 +470,7 @@ def metric_projection(s: ConvexSet, x, tol: ToleranceConfig | None = None):
     bounds the variational-inequality residual.
     """
     cfg = resolve(tol)
-    x = _query(s, x)
+    x = _point(x, s.ambient_dim, "query point")
     if isinstance(s, Polytope):
         pts = s.unique_points
         w, _ = min_norm_point(pts - x, gap_tol=cfg.tau_geom**2, max_iter=_wolfe_cap(pts))
@@ -492,11 +488,8 @@ def nearest_point(s: ConvexSet, tol: ToleranceConfig | None = None):
 
 def project_hyperplane(a, x) -> np.ndarray:
     """Project x onto the hyperplane through a orthogonal to a."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    check_same_ambient(a, x)
-    if not (np.isfinite(a).all() and np.isfinite(x).all()):
-        raise HyperconvexError("hyperplane vector and query point must be finite")
+    a = _point(a, np.size(a), "hyperplane vector")
+    x = _point(x, a.size, "query point")
     nrm2 = float(a @ a)
     if nrm2 == 0.0:
         raise HyperconvexError("zero vector defines no hyperplane")
@@ -556,7 +549,7 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
     The value is x's row of the batch map truncated_distance_evaluator
     builds, with the caller's tolerances.
     """
-    x = _query(s, x)
+    x = _point(x, s.ambient_dim, "query point")
     return float(_truncated_rows(s, L, resolve(tol))(x[None, :])[0])
 
 

@@ -119,16 +119,16 @@ def serialize_set(s: ConvexSet) -> dict:
             "ambient_dim": s.ambient_dim,
             "points": s.points.tolist(),
         }
-    if isinstance(s, Flat):
+    if isinstance(s, Subspace):
         return {
-            "type": "flat",
+            "type": "subspace",
             "ambient_dim": s.ambient_dim,
-            "base": s.base.tolist(),
             "basis": s.basis.tolist(),
         }
     return {
-        "type": "subspace",
+        "type": "flat",
         "ambient_dim": s.ambient_dim,
+        "base": s.base.tolist(),
         "basis": s.basis.tolist(),
     }
 

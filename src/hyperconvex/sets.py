@@ -1,20 +1,23 @@
 """Core set representations.
 
-Three closed convex representations in R^n, kept as a tagged union:
+Two closed convex representations in R^n, with one special case:
 
-* ``Polytope``  -- convex hull of finitely many generator points (V-rep),
+* ``Polytope`` -- convex hull of finitely many generator points (V-rep),
 * ``Flat``     -- affine subspace, base point plus orthonormal direction rows,
-* ``Subspace`` -- linear subspace, orthonormal basis rows.
+* ``Subspace`` -- the flat through the origin: a ``Flat`` whose base is the
+  origin, built from its basis rows alone.
 
-A subspace is the flat through the origin: its read-only ``base`` property
-returns the origin, so every routine that reads ``base`` and ``basis``
-serves flats and subspaces alike, and only polytopes need a branch of their
-own.
+A flat is one point plus a linear span L and a subspace is {0} plus L, so
+every routine that reads ``base`` and ``basis`` serves flats and subspaces
+alike, and only polytopes need a branch of their own.
 
 Instances are frozen and their arrays are made read-only, so values can be
-shared freely across threads; every operation returns new objects.  A
-polytope deduplicates its generators on first use (``unique_points``), not
-at construction, and keeps them out of equality and serialization.
+shared freely across threads; every operation returns new objects.  Two
+sets are equal when they are of the same class and hold the same data: a
+polytope's distinct generators (``unique_points``, deduplicated on first
+use, not at construction, and kept out of serialization), a flat's base
+and basis.  Sets are not hashable.  ``_point`` is the one check of a point
+argument: a finite float vector of the ambient dimension.
 """
 
 from __future__ import annotations
@@ -31,10 +34,21 @@ from .errors import DimensionMismatchError, HyperconvexError
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise HyperconvexError("coordinates must be finite")
     a.setflags(write=False)
     return a
+
+
+def _point(x, n: int, name: str) -> np.ndarray:
+    """x as a float vector of shape (n,): DimensionMismatchError for any
+    other shape, HyperconvexError unless finite; both messages name x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatchError(f"{name} must have shape ({n},), not {x.shape}")
+    if not np.isfinite(x).all():
+        raise HyperconvexError(f"{name} must be finite")
+    return x
 
 
 def _check_orthonormal_rows(basis: np.ndarray, tau: float) -> None:
@@ -49,7 +63,7 @@ def _check_orthonormal_rows(basis: np.ndarray, tau: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Convex hull of the rows of ``points`` (shape (m, n), m >= 1)."""
 
@@ -60,6 +74,11 @@ class Polytope:
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise HyperconvexError("points must be a non-empty (m, n) array")
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.unique_points, other.unique_points)
 
     @property
     def ambient_dim(self) -> int:
@@ -82,7 +101,7 @@ class Polytope:
         return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flat:
     """Affine subspace ``base + span(basis rows)``; basis rows orthonormal."""
 
@@ -102,6 +121,11 @@ class Flat:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", basis)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.base, other.base) and np.array_equal(self.basis, other.basis)
+
     @property
     def ambient_dim(self) -> int:
         return self.base.shape[0]
@@ -111,54 +135,28 @@ class Flat:
         return self.basis.shape[0]
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Linear subspace spanned by orthonormal ``basis`` rows (k, n); k may be 0."""
+class Subspace(Flat):
+    """Linear subspace spanned by orthonormal ``basis`` rows (k, n); k may
+    be 0.  It is the flat through the origin: ``base`` is the origin."""
 
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        basis = _freeze(self.basis)
-        if basis.ndim != 2 or basis.shape[1] < 1:
+    def __init__(self, basis) -> None:
+        shape = np.shape(basis)
+        if len(shape) != 2 or shape[1] < 1:
             raise HyperconvexError("basis must be a (k, n) array with n >= 1")
-        if basis.shape[0] > basis.shape[1]:
-            raise HyperconvexError("more basis rows than ambient dimensions")
-        _check_orthonormal_rows(basis, ToleranceConfig().tau_orth)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def base(self) -> np.ndarray:
-        """The origin, read-only: a subspace is the flat through it."""
-        origin = np.zeros(self.ambient_dim)
-        origin.setflags(write=False)
-        return origin
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+        super().__init__(np.zeros(shape[1]), basis)
 
 
-ConvexSet = Union[Polytope, Flat, Subspace]
+ConvexSet = Union[Polytope, Flat]
 
 
 def zero_subspace(n: int) -> Subspace:
     return Subspace(np.zeros((0, n)))
 
 
-def check_same_ambient(*sets_or_vectors) -> int:
-    dims = []
-    for obj in sets_or_vectors:
-        if isinstance(obj, np.ndarray):
-            dims.append(obj.shape[-1])
-        else:
-            dims.append(obj.ambient_dim)
+def check_same_ambient(*sets: ConvexSet) -> None:
+    dims = [s.ambient_dim for s in sets]
     if len(set(dims)) > 1:
         raise DimensionMismatchError(f"ambient dimensions disagree: {dims}")
-    return dims[0]
 
 
 def affine_hull(p: Polytope, tol: ToleranceConfig | None = None) -> Flat:
@@ -189,8 +187,7 @@ def dimension(s: ConvexSet, tol: ToleranceConfig | None = None) -> int:
 
 def translate(s: ConvexSet, v: np.ndarray) -> ConvexSet:
     """Exact translate of a set by the vector v."""
-    v = np.asarray(v, dtype=float)
-    check_same_ambient(s, v)
+    v = _point(v, s.ambient_dim, "translation vector")
     if isinstance(s, Polytope):
         return Polytope(s.points + v)
     if isinstance(s, Subspace) and not v.any():

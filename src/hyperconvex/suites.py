@@ -99,7 +99,7 @@ class _Recorder:
 def _payload(**kv) -> dict:
     out = {}
     for key, val in kv.items():
-        if isinstance(val, (Polytope, Flat, Subspace)):
+        if isinstance(val, (Polytope, Flat)):
             out[key] = serialize_set(val)
         elif isinstance(val, np.ndarray):
             out[key] = np.asarray(val, dtype=float).tolist()

@@ -454,14 +454,19 @@ def test_weighted_scan_agrees_with_a_sweep_of_plain_sups(seed, kinds, n):
     seed=st.integers(0, 2**32 - 1),
     kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
     n=st.integers(2, 3),
+    ordered=st.booleans(),
 )
-def test_weighted_sup_covers_dense_samples(seed, kinds, n):
-    # non-increasing weights on 1-5 shells and a single probe at the origin,
-    # so that the boxes, not the probes, must find the sup
+def test_weighted_sup_covers_dense_samples(seed, kinds, n, ordered):
+    # non-increasing weights, or weights in any order, for which the shell
+    # bound min(tail[i], head[l]) still holds, on 1-5 shells, and a single
+    # probe at the origin, so that the boxes, not the probes, must find the
+    # sup
     rng = np.random.default_rng(seed)
     a, b = (_draw(rng, k, n) for k in kinds)
     radius = float(rng.uniform(0.5, 4.0))
-    w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(1, 6))))[::-1]
+    w = rng.uniform(0.0, 1.5, int(rng.integers(1, 6)))
+    if ordered:
+        w = np.sort(w)[::-1]
     # the enclosure holds whether or not the budget lets the width certify
     est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w, probes=np.zeros((1, n)))
     X = _shell_samples(rng, n, radius, len(w))
@@ -569,3 +574,29 @@ def test_each_call_builds_two_residual_maps(monkeypatch, pair):
         built.clear()
         call()
         assert len(built) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 40))
+def test_shell_weight_bound_covers_the_largest_weight_of_the_shells_reached(seed, L):
+    # ball_sup bounds phi on a box reaching shells i..l by min(tail[i], head[l]),
+    # tail the suffix maxima of the weights and head the prefix maxima: at
+    # least max(w[i..l]) for any weights, and equal to it for weights that
+    # rise and then fall, as min(1/j, cap(j)) does with cap nondecreasing
+    rng = np.random.default_rng(seed)
+    i, l = sorted(rng.integers(0, L, size=2))
+    peak = int(rng.integers(0, L))
+    shapes = {
+        "random": rng.uniform(0.0, 2.0, L),
+        "rise then fall": np.concatenate(
+            (np.sort(rng.uniform(0.0, 2.0, peak)), np.sort(rng.uniform(0.0, 2.0, L - peak))[::-1])
+        ),
+        "aw weights": np.minimum(1.0 / np.arange(1.0, L + 1.0), np.sort(rng.uniform(0.0, 1.0, L))),
+    }
+    for name, w in shapes.items():
+        tail = np.maximum.accumulate(w[::-1])[::-1]
+        head = np.maximum.accumulate(w)
+        bound, top = min(tail[i], head[l]), w[i : l + 1].max()
+        assert bound >= top
+        if name != "random":
+            assert bound == top

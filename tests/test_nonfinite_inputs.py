@@ -1,4 +1,6 @@
-"""Non-finite inputs are rejected at the API boundary with HyperconvexError.
+"""Non-finite inputs are rejected at the API boundary with HyperconvexError,
+and points that are not vectors of the ambient dimension with
+DimensionMismatchError.
 
 Without a check, each entry point below returns NaN or False for a NaN
 input, or fails inside a solver.  The messages are matched, since
@@ -7,21 +9,29 @@ ConvergenceError is itself a HyperconvexError.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconvex import (
     AWParams,
+    ChartTriple,
+    DimensionMismatchError,
     Flat,
     HyperconvexError,
     Polytope,
     Subspace,
     attouch_wets,
     barycentric_coordinates,
+    chart_flat,
     contains,
     distance_evaluator,
     in_relative_interior,
     lift_point,
+    metric_projection,
     project_hyperplane,
     sup_distance_gap,
+    translate,
+    truncated_distance,
     truncated_distance_evaluator,
     truncated_hausdorff,
 )
@@ -70,6 +80,48 @@ def test_barycentric_helpers_reject_a_non_finite_point(check):
     simplex = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(HyperconvexError, match="point must be finite"):
         check(simplex, [NAN, 0.2])
+
+
+W = Subspace(np.array([[1.0, 0.0]]))
+SIMPLEX = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# every entry point that takes a point of R^2, with x in the point's place
+POINT_ARGUMENTS = {
+    "metric_projection": lambda x: metric_projection(SQUARE, x),
+    "contains": lambda x: contains(SQUARE, x, 1e-9),
+    "truncated_distance": lambda x: truncated_distance(LINE, x, 2.0),
+    "project_hyperplane point": lambda x: project_hyperplane([1.0, 0.0], x),
+    "project_hyperplane vector": lambda x: project_hyperplane(x, [1.0, 0.0]),
+    "lift_point": lambda x: lift_point(W, W, x),
+    "translate": lambda x: translate(SQUARE, x),
+    "chart_flat": lambda x: chart_flat(W, W, x),
+    "ChartTriple": lambda x: ChartTriple(W, x, Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))),
+    "barycentric_coordinates": lambda x: barycentric_coordinates(SIMPLEX, x),
+    "in_relative_interior": lambda x: in_relative_interior(SIMPLEX, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_ARGUMENTS))
+@pytest.mark.parametrize("x", [np.float64(0.0), np.zeros((1, 2)), [[0.0, 1.0]]], ids=["0-d", "(1, 2)", "nested list"])
+def test_points_that_are_not_vectors_of_the_ambient_dimension_raise(entry, x):
+    # a (1, n) point used to pass: metric_projection returned a (1, n)
+    # nearest point, and contains answered for it; flats raised numpy's
+    # matmul ValueError, project_hyperplane a TypeError and a scalar point
+    # an IndexError
+    with pytest.raises(DimensionMismatchError, match="must have shape"):
+        POINT_ARGUMENTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_ARGUMENTS))
+def test_point_entry_points_reject_a_non_finite_point(entry):
+    with pytest.raises(HyperconvexError, match="must be finite"):
+        POINT_ARGUMENTS[entry]([0.0, NAN])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3).filter(lambda s: s != [2]), entry=st.sampled_from(sorted(POINT_ARGUMENTS)))
+def test_every_other_shape_raises_dimension_mismatch(shape, entry):
+    with pytest.raises(DimensionMismatchError):
+        POINT_ARGUMENTS[entry](np.full(shape, 0.5))
 
 
 BAD_SIZES = [np.inf, -np.inf, NAN, 0.0, -1.0]
@@ -123,8 +175,7 @@ def test_aw_params_reject_a_j_cap_that_is_not_a_positive_integer(j_cap):
 
 @pytest.mark.parametrize("j_cap", [1025, 10**4, 10**15, np.int64(2**62)])
 def test_aw_params_reject_an_oversized_j_cap(j_cap):
-    # j_cap = 10**15 used to end in numpy's MemoryError, and the scan's
-    # j_cap x j_cap weight table already takes 0.8 GB at 10**4
+    # j_cap = 10**15 used to end in numpy's MemoryError
     with pytest.raises(HyperconvexError, match="j_cap must be at most 1024"):
         AWParams(j_cap=j_cap)
 

@@ -23,7 +23,6 @@ from hyperconvex import (
     truncated_distance_evaluator,
 )
 from hyperconvex import projection
-from hyperconvex.hypermetrics import same_representation
 from hyperconvex.projection import (
     _ALPHA_MAX,
     _ENUM_MAX_PIECES,
@@ -194,5 +193,5 @@ def test_polytope_routines_deduplicate_once(monkeypatch):
         metric_projection(s, x)
         truncated_distance(s, x, 1.0)
         projection.distance_evaluator(s)(x[None, :])
-        assert same_representation(s, same)
+        assert s == same
     assert len(calls) == 2  # one per polytope

@@ -122,3 +122,22 @@ def test_polytope_roundtrip_is_exact(pts):
     p = Polytope(np.array(pts, dtype=float))
     q = parse_set(dumps_set(p))
     assert np.array_equal(p.points, q.points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), kind=st.sampled_from(("polytope", "flat", "subspace")), data=st.data())
+def test_every_kind_round_trips_to_an_equal_set_of_its_kind(seed, n, kind, data):
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, n))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:k]
+    if kind == "polytope":
+        s = Polytope(rng.standard_normal((k + 1, n)))
+    elif kind == "flat":
+        s = Flat(rng.standard_normal(n), basis)
+    else:
+        s = Subspace(basis)
+    doc = serialize_set(s)
+    assert doc["type"] == kind
+    back = parse_set(json.loads(dumps_set(s)))
+    assert type(back) is type(s)
+    assert back == s

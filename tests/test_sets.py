@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hyperconvex import (
     Flat,
     HyperconvexError,
+    Interval,
     Polytope,
     Subspace,
     affine_hull,
+    attouch_wets,
     dimension,
     gap,
     minkowski_sum,
@@ -55,6 +57,99 @@ class TestConstructors:
         p = seg((0, 0), (1, 0))
         with pytest.raises(ValueError):
             p.points[0, 0] = 5.0
+
+
+def _frame(rng, n: int, k: int) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((n, n)))[0][:k]
+
+
+class TestEquality:
+    def test_sets_of_different_kinds_are_unequal(self):
+        basis = np.array([[0.6, 0.8]])
+
+        def kinds():
+            return [poly((0, 0), (1, 0)), Flat(np.zeros(2), basis), Subspace(basis)]
+
+        for i, a in enumerate(kinds()):
+            for j, b in enumerate(kinds()):
+                assert (a == b) is (i == j)
+                assert (a != b) is (i != j)
+        assert poly((0, 0)) != (0.0, 0.0)
+
+    def test_a_subspace_is_not_equal_to_its_flat_through_the_origin(self):
+        basis = np.array([[0.6, 0.8]])
+        assert Subspace(basis) != Flat(np.zeros(2), basis)
+        assert Subspace(basis) == Subspace(basis.copy())
+        assert Flat(np.zeros(2), basis) == Flat(np.zeros(2), basis.copy())
+
+    def test_flats_differ_by_base_or_basis(self):
+        basis = np.array([[1.0, 0.0]])
+        assert Flat(np.zeros(2), basis) != Flat(np.array([0.0, 1.0]), basis)
+        assert Flat(np.zeros(2), basis) != Flat(np.zeros(2), -basis)
+        assert Subspace(basis) != Subspace(np.eye(2))
+
+    def test_sets_are_unhashable(self):
+        basis = np.array([[0.6, 0.8]])
+        for s in (poly((0, 0), (1, 0)), Flat(np.zeros(2), basis), Subspace(basis)):
+            assert s == s
+            with pytest.raises(TypeError):
+                hash(s)
+
+    def test_equal_polytopes_are_at_distance_exactly_zero(self):
+        a = poly((0, 0), (1, 0), (0, 2))
+        iv = attouch_wets(a, Polytope(a.points.copy()))
+        assert iv == Interval(0.0, 0.0)
+        assert iv.certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 5))
+def test_permuted_or_repeated_generators_compare_equal(seed, m, n):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, n))
+    p = Polytope(pts)
+    shuffled = pts[rng.permutation(m)]
+    repeated = pts[np.concatenate((np.arange(m), rng.integers(0, m, size=int(rng.integers(1, 4)))))]
+    assert p == Polytope(shuffled) == Polytope(repeated)
+    moved = pts.copy()
+    moved[int(rng.integers(m)), int(rng.integers(n))] += 1.0
+    assert p != Polytope(moved)
+    if m > 1:
+        assert p != Polytope(pts[1:])
+
+
+class TestSubspace:
+    def test_a_subspace_is_a_flat_through_the_origin(self):
+        s = Subspace(np.array([[0.6, 0.8]]))
+        assert isinstance(s, Flat)
+        assert s.ambient_dim == 2 and s.dim == 1
+        np.testing.assert_array_equal(s.base, np.zeros(2))
+
+    def test_base_is_stored_once_and_read_only(self):
+        s = Subspace(np.array([[0.6, 0.8]]))
+        assert s.base is s.base
+        with pytest.raises(ValueError):
+            s.base[0] = 1.0
+        with pytest.raises(AttributeError):
+            s.base = np.ones(2)
+
+    @pytest.mark.parametrize("basis", [np.zeros(2), np.zeros((1, 0)), 1.0, np.zeros((1, 2, 2))])
+    def test_rejects_a_basis_that_is_not_a_matrix(self, basis):
+        with pytest.raises(HyperconvexError, match="basis must be a"):
+            Subspace(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), data=st.data())
+def test_a_subspace_serves_as_the_flat_through_the_origin(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    basis = _frame(np.random.default_rng(seed), n, k)
+    s, f = Subspace(basis), Flat(np.zeros(n), basis)
+    assert s == Subspace(basis) and f == Flat(np.zeros(n), basis) and s != f
+    np.testing.assert_array_equal(s.base, f.base)
+    np.testing.assert_array_equal(s.basis, f.basis)
+    assert translate(s, np.zeros(n)) is s
+    assert translate(s, np.ones(n)) == translate(f, np.ones(n))
 
 
 class TestAffineHull:

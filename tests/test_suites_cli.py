@@ -155,6 +155,21 @@ class TestChartCommand:
         assert np.allclose(doc["omega"], [0, 3])
         assert np.allclose(np.abs(doc["v"]["basis"]), [[1, 0]])
 
+    def test_flat_inverse_takes_a_subspace_as_its_flat_through_the_origin(self, docs, tmp_path, capsys):
+        basis = [[0.6, 0.8]]
+        outs = []
+        for name, doc in (
+            ("s.json", {"type": "subspace", "ambient_dim": 2, "basis": basis}),
+            ("f0.json", {"type": "flat", "ambient_dim": 2, "base": [0, 0], "basis": basis}),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            code, out, _ = run_cli(["chart", "flat", "--w", docs["w"], "--inverse", str(path)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["omega"] == [0.0, 0.0]
+
     def test_convex_round_trip(self, docs, tmp_path, capsys):
         body = tmp_path / "body.json"
         body.write_text(json.dumps({"type": "polytope", "ambient_dim": 2, "points": [[0, 0], [1, 0]]}))
