@@ -37,34 +37,33 @@ def _emit(obj) -> None:
 def _load_set(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     return parse_set(text)
 
 
 def _load_vector(path: str) -> np.ndarray:
+    """The numbers of a JSON file; the routine that takes them checks their
+    shape and finiteness (sets._point)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        return np.asarray(json.loads(text), dtype=float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{path} must hold a flat JSON array of finite numbers")
-    return arr
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path} must hold an array of numbers: {exc}") from exc
 
 
-def _parse_point(text: str, n: int) -> np.ndarray:
+def _parse_point(text: str) -> np.ndarray:
+    """The comma separated numbers of text; the routine that takes them
+    checks their shape and finiteness (sets._point)."""
     try:
-        values = [float(tok) for tok in text.split(",")]
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise SchemaError(f"bad point {text!r}: {exc}") from exc
-    if len(values) != n:
-        raise SchemaError(f"point has {len(values)} coordinates, the set lives in dimension {n}")
-    return np.asarray(values)
 
 
 def _interval_doc(iv) -> dict:
@@ -89,8 +88,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_project(args) -> int:
     s = _load_set(args.set)
-    x = _parse_point(args.point, s.ambient_dim)
-    point, dist = metric_projection(s, x)
+    point, dist = metric_projection(s, _parse_point(args.point))
     _emit({"point": point.tolist(), "distance": float(dist)})
     return 0
 

@@ -235,7 +235,7 @@ _CHUNK = 1 << 17
 # rows a search level may evaluate
 _LEVEL_ROWS = 1 << 16
 # Children of a level that number at most this many are halved again
-# before they are evaluated (_split_small).  A level costs about 60 us of
+# before they are evaluated (_children).  A level costs about 60 us of
 # numpy calls plus 0.2-1.5 us a row, so levels of a few rows waste their
 # fixed cost, and past a few hundred rows the deeper split evaluates
 # children that an evaluated parent would have pruned.  aw-sweep round 0 of
@@ -340,34 +340,38 @@ def _box_reach(c: np.ndarray, C: np.ndarray, h: np.ndarray, r: float, B: np.ndar
 
 @cache
 def _signs(k: int) -> np.ndarray:
-    """(2^k, k) table, row t holding +1 at the axes p where bit p of t is set
-    and -1 elsewhere; read-only, as every caller shares it."""
-    signs = 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) - 1.0
+    """(k, 2^k) table, column t holding +1 at the axes p where bit p of t is
+    set and -1 elsewhere; read-only, as every caller shares it."""
+    signs = 2.0 * ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1) - 1.0
     signs.setflags(write=False)
     return signs
 
 
-def _split(C: np.ndarray, h: np.ndarray):
-    """The 2^k children of the cubes of centers C and half-widths h, each
-    cube's center plus the rows of one sign table (_signs) times h / 2, and
-    their half-widths h / 2."""
-    signs = _signs(C.shape[1])
-    half = 0.5 * h
-    kids = C[:, None, :] + signs * half[:, None, None]
-    return kids.reshape(-1, C.shape[1]), half.repeat(signs.shape[0])
+def _split(T: np.ndarray, k: int) -> np.ndarray:
+    """The 2^k children of the cubes in the table T, one column per cube: k
+    center rows, then the half-width, then any other rows.  Each column is
+    repeated once per column of the sign table (_signs), and each copy gets
+    half its parent's half-width and its center moved by that column times
+    the new half-width; it keeps every other row of its parent."""
+    kids = T.repeat(1 << k, axis=1)
+    view = kids.reshape(T.shape[0], T.shape[1], 1 << k)
+    view[k] *= 0.5
+    view[:k] += _signs(k)[:, None] * view[k]
+    return kids
 
 
-def _split_small(C: np.ndarray, h: np.ndarray):
-    """The cubes (C, h), split (_split) again and again while their children
-    number at most _LEVEL_MIN."""
-    while C.shape[0] << C.shape[1] <= _LEVEL_MIN:
-        C, h = _split(C, h)
-    return C, h
+def _children(T: np.ndarray, k: int) -> np.ndarray:
+    """The children of the cubes in the table T (_split), split again and
+    again while they number at most _LEVEL_MIN."""
+    T = _split(T, k)
+    while T.shape[1] << k <= _LEVEL_MIN:
+        T = _split(T, k)
+    return T
 
 
-def _inside(C: np.ndarray, h: np.ndarray, r: float) -> np.ndarray:
-    """Mask of the cubes (C, h) that meet the r-ball."""
-    return _row_norms(np.maximum(np.abs(C) - h[:, None], 0.0)) <= r
+def _inside(T: np.ndarray, k: int, r: float) -> np.ndarray:
+    """Mask of the cubes in the table T (as in _split) that meet the r-ball."""
+    return _row_norms(np.maximum(np.abs(T[:k]) - T[k], 0.0).T) <= r
 
 
 def ball_sup(
@@ -416,9 +420,11 @@ def ball_sup(
     within _LEVEL_ROWS rows; the others wait with their bounds.  After the
     split every cube that misses the live ball leaves, waiting ones too
     (_inside).  Children that number at most _LEVEL_MIN are halved again
-    (_split_small), the root cube too, so the first levels of a search,
+    (_children), the root cube's too, so the first levels of a search,
     which would hold a few rows each, are one level; those children cover
     what their parents covered, so the bounds are those of any other level.
+    The cubes live in one table, a column per cube, and a child repeats its
+    parent's column, so every row the search does not rewrite passes down.
     Past 16 dimensions a cube's 2^k children overflow a level, so the search
     ends after the probes and the root cube, uncertified, as a spent budget
     ends it.  The estimate counts the rows evaluated (evals, the probes
@@ -481,43 +487,43 @@ def ball_sup(
             hi = np.minimum(hi, w[0])
         return np.minimum(lo, weight(t)), hi + widen
 
-    # the cubes (C, h) with their upper bounds U, nan until evaluated; the
-    # first `fresh` of them are the new ones.  One level splits at most
-    # `split` cubes (none past 16 dimensions).
-    C, h = _split_small(np.zeros((1, k)), np.full(1, r))
-    keep = _inside(C, h, r)
-    C, h = C[keep], h[keep]
-    U = np.full(h.size, np.nan)
-    fresh, split = h.size, _LEVEL_ROWS >> k
-    while h.size:
+    # the cubes, one column each: k center rows, the half-width, the upper
+    # bound (inf at the root).  A column per cube makes each row one
+    # contiguous vector for the split and the filters.  The first `fresh`
+    # cubes are new and hold their parents' bounds until they are
+    # evaluated.  One level splits at most `split` cubes (none past 16
+    # dimensions).
+    T = np.append(np.zeros(k), (r, np.inf))[:, None]
+    T = _children(T, k) if 1 << k <= _LEVEL_MIN else T
+    T = T[:, _inside(T, k, r)]
+    fresh, split = T.shape[1], _LEVEL_ROWS >> k
+    while T.shape[1]:
         if fresh:
-            lo, U[:fresh] = bounds(C[:fresh], h[:fresh], r)
+            lo, T[k + 1, :fresh] = bounds(T[:k, :fresh].T.copy(), T[k, :fresh], r)
             evals += fresh
             levels += 1
             lb = max(lb, float(lo.max()))
-        active = U > lb + eps
+        active = T[k + 1] > lb + eps
         if not active.all():
-            resolved = max(resolved, float(U[~active].max()))
-            C, h, U = C[active], h[active], U[active]
-            if not h.size:
+            resolved = max(resolved, float(T[k + 1, ~active].max()))
+            T = T[:, active]
+            if not T.shape[1]:
                 break
         if evals >= budget or not split:
-            return SupEstimate(lb, max(resolved, float(U.max()), lb), False, evals, levels)
+            return SupEstimate(lb, max(resolved, float(T[k + 1].max()), lb), False, evals, levels)
 
         r = live_radius()
         if r == 0:
             break
-        if h.size > split:
+        if T.shape[1] > split:
             # split the cubes of highest upper bound first; the rest wait
-            order = np.argsort(-U, kind="stable")
-            C, h, U = C[order], h[order], U[order]
-        kids, half = _split_small(*_split(C[:split], h[:split]))
-        C, h = np.concatenate([kids, C[split:]]), np.concatenate([half, h[split:]])
-        U = np.concatenate([np.full(half.size, np.nan), U[split:]])
+            T = T[:, np.argsort(-T[k + 1], kind="stable")]
+        kids = _children(T[:, :split], k)
+        T = np.concatenate((kids, T[:, split:]), axis=1)
         # drop the cubes, waiting ones too, that miss the live ball
-        keep = _inside(C, h, r)
-        fresh = int(np.count_nonzero(keep[: half.size]))
-        C, h, U = C[keep], h[keep], U[keep]
+        keep = _inside(T, k, r)
+        fresh = int(np.count_nonzero(keep[: kids.shape[1]]))
+        T = T[:, keep]
     return SupEstimate(lb, max(resolved, lb), True, evals, levels)
 
 
@@ -525,7 +531,7 @@ def ball_sup(
 # exact pieces
 
 
-def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) -> float:
+def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
     """Hausdorff distance between two polytopes.
 
     Both one-sided sups are attained at generators because the distance to
@@ -536,8 +542,8 @@ def hausdorff(a: ConvexSet, b: ConvexSet, tol: ToleranceConfig | None = None) ->
     by its Wolfe gap g to within sqrt(2 g) (see distance_evaluator), and
     the solver stops early on generators that cannot give the largest one.
     The value is the largest distance_evaluator value at the generators,
-    bit for bit.  tol is accepted for a uniform signature and unused: the
-    routes run at their own fixed tolerances.
+    bit for bit.  It takes no tolerances: the routes run at their own fixed
+    ones.
     """
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
         raise HyperconvexError("hausdorff takes polytope pairs only")

@@ -111,8 +111,8 @@ class Flat:
     def __post_init__(self) -> None:
         base = _freeze(self.base)
         basis = _freeze(self.basis)
-        if base.ndim != 1:
-            raise HyperconvexError("base must be a vector")
+        if base.ndim != 1 or base.shape[0] < 1:
+            raise HyperconvexError("base must be a non-empty vector")
         if basis.ndim != 2 or basis.shape[1] != base.shape[0]:
             raise HyperconvexError("basis must be (k, n) with n matching base")
         if basis.shape[0] > basis.shape[1]:

@@ -639,7 +639,7 @@ def _run_convex_charts(n, trials, seed, cfg, rec):
         rec.require(
             "round-trip-body",
             _payload(w=w, v=v, body=body),
-            hausdorff(body, back.body, cfg),
+            hausdorff(body, back.body),
             tau,
         )
         rec.require(
@@ -649,7 +649,7 @@ def _run_convex_charts(n, trials, seed, cfg, rec):
             0,
         )
         shadow = Polytope(lift_set(w, v, body, cfg).points @ (w.basis.T @ w.basis))
-        rec.require("section", _payload(w=w, v=v, body=body), hausdorff(shadow, body, cfg), tau)
+        rec.require("section", _payload(w=w, v=v, body=body), hausdorff(shadow, body), tau)
         rec.require(
             "base-equivariance",
             _payload(w=w, v=v, body=body),
@@ -663,11 +663,11 @@ def _run_convex_charts(n, trials, seed, cfg, rec):
         separation = max(
             gap(v, v2, cfg),
             float(np.linalg.norm(omega - omega2)),
-            hausdorff(body, body2, cfg),
+            hausdorff(body, body2),
         )
         if separation > 1e-3:
             other = chart_convex(w, ChartTriple(v2, omega2, body2), cfg)
-            moved = hausdorff(lifted, other, cfg)
+            moved = hausdorff(lifted, other)
             if moved <= 10 * tau:
                 rec.fail(
                     "injectivity",
@@ -678,7 +678,7 @@ def _run_convex_charts(n, trials, seed, cfg, rec):
         back2 = chart_convex_inv(w, lifted, cfg)
         again = chart_convex(w, back2, cfg)
         rec.require(
-            "reverse-round-trip", _payload(w=w, body=body), hausdorff(lifted, again, cfg), tau
+            "reverse-round-trip", _payload(w=w, body=body), hausdorff(lifted, again), tau
         )
 
 

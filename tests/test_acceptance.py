@@ -5,7 +5,6 @@ with its runtime, and enforces a wall-clock budget.  Run with -v to get the
 per-criterion verdict list.
 """
 
-import math
 import time
 
 import numpy as np

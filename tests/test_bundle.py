@@ -17,7 +17,6 @@ from hyperconvex import (
     hausdorff,
     lift_point,
     lift_set,
-    metric_projection,
     orthonormal_basis,
     projection_matrix,
     zero_subspace,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconvex import (
-    AWParams,
     DimensionMismatchError,
     HyperconvexError,
     Interval,

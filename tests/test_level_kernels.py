@@ -67,7 +67,8 @@ def test_cube_split_equals_the_general_split(k):
     for boxes in (1, 5, 230):
         C = rng.normal(size=(boxes, k)) * 10.0 ** rng.uniform(-3, 3, size=(boxes, 1))
         h = rng.uniform(1e-6, 2.0, boxes)
-        kids, halves = hm._split(C, h)
+        T = hm._split(np.vstack((C.T, h)), k)
+        kids, halves = T[:k].T, T[k]
         H = np.repeat(h[:, None], k, axis=1)
         ref_kids, ref_halves = _general_split(C, H, np.ones((boxes, k), dtype=bool))
         assert kids.shape == ref_kids.shape == (boxes << k, k)
@@ -79,7 +80,8 @@ def test_cube_split_keeps_cubes_within_the_axis_cap():
     # a 16-D cube's 2^16 children fill one level, the widest span a level
     # can split
     k = 16
-    kids, halves = hm._split(np.zeros((1, k)), np.full(1, 3.0))
+    T = hm._split(np.append(np.zeros(k), 3.0)[:, None], k)
+    kids, halves = T[:k].T, T[k]
     assert kids.shape[0] == 1 << k == hm._LEVEL_ROWS and (halves == 1.5).all()
     assert hm._LEVEL_ROWS >> k == 1 and hm._LEVEL_ROWS >> (k + 1) == 0
 

@@ -54,10 +54,10 @@ def _record_levels(monkeypatch):
     events = []
     real_split, real_bounds = hm._split, hm._box_bounds
 
-    def split(C, h):
-        kids, half = real_split(C, h)
-        events.append(("split", C.shape[0], kids.shape[0]))
-        return kids, half
+    def split(T, k):
+        kids = real_split(T, k)
+        events.append(("split", T.shape[1], kids.shape[1]))
+        return kids
 
     def bounds(ra, rb, X, rho=None, *args):
         if rho is not None:
@@ -149,14 +149,14 @@ def test_waiting_cubes_leave_with_the_live_ball(monkeypatch, seed):
     events = []
     real_split, real_inside = hm._split, hm._inside
 
-    def split(C, h):
-        kids, half = real_split(C, h)
-        events.append(("split", C, h, kids.shape[0]))
-        return kids, half
+    def split(T, k):
+        kids = real_split(T, k)
+        events.append(("split", T[:k].T.copy(), T[k].copy(), kids.shape[1]))
+        return kids
 
-    def inside(C, h, r):
-        events.append(("inside", C.shape[0], r))
-        return real_inside(C, h, r)
+    def inside(T, k, r):
+        events.append(("inside", T.shape[1], r))
+        return real_inside(T, k, r)
 
     monkeypatch.setattr(hm, "_split", split)
     monkeypatch.setattr(hm, "_inside", inside)

@@ -44,6 +44,11 @@ class TestConstructors:
         with pytest.raises(HyperconvexError):
             Flat(np.array([0.0, 1.0, 2.0]), np.array([[1.0, 0.0]]))
 
+    def test_flat_rejects_ambient_dimension_zero(self):
+        # as Polytope and Subspace do, and as parse_set rejects ambient_dim 0
+        with pytest.raises(HyperconvexError, match="non-empty"):
+            Flat(np.zeros(0), np.zeros((0, 0)))
+
     def test_flat_rejects_dependent_basis(self):
         with pytest.raises(HyperconvexError):
             Flat(np.zeros(2), np.array([[1.0, 0.0], [1.0, 0.0]]))

@@ -133,9 +133,21 @@ class TestProjectCommand:
         assert abs(doc["distance"] - 5.0) < 1e-7
 
     def test_wrong_width(self, docs, capsys):
+        # the width is checked once, by the routine's point check (sets._point)
         code, _, err = run_cli(["project", docs["a"], "--point", "1,2,3"], capsys)
         assert code == 2
-        assert "error" in err
+        assert err == "error: query point must have shape (2,), not (3,)\n"
+
+    @pytest.mark.parametrize("point", ["1,x", "1,,2", ""])
+    def test_bad_token(self, docs, capsys, point):
+        code, _, err = run_cli(["project", docs["a"], "--point", point], capsys)
+        assert code == 2
+        assert err.startswith("error: bad point")
+
+    def test_non_finite_point(self, docs, capsys):
+        code, _, err = run_cli(["project", docs["a"], "--point", "1,nan"], capsys)
+        assert code == 2
+        assert err == "error: query point must be finite\n"
 
 
 class TestChartCommand:
@@ -147,6 +159,51 @@ class TestChartCommand:
         doc = json.loads(out)
         assert doc["type"] == "flat"
         assert np.allclose(doc["base"], [0, 1])
+
+    @pytest.mark.parametrize("kind", ["flat", "convex"])
+    def test_wrong_width_offset(self, docs, tmp_path, capsys, kind):
+        # the width is checked once, by the chart's point check (sets._point)
+        omega = tmp_path / "omega3.json"
+        omega.write_text("[0, 1, 0]")
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"type": "polytope", "ambient_dim": 2, "points": [[0, 0], [1, 0]]}))
+        files = [docs["v"], str(omega)] + ([str(body)] if kind == "convex" else [])
+        code, _, err = run_cli(["chart", kind, "--w", docs["w"], "--forward", *files], capsys)
+        assert code == 2
+        assert err == "error: offset must have shape (2,), not (3,)\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[0, ", "is not valid JSON"),
+            ('["a", 1]', "must hold an array of numbers"),
+            ('{"a": 1}', "must hold an array of numbers"),
+            ("[[0], [1, 2]]", "must hold an array of numbers"),
+        ],
+    )
+    def test_offset_file_that_holds_no_numbers(self, docs, tmp_path, capsys, text, message):
+        omega = tmp_path / "omega.json"
+        omega.write_text(text)
+        code, _, err = run_cli(["chart", "flat", "--w", docs["w"], "--forward", docs["v"], str(omega)], capsys)
+        assert code == 2
+        assert message in err
+
+    def test_missing_offset_file(self, docs, tmp_path, capsys):
+        missing = str(tmp_path / "none.json")
+        code, _, err = run_cli(["chart", "flat", "--w", docs["w"], "--forward", docs["v"], missing], capsys)
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_files_that_are_not_utf8(self, docs, tmp_path, capsys):
+        raw = tmp_path / "raw.json"
+        raw.write_bytes(b"\xff\xfe[0, 1]")
+        for argv in (
+            ["chart", "flat", "--w", docs["w"], "--forward", docs["v"], str(raw)],
+            ["chart", "flat", "--w", str(raw), "--forward", docs["v"], docs["omega"]],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2
+            assert "cannot read" in err
 
     def test_flat_inverse(self, docs, capsys):
         code, out, _ = run_cli(["chart", "flat", "--w", docs["w"], "--inverse", docs["f"]], capsys)

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconvex import ConvergenceError, Polytope, ToleranceConfig
-from hyperconvex import projection
 from hyperconvex.projection import _ALPHA_MAX, _EPS, _corral_solve, _wolfe_cap, min_norm_point
 
 GAP_TOL = ToleranceConfig().tau_geom ** 2  # what metric_projection passes
