@@ -89,7 +89,6 @@ from .intervals import Interval
 from .projection import (
     _ROUNDING,
     _clamp_rows,
-    _residual_rows,
     _row_norms,
     flat_min_norm_point,
     nearest_point,
@@ -186,13 +185,12 @@ def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
 
 
 class _Pair:
-    """Two sets with their residual maps (projection._residual_rows), built
-    once per public call; the common span and the gap caps (_gap_caps) are
-    computed on first use."""
+    """Two sets and the tolerances of one public call; the common span and
+    the gap caps (_gap_caps) are computed on first use.  Each set keeps its
+    own residual map."""
 
     def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
         self.a, self.b, self.cfg = a, b, cfg
-        self.ra, self.rb = _residual_rows(a), _residual_rows(b)
 
     @cached_property
     def span(self):
@@ -200,7 +198,7 @@ class _Pair:
 
     @cached_property
     def caps(self):
-        return _gap_caps(self.a, self.b, self.ra, self.rb)
+        return _gap_caps(self.a, self.b)
 
 
 def _pair(
@@ -251,9 +249,9 @@ _LEVEL_ROWS = 1 << 16
 _LEVEL_MIN = 64
 
 
-def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale=None):
+def _box_bounds(a: ConvexSet, b: ConvexSet, X: np.ndarray, rho: np.ndarray | None, reach=None, scale=None):
     """(lo, hi): lo[i] <= |d_a - d_b|(x_i), and hi[i] >= |d_a - d_b|(y) at
-    every point y of the box around x_i, from the residual maps ra and rb.
+    every point y of the box around x_i, from the residual maps of a and b.
 
     The box is any set of points within rho[i] of x_i; reach(V) bounds
     max over the box of v . (y - x_i) for the direction rows v = V[..., i, :]
@@ -281,7 +279,7 @@ def _box_bounds(ra, rb, X: np.ndarray, rho: np.ndarray | None, reach=None, scale
     error alone.  Both sets' rows run side by side, stacked on a leading
     axis of two.
     """
-    (Ra, ea), (Rb, eb) = ra(X), rb(X)
+    (Ra, ea), (Rb, eb) = a._residuals(X), b._residuals(X)
     R = np.concatenate((Ra[None], Rb[None]))
     d = _row_norms(R)
     g = d[0] - d[1]
@@ -451,7 +449,7 @@ def ball_sup(
     X = Y if B is None else Y @ B
     lb = floor
     for i in range(0, Y.shape[0], _CHUNK):
-        lo, _ = _box_bounds(pair.ra, pair.rb, X[i : i + _CHUNK], None)
+        lo, _ = _box_bounds(pair.a, pair.b, X[i : i + _CHUNK], None)
         lb = max(lb, float(np.minimum(lo, weight(t[i : i + _CHUNK])).max()))
     evals, levels = Y.shape[0], 0
     resolved = -np.inf
@@ -477,7 +475,7 @@ def ball_sup(
         c, t = _clamp_rows(C, r)
         rho = h * root_k
         reach = _box_reach(c, C, h, r, B, rho)
-        lo, hi = _box_bounds(pair.ra, pair.rb, c if B is None else c @ B, rho, reach, scale + t)
+        lo, hi = _box_bounds(pair.a, pair.b, c if B is None else c @ B, rho, reach, scale + t)
         if L > 1:
             # upper bounds take the inner shell at a tie
             ends = np.ceil(np.concatenate((t - rho, t + rho)) / shell) - 1.0
@@ -536,51 +534,36 @@ def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
 
     Both one-sided sups are attained at generators because the distance to
     a convex set is convex, so the value is the largest distance of a
-    generator of one polytope to the other (_generator_hausdorff).  It is
-    exact when both polytopes take the face-enumeration route; a larger
-    polytope's distances come from the batched Wolfe solver, each certified
-    by its Wolfe gap g to within sqrt(2 g) (see distance_evaluator), and
-    the solver stops early on generators that cannot give the largest one.
-    The value is the largest distance_evaluator value at the generators,
-    bit for bit.  It takes no tolerances: the routes run at their own fixed
+    generator of one polytope to the other, from the polytopes' residual
+    maps: exact on the face-enumeration route, and on the batched Wolfe
+    route certified by each row's Wolfe gap g to within sqrt(2 g) (see
+    distance_evaluator).  Each side is a max query (_min_norm_rows) over
+    the distinct generators (unique_points): a's against b start from the
+    floor 0, and their largest distance h is the floor of b's against a.  A
+    Wolfe row whose distance bound falls below the floor stops early below
+    it, while the rows that can hold the maximum run to their end, so the
+    value is the largest distance_evaluator value at the generators, bit
+    for bit.  It takes no tolerances: the routes run at their own fixed
     ones.
     """
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
         raise HyperconvexError("hausdorff takes polytope pairs only")
     check_same_ambient(a, b)
-    return _generator_hausdorff(a, b, _residual_rows(a), _residual_rows(b))
+    h = float(np.linalg.norm(b._residuals(a.unique_points, 0.0)[0], axis=1).max())
+    return max(h, float(np.linalg.norm(a._residuals(b.unique_points, h)[0], axis=1).max()))
 
 
-def _generator_hausdorff(a: Polytope, b: Polytope, ra, rb) -> float:
-    """hausdorff(a, b) from the residual maps ra and rb of a and b.
-
-    Each side is a max query (see _min_norm_rows) over the distinct
-    generators (unique_points): a's against b start from the floor 0, and
-    their largest distance h is the floor of b's against a.  On the Wolfe
-    route a generator whose distance bound falls below the floor stops
-    early and returns a distance below it, while the rows that can hold the
-    maximum run to their end, so the value is the unpruned rows' max bit
-    for bit.
-    """
-    h = float(np.linalg.norm(rb(a.unique_points, 0.0)[0], axis=1).max())
-    return max(h, float(np.linalg.norm(ra(b.unique_points, h)[0], axis=1).max()))
-
-
-def _gap_caps(
-    a: ConvexSet, b: ConvexSet, ra=None, rb=None
-) -> tuple[float, Callable[[float], float]]:
+def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], float]]:
     """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
 
     h holds for every radius at once (inf when none is known): the Hausdorff
     distance of a polytope pair, the offset of two translate flats.  cap(r)
     holds for one radius; for flats with different directions it is the
-    offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.  A
-    polytope pair needs ra and rb, the residual maps of a and b, for its
-    Hausdorff distance.
+    offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.
     """
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if pa or pb:
-        h = _generator_hausdorff(a, b, ra, rb) if pa and pb else np.inf
+        h = hausdorff(a, b) if pa and pb else np.inf
         return h, lambda r: h
     Pa = a.basis.T @ a.basis
     Pb = b.basis.T @ b.basis

@@ -9,8 +9,9 @@ gap doubles as the certificate: the variational-inequality residual of the
 returned point is bounded by the final gap.
 
 Batched distances come from one residual map per set kind (_residual_rows),
-X -> X - P(X) with P the metric projection; distance_evaluator returns its
-row norms, and the certified ball sups read the residual directions too.
+X -> X - P(X) with P the metric projection, which each set builds on first
+use and keeps (its _residuals); distance_evaluator returns its row norms,
+and the certified ball sups read the residual directions too.
 Flats and subspaces take the closed form.  Polytopes take one of two
 routes, chosen by the number of generator subsets that face enumeration
 examines (_face_pieces), and both work through _BLOCK_ROWS rows at a time.
@@ -41,8 +42,8 @@ All routes read Polytope.unique_points.
 Non-finite points, rows of the public batch maps and contains tolerances
 raise HyperconvexError, points that are not vectors of the set's dimension
 (sets._point) and batch rows that are not a 2-D array as wide as the set's
-space DimensionMismatchError; ball_sup reads _residual_rows,
-which does not check.
+space DimensionMismatchError; ball_sup reads the sets' residual maps,
+which do not check.
 
 Ball-truncated sets (set intersected with a centered closed ball) get their
 batch distance map from one builder (_truncated_rows) for every kind: a
@@ -658,7 +659,7 @@ def _residual_rows(s: ConvexSet):
         base = s.base
 
         def r_flat(X: np.ndarray, floor=None):
-            Xc = np.atleast_2d(X) - base
+            Xc = X - base
             return Xc - Xc @ P, None
 
         return r_flat
@@ -667,7 +668,7 @@ def _residual_rows(s: ConvexSet):
         cap = _wolfe_cap(pts)
 
         def r_wolfe(X: np.ndarray, floor=None):
-            W, gaps = _min_norm_rows(pts, np.atleast_2d(X), 1e-18, cap, floor)
+            W, gaps = _min_norm_rows(pts, X, 1e-18, cap, floor)
             return -W, np.sqrt(2.0 * gaps)
 
         return r_wolfe
@@ -676,7 +677,6 @@ def _residual_rows(s: ConvexSet):
     K = offR.size // n
 
     def r_poly(X: np.ndarray, floor=None):
-        X = np.atleast_2d(X)
         R = np.empty(X.shape)
         for start in range(0, X.shape[0], _BLOCK_ROWS):
             Y = X[start : start + _BLOCK_ROWS] - c
@@ -702,7 +702,8 @@ def _residual_rows(s: ConvexSet):
 
 def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     """Batch map X (rows) -> d(x_i, set), the row norms of the set's
-    residual map (_residual_rows).
+    residual map (_residual_rows), which the set builds on first use and
+    keeps.
 
     Flats, subspaces and polytopes with at most _ENUM_MAX_PIECES face pieces
     are exact per point; such a polytope evaluates all its face pieces at
@@ -713,7 +714,7 @@ def distance_evaluator(s: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
     rows raise HyperconvexError, rows that are not a 2-D array as wide as
     the ambient space DimensionMismatchError.
     """
-    residuals = _residual_rows(s)
+    residuals = s._residuals
     return lambda X: np.linalg.norm(residuals(_finite_rows(s, X))[0], axis=1)
 
 
@@ -793,7 +794,7 @@ def _truncated_rows(
                 w = _ball_cut_point(project, x, p0, y, radius, tol) - x
             return math.sqrt(w @ w)
 
-        return lambda X: np.array([row(x) for x in np.atleast_2d(X)], dtype=float)
+        return lambda X: np.array([row(x) for x in X], dtype=float)
     p = flat_min_norm_point(s)
     nu = float(np.linalg.norm(p))
     if nu > radius + cfg.tau_geom:
@@ -804,7 +805,6 @@ def _truncated_rows(
     P = s.basis.T @ s.basis
 
     def f_flat(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
         V = (X - p) @ P
         return np.linalg.norm(X - (p + _clamp_rows(V, rho)[0]), axis=1)
 

@@ -17,7 +17,8 @@ sets are equal when they are of the same class and hold the same data: a
 polytope's distinct generators (``unique_points``, deduplicated on first
 use, not at construction, and kept out of serialization), a flat's base
 and basis.  Sets are not hashable.  ``_point`` is the one check of a point
-argument: a finite float vector of the ambient dimension.
+argument: a finite float vector of the ambient dimension.  A set builds
+its batch residual map (``_residuals``) on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -63,8 +64,23 @@ def _check_orthonormal_rows(basis: np.ndarray, tau: float) -> None:
         )
 
 
+class _Kernel:
+    """Keeps a set's batch residual map (projection._residual_rows, which
+    picks the route), built on first use; the map takes no tolerances, and
+    pickles and copies leave it out, as a closure does not pickle."""
+
+    @cached_property
+    def _residuals(self):
+        from .projection import _residual_rows  # projection imports sets
+
+        return _residual_rows(self)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_residuals"}
+
+
 @dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_Kernel):
     """Convex hull of the rows of ``points`` (shape (m, n), m >= 1)."""
 
     points: np.ndarray
@@ -102,7 +118,7 @@ class Polytope:
 
 
 @dataclass(frozen=True, eq=False)
-class Flat:
+class Flat(_Kernel):
     """Affine subspace ``base + span(basis rows)``; basis rows orthonormal."""
 
     base: np.ndarray

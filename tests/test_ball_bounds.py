@@ -141,7 +141,7 @@ def test_box_bound_covers_dense_samples(seed, kinds, n, log_size):
     half = rng.uniform(0.1, 1.0, size=n) * radius * 10.0**log_size
     c = projection._clamp_rows(center[None, :], radius)[0]
     rho = np.array([np.linalg.norm(half)])
-    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho)
+    lo, hi = _box_bounds(a, b, c, rho)
     g_c = float(_gap(a, b, c)[0])
     assert lo[0] <= g_c + 1e-9
     # the bound covers every point within rho of the clamped center, so
@@ -159,10 +159,10 @@ def test_box_bound_is_second_order_away_from_the_sets():
     b = Flat(np.array([0.0, 0.0, 0.05]), np.array([[np.cos(0.05), np.sin(0.05), 0.0]]))
     c = np.array([[0.0, 0.0, 3.0]])
     rho = np.array([0.01])
-    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho)
+    lo, hi = _box_bounds(a, b, c, rho)
     assert hi[0] - lo[0] < 0.1 * 2 * rho[0]
     # and on both sets (d = 0) each side keeps its Lipschitz slack rho
-    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), np.zeros((1, 3)), rho)
+    lo, hi = _box_bounds(a, b, np.zeros((1, 3)), rho)
     assert hi[0] - lo[0] == pytest.approx(rho[0])
 
 
@@ -220,7 +220,7 @@ def test_directional_box_bound_covers_dense_samples(seed, kinds, n, log_size, wh
         C = _in_ball(rng, n, boxes, 1.2 * radius)
     c = projection._clamp_rows(C, radius)[0]
     reach = hm._box_reach(c, C, h, radius, None, rho)
-    lo, hi = _box_bounds(_residual_rows(a), _residual_rows(b), c, rho, reach)
+    lo, hi = _box_bounds(a, b, c, rho, reach)
     assert (lo <= _gap(a, b, c) + 1e-9).all()
     # the reach bounds v . (y - c) over the cube and the ball for any v, and
     # the bound covers the gap, at samples of both
@@ -359,9 +359,9 @@ def test_levels_stay_within_the_row_cap(monkeypatch):
     rows = []
     real = hm._box_bounds
 
-    def recording(ra, rb, X, *args):
+    def recording(a, b, X, *args):
         rows.append(X.shape[0])
-        return real(ra, rb, X, *args)
+        return real(a, b, X, *args)
 
     monkeypatch.setattr(hm, "_box_bounds", recording)
     est = hm.ball_sup(pair, 1.0, 1e-2, budget=100_000)
@@ -538,42 +538,6 @@ def test_cycling_pair_gap_is_computed():
     a, b = Polytope(CYCLE_OTHER), Polytope(CYCLE_PTS)
     iv = sup_distance_gap(a, b, 1.0, 1e-2)
     assert iv.width <= 1e-2
-
-
-# ---------------------------------------------------------------------------
-# residual maps built per call
-
-
-ORIGIN_PAIRS = {
-    "subspaces": (Subspace(np.array([[1.0, 0.0]])), Subspace(np.array([[0.6, 0.8]]))),
-    "polytopes": (
-        Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])),
-        Polytope(np.array([[-1.1, -1.1], [2.2, 0.0], [0.0, 3.3]])),
-    ),
-    "mixed": (Subspace(np.array([[0.6, 0.8]])), Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]]))),
-}
-
-
-@pytest.mark.parametrize("pair", sorted(ORIGIN_PAIRS))
-def test_each_call_builds_two_residual_maps(monkeypatch, pair):
-    a, b = ORIGIN_PAIRS[pair]
-    built = []
-    real = hm._residual_rows
-
-    def counting(s):
-        built.append(s)
-        return real(s)
-
-    monkeypatch.setattr(hm, "_residual_rows", counting)
-    for call in (
-        lambda: hm.aw_origin(a, b, AWParams(eps_sup=1e-2)),
-        lambda: attouch_wets(a, b, AWParams(eps_sup=1e-2)),
-        lambda: hm.truncated_hausdorff(a, b, 5.0, eps=1e-2),
-        lambda: sup_distance_gap(a, b, 2.0, 1e-2),
-    ):
-        built.clear()
-        call()
-        assert len(built) == 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -117,12 +117,12 @@ def test_rows_keep_their_ancestors_columns(monkeypatch, k, seed):
     real_bounds = hm._box_bounds
     levels = []
 
-    def bounds(ra, rb, X, rho=None, *args):
+    def bounds(a, b, X, rho=None, *args):
         if rho is not None:
             # a level evaluates the children in the live ball, no other cube
             assert X.shape[0] == seen["fresh"]
             levels.append(X.shape[0])
-        return real_bounds(ra, rb, X, rho, *args)
+        return real_bounds(a, b, X, rho, *args)
 
     monkeypatch.setattr(hm, "_split", split)
     monkeypatch.setattr(hm, "_inside", inside)

@@ -156,7 +156,7 @@ def test_floor_carries_across_blocks():
 def test_ball_sup_reads_every_row(seed, n):
     A, B = _pair(seed, n, ("wolfe", "wolfe"), "disjoint", 0.0)
     a, b = Polytope(0.3 * A), Polytope(0.3 * B)
-    real_rows, real_sup = hm._residual_rows, hm.ball_sup
+    real_rows, real_sup = projection._residual_rows, hm.ball_sup
     calls, inside = [], []
 
     def rows(s):
@@ -176,7 +176,7 @@ def test_ball_sup_reads_every_row(seed, n):
             inside.pop()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hm, "_residual_rows", rows)
+        mp.setattr(projection, "_residual_rows", rows)
         mp.setattr(hm, "ball_sup", sup)
         sup_distance_gap(a, b, 1.0, eps=0.05, budget=20_000)
     assert any(within for within, _ in calls)

@@ -59,10 +59,10 @@ def _record_levels(monkeypatch):
         events.append(("split", T.shape[1], kids.shape[1]))
         return kids
 
-    def bounds(ra, rb, X, rho=None, *args):
+    def bounds(a, b, X, rho=None, *args):
         if rho is not None:
             events.append(("level", X.shape[0]))
-        return real_bounds(ra, rb, X, rho, *args)
+        return real_bounds(a, b, X, rho, *args)
 
     monkeypatch.setattr(hm, "_split", split)
     monkeypatch.setattr(hm, "_box_bounds", bounds)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hyperconvex.hypermetrics as hm
 import hyperconvex.projection as projection
 from hyperconvex import (
     AWParams,
@@ -24,6 +23,8 @@ from hyperconvex import (
     attouch_wets,
     aw_origin,
     distance_evaluator,
+    hausdorff,
+    sup_distance_gap,
     truncated_distance_evaluator,
     truncated_hausdorff,
 )
@@ -147,12 +148,26 @@ def test_line_against_polytope_truncated_hausdorff_bounds_sampled_distances(r):
 
 
 # ---------------------------------------------------------------------------
-# residual-map builds per call
+# residual-map builds
 
 
-def _count_builds(monkeypatch):
+# each call gives fresh sets, which hold no residual map yet
+ORIGIN_PAIRS = {
+    "subspaces": lambda: (span((1, 0)), span((1, 1))),
+    "flats": lambda: (
+        Flat(np.array([0.0, 5e-10]), np.array([[1.0, 0.0]])),
+        Flat(np.array([3e-10, 0.0]), np.array([[0.0, 1.0]])),
+    ),
+    "polytopes": lambda: (poly((-1, -1), (2, 0), (0, 3)), poly((-1.1, -1.1), (2.2, 0), (0, 3.3))),
+    "mixed": lambda: (span((1, 2)), poly((-1, -1), (2, 0), (0, 3))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ORIGIN_PAIRS))
+def test_each_set_builds_one_residual_map_and_no_truncation(monkeypatch, pair):
+    a, b = ORIGIN_PAIRS[pair]()
     built = []
-    real = hm._residual_rows
+    real = projection._residual_rows
 
     def counting(s):
         built.append(s)
@@ -161,32 +176,19 @@ def _count_builds(monkeypatch):
     def no_truncation(*args, **kwargs):
         raise AssertionError("a truncated distance map was built")
 
-    monkeypatch.setattr(hm, "_residual_rows", counting)
+    monkeypatch.setattr(projection, "_residual_rows", counting)
     monkeypatch.setattr(projection, "_truncated_rows", no_truncation)
-    return built
-
-
-ORIGIN_PAIRS = {
-    "subspaces": (span((1, 0)), span((1, 1))),
-    "flats": (
-        Flat(np.array([0.0, 5e-10]), np.array([[1.0, 0.0]])),
-        Flat(np.array([3e-10, 0.0]), np.array([[0.0, 1.0]])),
-    ),
-    "polytopes": (poly((-1, -1), (2, 0), (0, 3)), poly((-1.1, -1.1), (2.2, 0), (0, 3.3))),
-    "mixed": (span((1, 2)), poly((-1, -1), (2, 0), (0, 3))),
-}
-
-
-@pytest.mark.parametrize("pair", sorted(ORIGIN_PAIRS))
-def test_each_call_builds_two_evaluators_and_no_truncation(monkeypatch, pair):
-    a, b = ORIGIN_PAIRS[pair]
-    built = _count_builds(monkeypatch)
-    aw_origin(a, b, AWParams(eps_sup=1e-2))  # the width does not change the builds
-    assert len(built) == 2
+    aw_origin(a, b, AWParams(eps_sup=1e-2))
+    attouch_wets(a, b, AWParams(eps_sup=1e-2))
     for r in (1.0, 5.0):
-        built.clear()
         truncated_hausdorff(a, b, r, eps=1e-2)
-        assert len(built) == 2
+    sup_distance_gap(a, b, 2.0, 1e-2)
+    for s in (a, b):
+        distance_evaluator(s)
+    if pair == "polytopes":
+        hausdorff(a, b)
+    # the sets' own maps, each built once across all the calls
+    assert sorted(map(id, built)) == sorted(map(id, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_truncated_hausdorff_rejects_non_positive_eps(eps):
 def test_origin_checks_take_the_callers_tolerances(monkeypatch):
     # with an explicit config, a malformed HYPERCONVEX_TOL is never read
     monkeypatch.setenv("HYPERCONVEX_TOL", "oops")
-    a, b = ORIGIN_PAIRS["polytopes"]
+    a, b = ORIGIN_PAIRS["polytopes"]()
     cfg = ToleranceConfig()
     assert truncated_hausdorff(a, b, 2.0, eps=1e-2, tol=cfg).certified
     assert aw_origin(a, b, AWParams(eps_sup=1e-2), tol=cfg).certified

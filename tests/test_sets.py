@@ -1,5 +1,8 @@
 """Set representations: constructors, hulls, dimension, Minkowski sums."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,10 @@ from hyperconvex import (
     affine_hull,
     attouch_wets,
     dimension,
+    distance_evaluator,
     gap,
     minkowski_sum,
+    serialize_set,
     translate,
     zero_subspace,
 )
@@ -280,3 +285,29 @@ def test_unique_points_are_the_rows_np_unique_gives(seed, m, n, values):
     # zero stands for both is not fixed by np.unique either
     np.testing.assert_array_equal(u, np.unique(pts, axis=0))
     assert not u.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the residual map a set keeps
+
+
+KEEPERS = {
+    "polytope": lambda: poly((0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 1)),
+    "wolfe polytope": lambda: Polytope(np.random.default_rng(3).normal(size=(12, 3))),
+    "flat": lambda: flat((1, 2, 3), (1, 1, 0)),
+    "subspace": lambda: span((1, 1, 0), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEEPERS))
+def test_sets_pickle_and_copy_once_their_map_is_built(kind):
+    s = KEEPERS[kind]()
+    doc = serialize_set(s)
+    X = np.random.default_rng(4).normal(size=(40, 3))
+    d = distance_evaluator(s)(X)
+    assert "_residuals" in vars(s)  # built and kept
+    assert serialize_set(s) == doc
+    for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert type(t) is type(s) and t == s
+        assert distance_evaluator(t)(X).tobytes() == d.tobytes()
+        assert serialize_set(t) == doc
