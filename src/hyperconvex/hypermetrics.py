@@ -65,9 +65,10 @@ facts keep the tree small:
   lb is known, the shells whose weights cannot beat lb + eps leave the
   search, which shrinks the ball to radius ceil(1/(lb + eps)) - 1 or less.
 
-The first lower bound comes from one deterministic probe set (_probes): the
-unit directions of both sets' data on a ladder of radii, their points and
-the origin, so the same pair always searches the same tree.
+The first lower bound comes from one deterministic probe set (_probes), so
+the same pair always searches the same tree, in two stages: the sets'
+points and the origin, then those unit directions of both sets' data on a
+ladder of radii whose shell weights exceed the bound the first stage left.
 
 Every interval returned encloses the true value.  certified=False marks a
 width request missed because an evaluation budget ran out.  The enclosure
@@ -394,8 +395,10 @@ def ball_sup(
     when none is known) gives the plain sup of the gap; unit shells with
     c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  floor is
     a known lower bound of the result; the estimate then encloses the max
-    of floor and the sup.  The search starts from the probe rows (default
-    _probes), which only raise the lower bound.
+    of floor and the sup.  The search starts from the probe rows, which only
+    raise the lower bound: rows passed as probes at once, by default those
+    of _probes in two stages, the data rows and then the ladder rows whose
+    weights, which cap their scores, exceed the lower bound they leave.
 
     The search runs over the ball of S, the pair's common span: for sets
     inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
@@ -426,7 +429,7 @@ def ball_sup(
     Past 16 dimensions a cube's 2^k children overflow a level, so the search
     ends after the probes and the root cube, uncertified, as a spent budget
     ends it.  The estimate counts the rows evaluated (evals, the probes
-    included) and the levels.
+    evaluated included) and the levels.
     """
     B, w0, w1 = pair.span
     k = pair.a.ambient_dim if B is None else B.shape[0]
@@ -440,19 +443,22 @@ def ball_sup(
 
     def weight(t: np.ndarray):
         # lower bounds take the outer shell at a tie
-        return w[np.minimum(t // shell, L - 1).astype(int)] if L > 1 else w[0]
+        return w[np.minimum(t // shell, L - 1).astype(int)] if L > 1 else np.full(t.shape, w[0])
 
     Y = _probes(pair.a, pair.b, radius) if probes is None else probes
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
     Y, t = _clamp_rows(Y, radius)
-    X = Y if B is None else Y @ B
-    lb = floor
-    for i in range(0, Y.shape[0], _CHUNK):
-        lo, _ = _box_bounds(pair.a, pair.b, X[i : i + _CHUNK], None)
-        lb = max(lb, float(np.minimum(lo, weight(t[i : i + _CHUNK])).max()))
-    evals, levels = Y.shape[0], 0
-    resolved = -np.inf
+    X, top = (Y if B is None else Y @ B), weight(t)
+    lb, evals, levels, resolved = floor, 0, 0, -np.inf
+
+    def probe(X: np.ndarray, top: np.ndarray) -> None:
+        # raise lb by the rows X, whose scores are capped at top
+        nonlocal lb, evals
+        for i in range(0, X.shape[0], _CHUNK):
+            lo, _ = _box_bounds(pair.a, pair.b, X[i : i + _CHUNK], None)
+            lb = max(lb, float(np.minimum(lo, top[i : i + _CHUNK]).max()))
+        evals += X.shape[0]
 
     def live_radius() -> float:
         # the shells whose weights can beat lb + eps are a prefix, as tail
@@ -463,6 +469,13 @@ def ball_sup(
             resolved = max(resolved, float(tail[live]))
         return live * shell
 
+    # the data rows of _probes (its last) first, then the ladder rows whose
+    # weights exceed the lower bound they leave; rows passed as probes at once
+    ladder = Y.shape[0] - 1 - sum(_rows(s)[0].shape[0] for s in (pair.a, pair.b)) if probes is None else 0
+    probe(X[ladder:], top[ladder:])
+    if ladder and tail[0] > lb:
+        keep = top[:ladder] > lb
+        probe(X[:ladder][keep], top[:ladder][keep])
     r = live_radius()
     if r == 0:
         return SupEstimate(lb, max(resolved, lb), True, evals, levels)
@@ -586,7 +599,8 @@ def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
     """The rows a ball_sup search starts from: plus and minus the unit
     directions of the pair's data at the _LADDER radii below radius and at
     radius, each 1e-12 inside its sphere so that it scores in the shell
-    that sphere closes, then the P rows of both sets and the origin.
+    that sphere closes, then the P rows of both sets and the origin, the
+    data rows, which ball_sup evaluates first (see there).
 
     The data are the P and L rows of both sets (_rows), and the differences
     P_a - P_b when neither set has L rows.  The ladder stays because the

@@ -17,9 +17,9 @@ routes, chosen by the number of generator subsets that face enumeration
 examines (_face_pieces), and both work through _BLOCK_ROWS rows at a time.
 Up to _ENUM_MAX_PIECES pieces they enumerate every candidate face, exact
 per point: the affine maps of all pieces are packed side by side
-(_polytope_pieces), so a block costs two matrix products and one
-elementwise pass per slot and coordinate over all pieces.  Above it they
-run the same Wolfe scheme on the rows of a block in lockstep
+(_polytope_pieces), so a block costs one matrix product, one min over the
+slots and one einsum over all pieces.  Above it they run the same Wolfe
+scheme on the rows of a block in lockstep
 (_min_norm_rows), certified by each row's Wolfe gap; a max query (hausdorff)
 gives it a floor, below which rows stop early.  A lockstep pass costs about
 0.1 ms at one row and 0.2-0.4 ms at 64, mostly numpy's per-call overhead,
@@ -228,7 +228,7 @@ def min_norm_point(points: np.ndarray, gap_tol: float, max_iter: int):
 
 # Rows evaluated together by both polytope kernels, however many rows the
 # caller passes: _min_norm_rows' arrays hold about _BLOCK_ROWS * m * n
-# floats, and face enumeration's _BLOCK_ROWS * K * (kmax + n) for K pieces
+# floats, and face enumeration's _BLOCK_ROWS * K * (kmax + 1 + n) for K pieces
 # of up to kmax coordinates.
 _BLOCK_ROWS = 1024
 
@@ -517,10 +517,12 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     in that order, which gives the same bits without reducing a short axis:
     a (2000, 3) stack took 12 us against norm's 47, a (4, 2000, 3) stack 43
     against 181 (best of 7, one core of a 2-vCPU Xeon VM, numpy 2.4.6).
-    Longer axes make the one add.reduce call that norm makes.
+    Longer axes make the one add.reduce call that norm makes, and so do up
+    to 64 k rows of k > 1 columns, whose planes cost more calls than the
+    reduction does (a (2, 3, 3) stack: 4.5 against 1.9 us).
     """
     k = X.shape[-1]
-    if not 0 < k < 8:
+    if not 0 < k < 8 or (k > 1 and X.size <= 64 * k * k):
         return np.sqrt(np.add.reduce(X * X, axis=-1))
     s = X[..., 0] * X[..., 0]
     for j in range(1, k):
@@ -561,23 +563,24 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 # Face pieces above which distance_evaluator runs _min_norm_rows instead of
 # enumerating faces.  Enumeration builds its pieces once per evaluator and
 # then pays per row and piece; the batched solver pays per row and Wolfe
-# iteration.  Per-row cost of the stacked face kernel against the batched
-# solver (each row started on an edge, _wolfe_seed) at 1k, 4k and 16k rows,
-# then a build plus one 64-row call, on one Xeon core with OpenBLAS on one
-# thread (two runs on a shared 2-vCPU VM, rows 1.5 N(0, I) around
-# N(0, I) generators):
-#   n3m4 (11 pieces)  0.5-0.7 vs 1.0-1.1 us   0.21-0.22 vs 0.30-0.31 ms
-#   n2m5 (20)         0.5-0.8 vs 1.4-2.2 us   0.18-0.29 vs 0.48-0.75 ms
-#   n3m5 (25)         1.0-1.7 vs 1.7-2.7 us   0.27      vs 0.41-0.42 ms
-#   n2m6 (35)         0.9-1.4 vs 1.2-1.3 us   0.22-0.23 vs 0.32-0.35 ms
-#   n3m6 (50)         1.8-2.4 vs 2.3-2.6 us   0.34      vs 0.55-0.57 ms
-#   n2m7 (56)         1.3-2.3 vs 1.1-1.4 us   0.28-0.44 vs 0.34-0.41 ms
-#   n4m8 (210)        8.6-12  vs 3.3-5.0 us   1.18-1.23 vs 0.93      ms
-# The switch was set at 25 against the per-piece loop this kernel replaced;
-# the stacked kernel still wins a build plus 64 rows up to 56 pieces and
-# per row up to 50, but a higher switch moves polytope-batch's n3m6 cells
-# to another route and wants its own measurement.  It also keeps a block's
-# _BLOCK_ROWS * K * (kmax + n) floats small: 0.3 GB at n6m12 (3289 pieces).
+# iteration.  Per-row cost of the one-product face kernel against the
+# batched solver (each row started on an edge, _wolfe_seed) at 1k, 4k and
+# 16k rows, then a build plus one 64-row call, on one Xeon core with
+# OpenBLAS on one thread (two runs on a shared 2-vCPU VM, rows 1.5 N(0, I)
+# around N(0, I) generators):
+#   n3m4 (11 pieces)  0.2-0.4 vs 1.1-1.2 us   0.21      vs 0.21      ms
+#   n2m5 (20)         0.2-0.5 vs 1.0-1.1 us   0.18      vs 0.32-0.34 ms
+#   n3m5 (25)         0.4-0.8 vs 1.5-1.6 us   0.24-0.26 vs 0.53-0.55 ms
+#   n2m6 (35)         0.4-0.7 vs 1.2-1.3 us   0.21-0.22 vs 0.34-0.40 ms
+#   n3m6 (50)         0.7-1.4 vs 2.2-2.9 us   0.33-0.35 vs 0.77-0.79 ms
+#   n2m7 (56)         0.6-0.8 vs 1.3-1.5 us   0.27      vs 0.35-0.36 ms
+#   n4m8 (210)        3.4-4.5 vs 3.5-3.9 us   1.15-1.16 vs 0.79-1.22 ms
+# The switch was set at 25 against the per-piece loop an earlier kernel
+# replaced; this kernel wins per row and a build plus 64 rows up to 56
+# pieces and is level per row at 210, but a higher switch moves
+# polytope-batch's n3m6 cells to another route and wants its own
+# measurement.  It also keeps a block's
+# _BLOCK_ROWS * K * (kmax + 1 + n) floats small: 0.35 GB at n6m12 (3289 pieces).
 _ENUM_MAX_PIECES = 25
 
 
@@ -599,10 +602,11 @@ def _polytope_pieces(pts: np.ndarray):
     E = I - D M.  The generators come first, as pieces with no coordinates,
     so the nearest generator wins every tie.
 
-    Returns (c, Mcat, offU, Pcat, offR), with c = pts[0] the anchor, for
-    all K pieces at once: for Y = X - c, Y @ Mcat - offU holds the
-    coordinates (zero past a piece's own k slots) and Y @ Pcat - offR the
-    residuals.  Column j K + i is slot (or coordinate) j of piece i.
+    Returns (c, A), with c = pts[0] the anchor, for all K pieces at once:
+    A has one (n + 1, K) plane per slot, and ([X - c, 1] @ A)[j, :, i] is
+    slot j of piece i: its kmax coordinates (zero past its own k), then 1
+    minus their sum, then its n residual coordinates.  A plane's first n
+    rows are the linear parts, its last the offsets.
     """
     m, n = pts.shape
     c, kmax = pts[0], min(m - 1, n)
@@ -622,11 +626,12 @@ def _polytope_pieces(pts: np.ndarray):
         off.append(P0[keep] - c)
         M.append(Mk)
         E.append(np.eye(n) - u @ u.transpose(0, 2, 1))
-    M, E, off = np.concatenate(M), np.concatenate(E), np.concatenate(off)
-    # (K, slots, n) -> (n, slots * K): column j K + i is row j of piece i
-    pack = lambda A: A.transpose(2, 1, 0).reshape(n, -1)
-    shift = lambda A: np.einsum("ijl,il->ji", A, off).reshape(-1)
-    return c, pack(M), shift(M), pack(E), shift(E)
+    M, E = np.concatenate(M), np.concatenate(E)
+    # (K, slots, n): the coordinates, 1 - their sum, the residual
+    lin = np.concatenate((M, -M.sum(axis=1, keepdims=True), E), axis=1)
+    shift = np.einsum("ijl,il->ji", lin, np.concatenate(off))
+    shift[kmax] -= 1.0
+    return c, np.concatenate((lin.transpose(1, 2, 0), -shift[:, None]), axis=1)
 
 
 def _residual_rows(s: ConvexSet):
@@ -644,13 +649,13 @@ def _residual_rows(s: ConvexSet):
 
     Flats and subspaces take the closed form.  Polytopes with at most
     _ENUM_MAX_PIECES face pieces enumerate candidate faces, exact per point
-    and independent of the Wolfe solver: _BLOCK_ROWS rows at a time, two
-    matrix products give every piece's coordinates and residual, a piece
-    with a coordinate or 1 - (their sum) below -1e-12 is dropped, and R is
-    the residual of the nearest piece left.  Larger polytopes run
-    _min_norm_rows, whose min-norm point w of conv(p_i - x) is -R; a row's
-    Wolfe gap g at exit puts w within sqrt(2 g) of the exact one
-    (|w - w*|^2 <= |w*|^2 - |w|^2 + 2 g <= 2 g), and g is at most
+    and independent of the Wolfe solver: _BLOCK_ROWS rows at a time, one
+    product [X - c, 1] @ A gives every piece's coordinates, 1 - (their
+    sum) and residual, a piece with any of the first below -1e-12 is
+    dropped, and R is the residual of the nearest piece left.  Larger
+    polytopes run _min_norm_rows, whose min-norm point w of conv(p_i - x)
+    is -R; a row's Wolfe gap g at exit puts w within sqrt(2 g) of the exact
+    one (|w - w*|^2 <= |w*|^2 - |w|^2 + 2 g <= 2 g), and g is at most
     64 eps max(1, max_i |p_i - x|^2) unless the solver stalls at rounding
     level.
     """
@@ -672,29 +677,23 @@ def _residual_rows(s: ConvexSet):
             return -W, np.sqrt(2.0 * gaps)
 
         return r_wolfe
-    c, Mcat, offU, Pcat, offR = _polytope_pieces(pts)
+    c, A = _polytope_pieces(pts)
     n = pts.shape[1]
-    K = offR.size // n
 
     def r_poly(X: np.ndarray, floor=None):
+        # [X - c, 1] and a spare row: a one-row block takes two, as numpy
+        # multiplies one row by BLAS gemv, which sums in another order
+        Y = np.empty((X.shape[0] + 1, n + 1))
+        np.subtract(X, c, out=Y[:-1, :n])
+        Y[:, n] = Y[-1] = 1.0
         R = np.empty(X.shape)
         for start in range(0, X.shape[0], _BLOCK_ROWS):
-            Y = X[start : start + _BLOCK_ROWS] - c
-            rows = np.arange(Y.shape[0])
-            # one (rows, K) plane per slot and per coordinate: numpy reduces
-            # a short trailing axis far slower than it adds planes
-            U = (Y @ Mcat - offU).reshape(rows.size, -1, K)
-            Rp = (Y @ Pcat - offR).reshape(rows.size, n, K)
-            lam0 = np.ones((rows.size, K))
-            feas = np.ones(lam0.shape, dtype=bool)
-            for j in range(U.shape[1]):
-                feas &= U[:, j] >= -1e-12
-                lam0 -= U[:, j]
-            d2 = Rp[:, 0] * Rp[:, 0]
-            for j in range(1, n):
-                d2 += Rp[:, j] * Rp[:, j]
-            d2[~(feas & (lam0 >= -1e-12))] = np.inf
-            R[start : start + rows.size] = Rp[rows, :, d2.argmin(axis=1)]
+            rows = min(_BLOCK_ROWS, X.shape[0] - start)
+            # (slots, rows, pieces): numpy reduces over whole planes fast
+            Z = (Y[start : start + max(rows, 2)] @ A)[:, :rows]
+            d2 = np.einsum("jik,jik->ik", Z[-n:], Z[-n:])
+            d2[np.minimum.reduce(Z[:-n]) < -1e-12] = np.inf
+            R[start : start + rows] = Z[-n:, np.arange(rows), d2.argmin(axis=1)].T
         return R, None
 
     return r_poly

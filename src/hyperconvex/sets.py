@@ -67,7 +67,9 @@ def _check_orthonormal_rows(basis: np.ndarray, tau: float) -> None:
 class _Kernel:
     """Keeps a set's batch residual map (projection._residual_rows, which
     picks the route), built on first use; the map takes no tolerances, and
-    pickles and copies leave it out, as a closure does not pickle."""
+    pickles and copies leave it out, as a closure does not pickle.  They
+    get their arrays back read-only, as the map and unique_points rest on
+    the data staying as it was."""
 
     @cached_property
     def _residuals(self):
@@ -77,6 +79,12 @@ class _Kernel:
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_residuals"}
+
+    def __setstate__(self, state):
+        for v in state.values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,9 +16,11 @@ from hyperconvex.projection import (
     _affine_minimizer_rows,
     _face_pieces,
     _min_norm_rows,
+    _polytope_pieces,
     _residual_rows,
     min_norm_point,
 )
+import hyperconvex.projection as projection
 
 from conftest import grid_distance
 
@@ -117,10 +119,10 @@ def test_row_alone_equals_row_in_batch(n, m, rng):
         ref = [np.linalg.norm(min_norm_point(pts - X[i], 1e-18, cap)[0]) for i in picks]
         np.testing.assert_allclose(d[picks], ref, rtol=0, atol=1e-12)
     else:
+        # enumeration multiplies a one-row block as two rows, so a row
+        # alone takes the same product as in a block: bit for bit
         alone = np.concatenate([f(X[i]) for i in picks])
-        # enumeration multiplies the whole block at once, and BLAS may
-        # round a one-row product differently
-        np.testing.assert_allclose(alone, d[picks], rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(alone, d[picks])
 
 
 def _residuals_by_piece(pts, X):
@@ -193,6 +195,83 @@ def test_stacked_kernel_matches_the_loop_over_pieces(shape, kind, rows, scale, s
     # two pieces whose distances tie to rounding can trade places; their
     # points of the hull then lie within sqrt(4 d tol) of each other
     # (|x - y|^2 is strongly convex in y)
+    assert (np.linalg.norm(R - ref, axis=1) <= tol + 2.0 * np.sqrt(d_ref * tol)).all()
+
+
+def _two_product_rows(pts, X):
+    """The face kernel as it was before one product: the coordinates and
+    residuals of every piece from two products, Y @ Mcat - offU and
+    Y @ Pcat - offR, and loops over slots and coordinates.  Mcat, Pcat and
+    the offsets are read back out of the packed pieces."""
+    m, n = pts.shape
+    c, A = _polytope_pieces(pts)
+    kmax, K = min(m - 1, n), A.shape[2]
+    # (n, slots * K), column j K + i slot j of piece i, and the offsets
+    pack = lambda P: P[:, :n].transpose(1, 0, 2).reshape(n, -1)
+    Mcat, offU = pack(A[:kmax]), -A[:kmax, n].reshape(-1)
+    Pcat, offR = pack(A[kmax + 1 :]), -A[kmax + 1 :, n].reshape(-1)
+    Y = X - c
+    rows = np.arange(Y.shape[0])
+    U = (Y @ Mcat - offU).reshape(rows.size, -1, K)
+    Rp = (Y @ Pcat - offR).reshape(rows.size, n, K)
+    lam0 = np.ones((rows.size, K))
+    feas = np.ones(lam0.shape, dtype=bool)
+    for j in range(U.shape[1]):
+        feas &= U[:, j] >= -1e-12
+        lam0 -= U[:, j]
+    d2 = Rp[:, 0] * Rp[:, 0]
+    for j in range(1, n):
+        d2 += Rp[:, j] * Rp[:, j]
+    d2[~(feas & (lam0 >= -1e-12))] = np.inf
+    return Rp[rows, :, d2.argmin(axis=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 8),
+    kind=st.sampled_from(["general", "duplicates", "collinear"]),
+    rows=st.sampled_from([2, 3, 17, 60, _BLOCK_ROWS + 2]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_product_kernel_matches_the_two_product_kernel(n, m, kind, rows, scale, seed):
+    # every shape up to n4m8 (218 pieces), the kernel forced past the route
+    # switch too.  At least two rows, as numpy multiplies one row by BLAS
+    # gemv, which sums in another order (the kernel pads a one-row block to
+    # two; see test_row_alone_equals_row_in_batch).
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, n))
+    if kind == "duplicates":
+        pts = pts[rng.integers(0, max(1, m // 2 + 1), size=m)]
+    elif kind == "collinear":
+        pts = rng.normal(size=(m, 1)) @ rng.normal(size=(1, n))
+    pts = np.unique(scale * (pts + rng.normal(size=n)), axis=0)
+    outside = pts.mean(axis=0) + 2.0 * scale * rng.normal(size=(rows, n))
+    X = np.stack([
+        rng.dirichlet(np.ones(pts.shape[0]), size=rows) @ pts,  # inside
+        outside - _two_product_rows(pts, outside),  # on the boundary
+        pts[rng.integers(0, pts.shape[0], size=rows)],  # at generators
+        outside,
+    ], axis=1).reshape(-1, n)[:rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_ENUM_MAX_PIECES", 10**9)
+        R, err = _residual_rows(Polytope(pts))(X)
+    ref = _two_product_rows(pts, X)
+    assert err is None
+    if _face_pieces(*pts.shape) <= _ENUM_MAX_PIECES:
+        # the shapes the kernel serves: a row may take another piece only
+        # where the squared distances tie exactly
+        other = (np.vectorize(float.hex)(R) != np.vectorize(float.hex)(ref)).any(axis=1)
+        assert ((R[other] ** 2).sum(axis=1) == (ref[other] ** 2).sum(axis=1)).all()
+        return
+    # past the switch the products are wide, and BLAS rounds the last few
+    # columns of a wide product apart from the rest: a piece's residual can
+    # then move by rounding, and pieces that tie to rounding trade places,
+    # as in test_stacked_kernel_matches_the_loop_over_pieces
+    tol = 1e-12 * max(1.0, float(np.abs(pts).max()), float(np.abs(X).max()))
+    d_ref = np.linalg.norm(ref, axis=1)
+    np.testing.assert_allclose(np.linalg.norm(R, axis=1), d_ref, rtol=0, atol=tol)
     assert (np.linalg.norm(R - ref, axis=1) <= tol + 2.0 * np.sqrt(d_ref * tol)).all()
 
 

@@ -43,7 +43,8 @@ def _norm_inputs(rng, k):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_row_norms_equal_numpy_norm_bit_for_bit(k):
-    # k < 8 takes the plane-by-plane sum, k >= 8 the one reduce call
+    # 1 < k < 8 takes the plane-by-plane sum past 64 k rows (k = 1 always),
+    # k >= 8 and smaller stacks the one reduce call
     rng = np.random.default_rng(k)
     for X in _norm_inputs(rng, k):
         for Y in (X, np.asfortranarray(X)):

@@ -311,3 +311,22 @@ def test_sets_pickle_and_copy_once_their_map_is_built(kind):
         assert type(t) is type(s) and t == s
         assert distance_evaluator(t)(X).tobytes() == d.tobytes()
         assert serialize_set(t) == doc
+
+
+@pytest.mark.parametrize("kind", ["polytope", "flat", "subspace"])
+@pytest.mark.parametrize("built", [False, True])
+def test_pickles_and_copies_keep_their_arrays_read_only(kind, built):
+    # a polytope before and after its unique_points and map exist, a flat
+    # and a subspace: a copy's arrays are as read-only as the original's
+    s = KEEPERS[kind]()
+    if built:
+        distance_evaluator(s)(np.zeros((2, 3)))
+        assert "_residuals" in vars(s)
+    for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == {"polytope": 1 + built, "flat": 2, "subspace": 2}[kind]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        assert t == s
