@@ -16,9 +16,9 @@ Flats and subspaces take the closed form.  Polytopes take one of two
 routes, chosen by the number of generator subsets that face enumeration
 examines (_face_pieces), and both work through _BLOCK_ROWS rows at a time.
 Up to _ENUM_MAX_PIECES pieces they enumerate every candidate face, exact
-per point: the affine maps of all pieces are packed side by side
-(_polytope_pieces), so a block costs one matrix product, one min over the
-slots and one einsum over all pieces.  Above it they run the same Wolfe
+per point: one stacked SVD packs the affine maps of all pieces side by
+side (_polytope_pieces), so a block costs one matrix product, one min over
+the slots and one einsum over all pieces.  Above it they run the same Wolfe
 scheme on the rows of a block in lockstep
 (_min_norm_rows), certified by each row's Wolfe gap; a max query (hausdorff)
 gives it a floor, below which rows stop early.  A lockstep pass costs about
@@ -565,19 +565,19 @@ def truncated_distance(s: ConvexSet, x, L: float, tol: ToleranceConfig | None = 
 # then pays per row and piece; the batched solver pays per row and Wolfe
 # iteration.  Per-row cost of the one-product face kernel against the
 # batched solver (each row started on an edge, _wolfe_seed) at 1k, 4k and
-# 16k rows, then a build plus one 64-row call, on one Xeon core with
-# OpenBLAS on one thread (two runs on a shared 2-vCPU VM, rows 1.5 N(0, I)
-# around N(0, I) generators):
-#   n3m4 (11 pieces)  0.2-0.4 vs 1.1-1.2 us   0.21      vs 0.21      ms
-#   n2m5 (20)         0.2-0.5 vs 1.0-1.1 us   0.18      vs 0.32-0.34 ms
-#   n3m5 (25)         0.4-0.8 vs 1.5-1.6 us   0.24-0.26 vs 0.53-0.55 ms
-#   n2m6 (35)         0.4-0.7 vs 1.2-1.3 us   0.21-0.22 vs 0.34-0.40 ms
-#   n3m6 (50)         0.7-1.4 vs 2.2-2.9 us   0.33-0.35 vs 0.77-0.79 ms
-#   n2m7 (56)         0.6-0.8 vs 1.3-1.5 us   0.27      vs 0.35-0.36 ms
-#   n4m8 (210)        3.4-4.5 vs 3.5-3.9 us   1.15-1.16 vs 0.79-1.22 ms
+# 16k rows, then a build (_residual_rows) plus one 64-row call, on one Xeon
+# core with OpenBLAS on one thread (two runs on a shared 2-vCPU VM, rows
+# 1.5 N(0, I) around N(0, I) generators):
+#   n3m4 (11 pieces)  0.2-0.4 vs 1.2-2.0 us   0.10-0.20 vs 0.30      ms
+#   n2m5 (20)         0.2-0.5 vs 1.0-1.6 us   0.11-0.21 vs 0.34-0.46 ms
+#   n3m5 (25)         0.5-0.9 vs 2.0-3.1 us   0.14-0.22 vs 0.59-0.78 ms
+#   n2m6 (35)         0.3-0.7 vs 1.3-1.5 us   0.14      vs 0.30-0.33 ms
+#   n3m6 (50)         0.6-1.2 vs 1.4-1.8 us   0.21-0.22 vs 0.51-0.54 ms
+#   n2m7 (56)         0.6-0.8 vs 1.6-2.0 us   0.18-0.19 vs 0.51-0.63 ms
+#   n4m8 (210)        3.9-5.9 vs 3.0-3.2 us   0.94-0.97 vs 0.58-0.61 ms
 # The switch was set at 25 against the per-piece loop an earlier kernel
 # replaced; this kernel wins per row and a build plus 64 rows up to 56
-# pieces and is level per row at 210, but a higher switch moves
+# pieces and loses both at 210, but a higher switch moves
 # polytope-batch's n3m6 cells to another route and wants its own
 # measurement.  It also keeps a block's
 # _BLOCK_ROWS * K * (kmax + 1 + n) floats small: 0.35 GB at n6m12 (3289 pieces).
@@ -589,6 +589,30 @@ def _face_pieces(m: int, n: int) -> int:
     return sum(math.comb(m, s) for s in range(2, min(m, n + 1) + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _piece_table(m: int, n: int):
+    """The generator subsets _polytope_pieces examines for m points in R^n,
+    cached per (m, n) and read-only: (idx, low, own).  Row i of idx holds
+    subset i padded to kmax + 1 indices with its first: the generators
+    alone, then the subsets of 2 to kmax + 1 points, each size in
+    itertools.combinations order.  For the subsets of two or more points,
+    own[i, j] marks slot j below the subset's rank (its points less one)
+    and low indexes its smallest own singular value in a (subsets, kmax)
+    stack.
+    """
+    kmax = min(m - 1, n)
+    rows = [(i,) * (kmax + 1) for i in range(m)]
+    for size in range(2, kmax + 2):
+        rows += [s + s[:1] * (kmax + 1 - size) for s in itertools.combinations(range(m), size)]
+    idx = np.array(rows, dtype=np.intp)
+    rank = (idx[m:, 1:] != idx[m:, :1]).sum(axis=1)
+    own = np.arange(kmax) < rank[:, None]
+    low = (np.arange(rank.size), rank - 1)
+    for a in (idx, own, *low):
+        a.flags.writeable = False
+    return idx, low, own
+
+
 def _polytope_pieces(pts: np.ndarray):
     """The affine pieces of every face candidate, packed for _residual_rows.
 
@@ -597,41 +621,48 @@ def _polytope_pieces(pts: np.ndarray):
     barycentric coordinates are all nonnegative: the minimal face containing
     the true projection contributes exactly d(x, hull), every other feasible
     subset yields a point inside the hull and so cannot undercut it.  A
-    subset p_0, .., p_k with D = [p_1 - p_0, .., p_k - p_0] gives the piece
-    with coordinates M (x - p_0), M = pinv(D), and residual E (x - p_0),
-    E = I - D M.  The generators come first, as pieces with no coordinates,
+    subset p_0, .., p_k with difference rows D^T = U S V^T gives the piece
+    with coordinates M (x - p_0), M = pinv(D) = U S^-1 V^T, and residual
+    E (x - p_0), E = I - V V^T, unless its smallest singular value is at
+    most 1e-12 max(1, largest).  One SVD factors all of _piece_table's
+    subsets, padded with zero rows and read over their own rank (none for
+    one point).  The generators come first, as pieces with no coordinates,
     so the nearest generator wins every tie.
 
     Returns (c, A), with c = pts[0] the anchor, for all K pieces at once:
-    A has one (n + 1, K) plane per slot, and ([X - c, 1] @ A)[j, :, i] is
-    slot j of piece i: its kmax coordinates (zero past its own k), then 1
-    minus their sum, then its n residual coordinates.  A plane's first n
-    rows are the linear parts, its last the offsets.
+    A is C-contiguous, one (n + 1, K) plane per slot, and ([X - c, 1] @ A)
+    [j, :, i] is slot j of piece i: its kmax coordinates (zero past its own
+    k), then 1 minus their sum, then its n residual coordinates.  A plane's
+    first n rows are the linear parts, its last the offsets.
     """
     m, n = pts.shape
     c, kmax = pts[0], min(m - 1, n)
-    off, M, E = [pts - c], [np.zeros((m, kmax, n))], [np.broadcast_to(np.eye(n), (m, n, n))]
-    for size in range(2, kmax + 2):
-        # every subset of this size at once: one stacked SVD
-        idx = np.array(list(itertools.combinations(range(m), size)))
-        P0 = pts[idx[:, 0]]
-        D = (pts[idx[:, 1:]] - P0[:, None, :]).transpose(0, 2, 1)  # (subsets, n, size-1)
-        u, sv, vt = np.linalg.svd(D, full_matrices=False)
-        keep = ~(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0))
-        u, sv, vt = u[keep], sv[keep], vt[keep]
-        # M = pinv(D) = V S^-1 U^T and D M = U U^T; the rank cut keeps every
-        # singular value above pinv's cutoff
-        Mk = np.zeros((u.shape[0], kmax, n))
-        Mk[:, : size - 1] = (vt.transpose(0, 2, 1) / sv[:, None, :]) @ u.transpose(0, 2, 1)
-        off.append(P0[keep] - c)
-        M.append(Mk)
-        E.append(np.eye(n) - u @ u.transpose(0, 2, 1))
-    M, E = np.concatenate(M), np.concatenate(E)
-    # (K, slots, n): the coordinates, 1 - their sum, the residual
-    lin = np.concatenate((M, -M.sum(axis=1, keepdims=True), E), axis=1)
-    shift = np.einsum("ijl,il->ji", lin, np.concatenate(off))
-    shift[kmax] -= 1.0
-    return c, np.concatenate((lin.transpose(1, 2, 0), -shift[:, None]), axis=1)
+    idx, low, own = _piece_table(m, n)
+    P = pts[idx]  # (subsets, kmax + 1, n)
+    if kmax:
+        U, S, Vt = np.linalg.svd(P[m:, 1:] - P[m:, :1], full_matrices=False)
+        keep = ~(S[low] <= 1e-12 * np.maximum(S[:, 0], 1.0))
+        if not keep.all():
+            U, S, Vt, own = U[keep], S[keep], Vt[keep], own[keep]
+            P = np.concatenate((P[:m], P[m:][keep]))
+    A = np.zeros((kmax + 1 + n, n + 1, P.shape[0]))
+    A[kmax + 1 :, :n, :m] = np.eye(n)[:, :, None]  # a generator's residual is x - p
+    if kmax:
+        # lin = G @ V^T stacks M, -(the sum of M's rows) and V V^T, each
+        # over the subset's own rank
+        G = np.empty((S.shape[0], kmax + 1 + n, kmax))
+        inv = np.divide(1.0, S, out=np.zeros(S.shape), where=own)
+        np.multiply(U * own[:, :, None], inv[:, None, :], out=G[:, :kmax])
+        np.negative(G[:, :kmax].sum(axis=1), out=G[:, kmax])
+        np.multiply(Vt.transpose(0, 2, 1), own[:, None, :], out=G[:, kmax + 1 :])
+        lin = G @ Vt
+        np.subtract(np.eye(n), lin[:, kmax + 1 :], out=lin[:, kmax + 1 :])
+        A[:, :n, m:] = lin.transpose(1, 2, 0)
+    # the offsets: -(each slot's linear part at p_0 - c), and 1 for 1 - sum
+    np.einsum("jli,il->ji", A[:, :n], P[:, 0] - c, out=A[:, n])
+    np.negative(A[:, n], out=A[:, n])
+    A[kmax, n] += 1.0
+    return c, A
 
 
 def _residual_rows(s: ConvexSet):
@@ -664,6 +695,8 @@ def _residual_rows(s: ConvexSet):
         base = s.base
 
         def r_flat(X: np.ndarray, floor=None):
+            if X.shape[0] == 1:  # a one-row block takes two, as in r_poly
+                return r_flat(np.concatenate((X, X)))[0][:1], None
             Xc = X - base
             return Xc - Xc @ P, None
 

@@ -6,10 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperconvex import ConvergenceError, Polytope, distance_evaluator, hausdorff, metric_projection
+from hyperconvex import (
+    ConvergenceError,
+    Flat,
+    Polytope,
+    Subspace,
+    distance_evaluator,
+    hausdorff,
+    metric_projection,
+)
 from hyperconvex.projection import (
     _ENUM_MAX_PIECES,
     _BLOCK_ROWS,
@@ -123,6 +131,13 @@ def test_row_alone_equals_row_in_batch(n, m, rng):
         # alone takes the same product as in a block: bit for bit
         alone = np.concatenate([f(X[i]) for i in picks])
         np.testing.assert_array_equal(alone, d[picks])
+    # so do the flat and subspace maps, for every dimension of the direction
+    for k in range(n + 1):
+        B = np.linalg.qr(rng.normal(size=(n, n)))[0][:k]
+        for s in [Flat(rng.normal(size=n), B)] + ([Subspace(B)] if k else []):
+            f = distance_evaluator(s)
+            alone = np.concatenate([f(X[i]) for i in picks])
+            np.testing.assert_array_equal(alone, f(X)[picks])
 
 
 def _residuals_by_piece(pts, X):
@@ -273,6 +288,139 @@ def test_one_product_kernel_matches_the_two_product_kernel(n, m, kind, rows, sca
     d_ref = np.linalg.norm(ref, axis=1)
     np.testing.assert_allclose(np.linalg.norm(R, axis=1), d_ref, rtol=0, atol=tol)
     assert (np.linalg.norm(R - ref, axis=1) <= tol + 2.0 * np.sqrt(d_ref * tol)).all()
+
+
+def _per_size_pieces(pts):
+    """_polytope_pieces as it was before one stacked pass, one SVD of the
+    (subsets, n, size - 1) difference columns per subset size and
+    concatenations after, the reference for the stacked builder.  Returns
+    (c, A, subsets, low, cut): every subset examined, in order, and for
+    each its smallest singular value and its rank cut (generators: inf and
+    0); A holds the pieces of the subsets with low above the cut."""
+    m, n = pts.shape
+    c, kmax = pts[0], min(m - 1, n)
+    off, M, E = [pts - c], [np.zeros((m, kmax, n))], [np.broadcast_to(np.eye(n), (m, n, n))]
+    subsets, low, cut = [(i,) for i in range(m)], [np.full(m, np.inf)], [np.zeros(m)]
+    for size in range(2, kmax + 2):
+        idx = np.array(list(itertools.combinations(range(m), size)))
+        P0 = pts[idx[:, 0]]
+        D = (pts[idx[:, 1:]] - P0[:, None, :]).transpose(0, 2, 1)
+        u, sv, vt = np.linalg.svd(D, full_matrices=False)
+        subsets += map(tuple, idx.tolist())
+        low.append(sv[:, -1])
+        cut.append(1e-12 * np.maximum(sv[:, 0], 1.0))
+        keep = ~(sv[:, -1] <= cut[-1])
+        u, sv, vt = u[keep], sv[keep], vt[keep]
+        Mk = np.zeros((u.shape[0], kmax, n))
+        Mk[:, : size - 1] = (vt.transpose(0, 2, 1) / sv[:, None, :]) @ u.transpose(0, 2, 1)
+        off.append(P0[keep] - c)
+        M.append(Mk)
+        E.append(np.eye(n) - u @ u.transpose(0, 2, 1))
+    M, E = np.concatenate(M), np.concatenate(E)
+    lin = np.concatenate((M, -M.sum(axis=1, keepdims=True), E), axis=1)
+    shift = np.einsum("ijl,il->ji", lin, np.concatenate(off))
+    shift[kmax] -= 1.0
+    A = np.concatenate((lin.transpose(1, 2, 0), -shift[:, None]), axis=1)
+    return c, A, subsets, np.concatenate(low), np.concatenate(cut)
+
+
+@settings(max_examples=80, deadline=None)
+@example(n=3, m=1, kind="general", scale=1.0, seed=0)  # kmax = 0: no SVD
+@example(n=4, m=8, kind="general", scale=1e8, seed=0)  # 218 pieces
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 8),
+    kind=st.sampled_from(["general", "duplicates", "collinear", "coplanar", "thin"]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_builder_matches_the_per_size_builder(n, m, kind, scale, seed):
+    # every shape up to n4m8 (218 pieces), on both sides of the route
+    # switch: the builder does not read it
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":
+        pts = rng.normal(size=(m, n))
+        pts = pts[rng.integers(0, max(1, m // 2 + 1), size=m)]
+    else:
+        rank = {"general": n, "collinear": 1, "coplanar": min(2, n), "thin": max(1, n - 1)}[kind]
+        pts = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        if kind == "thin":  # about 1e-11 off a hyperplane: subsets near the rank cut
+            pts += 10.0 ** rng.uniform(-12.5, -10.5) * rng.normal(size=(m, n))
+    pts = np.unique(scale * (pts + rng.normal(size=n)), axis=0)  # as Polytope.unique_points
+    m = pts.shape[0]
+    kmax = min(m - 1, n)
+    own = projection._piece_table(m, n)[2]
+    past = ~(own[:, :, None] & own[:, None, :])
+    svd, spectra = np.linalg.svd, []
+
+    def one_svd(a, *args, junk=False, **kwargs):
+        if not a.size:
+            raise np.linalg.LinAlgError("empty stack")  # as numpy 1.24 may
+        U, S, Vt = svd(a, *args, **kwargs)
+        spectra.append(S)
+        if junk:
+            # the triplets past a subset's own rank are arbitrary, or zero
+            # up to rounding: the builder must not read them
+            U, S, Vt = U.copy(), S.copy(), Vt.copy()
+            U[past] = rng.normal(size=past.sum())
+            S[~own] = rng.uniform(1.0, 2.0, size=(~own).sum())
+            Vt[~own] = rng.normal(size=((~own).sum(), n))
+        return U, S, Vt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", lambda *args, **kwargs: one_svd(*args, junk=True, **kwargs))
+        A_junk = _polytope_pieces(pts)[1]
+        mp.setattr(np.linalg, "svd", one_svd)
+        c, A = _polytope_pieces(pts)
+    assert A_junk.tobytes() == A.tobytes()
+    c_ref, A_ref, subsets, low, cut = _per_size_pieces(pts)
+    assert c.tobytes() == c_ref.tobytes()
+    assert A.flags.c_contiguous and A.shape[:2] == A_ref.shape[:2]
+    # one SVD in each of the two builds, none for one point; the table
+    # lists the subsets the per-size builder examines, in its order,
+    # padded with the first
+    assert len(spectra) == (2 if kmax else 0)
+    idx, at_low, _ = projection._piece_table(m, n)
+    assert [tuple(dict.fromkeys(row)) for row in idx.tolist()] == subsets
+    kept_ref = ~(low <= cut)
+    kept = kept_ref.copy()
+    if kmax:
+        S = spectra[1]
+        kept[m:] = ~(S[at_low] <= 1e-12 * np.maximum(S[:, 0], 1.0))
+    assert A.shape[2] == kept.sum() and A_ref.shape[2] == kept_ref.sum()
+    # a subset may flip only where its smallest singular value lies within
+    # the SVD's rounding, a few ulps of the largest, of the cut
+    flip = kept != kept_ref
+    assert (abs(low - cut)[flip] <= 8 * np.finfo(float).eps * (cut / 1e-12)[flip]).all()
+    # the pieces both keep, in order, agree to 1e-12 of the data scale,
+    # times the condition number of the subset: the linear parts of the
+    # coordinates in units of 1 / scale, the offsets of the residual in
+    # units of scale
+    both = kept & kept_ref
+    ours, ref = A[:, :, both[kept]], A_ref[:, :, both[kept_ref]]
+    units = np.ones(A.shape[:2] + (1,))
+    units[: kmax + 1, :n] = scale
+    units[kmax + 1 :, n] = 1.0 / scale
+    kappa = np.ones(len(subsets))
+    for i in np.flatnonzero(both[m:]) + m:
+        s = np.linalg.svd((pts[list(subsets[i][1:])] - pts[subsets[i][0]]).T, compute_uv=False)
+        kappa[i] = s[0] / s[-1]
+    size = np.maximum(1.0, abs(ref * units).max(axis=(0, 1), initial=0.0))
+    err = abs((ours - ref) * units).max(axis=(0, 1), initial=0.0)
+    assert (err <= 1e-12 * kappa[both] * size).all()
+
+
+def test_wolfe_route_builds_no_piece_table(monkeypatch, rng):
+    # n12m32 would examine 8.1e8 subsets: its table would not fit in memory
+    assert _face_pieces(32, 12) > _ENUM_MAX_PIECES
+
+    def no_table(m, n):
+        raise AssertionError(f"piece table built for m={m}, n={n}")
+
+    monkeypatch.setattr(projection, "_piece_table", no_table)
+    pts = rng.normal(size=(32, 12))
+    d = distance_evaluator(Polytope(pts))(rng.normal(size=(3, 12)))
+    assert d.shape == (3,)
 
 
 @pytest.mark.parametrize("n,m", [(3, 4), (3, 5), (4, 17)])
