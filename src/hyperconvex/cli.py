@@ -19,15 +19,13 @@ import numpy as np
 from .bundle import ChartTriple, chart_convex, chart_convex_inv
 from .config import default_tolerances
 from .errors import HyperconvexError, SchemaError
-from .generators import random_instance
+from .generators import _KINDS, random_instance
 from .grassmann import chart_flat, chart_flat_inv, gap
 from .hypermetrics import AWParams, attouch_wets, aw_origin, hausdorff
 from .projection import metric_projection
 from .serialization import parse_set, serialize_set
 from .sets import Flat, Polytope, Subspace
 from .suites import SUITE_NAMES, run_suite
-
-_GENERATOR_KINDS = ("gaussian-polytope", "uniform-subspace", "random-flat")
 
 
 def _emit(obj) -> None:
@@ -205,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(fn=_cmd_verify)
 
     gen = sub.add_parser("gen", help="emit a random set document")
-    gen.add_argument("--kind", required=True, choices=list(_GENERATOR_KINDS))
+    gen.add_argument("--kind", required=True, choices=list(_KINDS))
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--k", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)

@@ -7,7 +7,9 @@ import numpy as np
 from .errors import HyperconvexError
 from .sets import ConvexSet, Flat, Polytope, Subspace, dimension, zero_subspace
 
-_KIND_TAG = {"gaussian-polytope": 1, "uniform-subspace": 2, "random-flat": 3}
+# the order is part of every draw: random_instance keys its stream by a
+# kind's position, and the verify suites pick kinds by index
+_KINDS = ("gaussian-polytope", "uniform-subspace", "random-flat")
 
 
 def _uniform_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
@@ -26,11 +28,11 @@ def random_instance(kind: str, n: int, k: int, seed: int) -> ConvexSet:
     invariant k-dimensional subspace; random-flat: uniform subspace with a
     Gaussian offset.
     """
-    if kind not in _KIND_TAG:
+    if kind not in _KINDS:
         raise HyperconvexError(f"unknown generator kind {kind!r}")
     if not (isinstance(n, int) and isinstance(k, int)) or not 0 <= k <= n or n < 1:
         raise HyperconvexError("need integer dims with 0 <= k <= n and n >= 1")
-    rng = np.random.default_rng([_KIND_TAG[kind], n, k, seed & 0x7FFFFFFF])
+    rng = np.random.default_rng([_KINDS.index(kind) + 1, n, k, seed & 0x7FFFFFFF])
     if kind == "uniform-subspace":
         return _uniform_subspace(n, k, rng)
     if kind == "random-flat":

@@ -54,7 +54,7 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     return Subspace(vh[v.dim:])
 
 
-def gap(v: Subspace, w: Subspace, tol: ToleranceConfig | None = None) -> float:
+def gap(v: Subspace, w: Subspace) -> float:
     """Gap distance max(||(I-P_V) P_W||, ||(I-P_W) P_V||), in [0, 1].
 
     Dimensions may differ; unequal dimensions force a gap of 1.

@@ -89,10 +89,10 @@ def adversarial_independence_check(
     """
     t0 = time.perf_counter()
     pts = _family(points)
-    if not delta > 0:
-        raise HyperconvexError("delta must be positive")
-    if trials < 0:
-        raise HyperconvexError("trials must be nonnegative")
+    if not 0.0 < delta < math.inf:
+        raise HyperconvexError("delta must be positive and finite")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise HyperconvexError("trials must be a nonnegative integer")
     k = pts.shape[0] - 1
     report = Report(suite="independence-adversarial", trials=trials, seed=seed)
     if trials == 0 or k == 0:

@@ -20,6 +20,7 @@ from hyperconvex import (
     HyperconvexError,
     Polytope,
     Subspace,
+    adversarial_independence_check,
     attouch_wets,
     barycentric_coordinates,
     chart_flat,
@@ -197,3 +198,20 @@ def test_aw_params_reject_a_non_finite_budget(budget):
 def test_aw_params_take_integer_j_caps():
     assert AWParams(j_cap=np.int64(3)).j_cap == 3
     assert AWParams(j_cap=1, budget=1000).budget == 1000
+
+
+@pytest.mark.parametrize(
+    "delta, trials, message",
+    [
+        (np.inf, 10, "delta must be positive and finite"),
+        (NAN, 10, "delta must be positive and finite"),
+        (0.1, 2.5, "trials must be a nonnegative integer"),
+        (0.1, True, "trials must be a nonnegative integer"),
+    ],
+)
+def test_adversarial_independence_check_rejects_a_bad_delta_or_trial_count(delta, trials, message):
+    # delta = inf used to fail inside numpy's SVD after a RuntimeWarning,
+    # trials = 2.5 in numpy's TypeError, and trials = True ran one trial
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(HyperconvexError, match=message):
+        adversarial_independence_check(triangle, delta, trials, 0)

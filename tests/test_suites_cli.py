@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from hyperconvex import SUITE_NAMES, HyperconvexError, Report, run_suite
-from hyperconvex import cli
+from hyperconvex import SUITE_NAMES, HyperconvexError, Report, ToleranceConfig, run_suite
+from hyperconvex import cli, suites
 
 
 FAST_DIMS = {
@@ -63,6 +63,51 @@ class TestRunSuite:
 
     def test_all_is_a_known_name(self):
         assert set(FAST_DIMS) == set(SUITE_NAMES) - {"all"}
+
+
+# a geometric tolerance that every trial of these suites breaks, so their
+# reports hold real failure records
+TINY = ToleranceConfig(tau_geom=1e-300)
+FAILING_AT_TINY = ["projection-laws", "gap-complement", "independence", "simplex-stability"]
+
+
+@pytest.fixture
+def every_check_fails(monkeypatch):
+    # record every required check as a failure, so that every check's inputs
+    # are serialized; no check's control flow reads what require returns
+    def require(self, check, residual, threshold, /, **inputs):
+        self.fail(check, residual, threshold, **inputs)
+
+    monkeypatch.setattr(suites._Recorder, "require", require)
+
+
+class TestTrialDriver:
+    @pytest.mark.parametrize("trials", [0, 3])
+    def test_convex_charts_rejects_dimension_one_before_any_trial(self, trials):
+        with pytest.raises(HyperconvexError, match="at least 2"):
+            run_suite("convex-charts", 1, trials, 0)
+
+    @pytest.mark.parametrize("name", FAILING_AT_TINY)
+    def test_failures_of_fewer_trials_are_a_prefix(self, name):
+        short = run_suite(name, 3, 3, 1, TINY).failures
+        long = run_suite(name, 3, 5, 1, TINY).failures
+        assert 0 < len(short) < len(long)
+        assert long[: len(short)] == short
+        assert json.loads(json.dumps(long)) == long
+
+    def test_all_tags_each_suites_failures(self, every_check_fails):
+        report = run_suite("all", 2, 2, 9)
+        names = SUITE_NAMES[:-1]
+        parts = [{"suite": name, **f} for name in names for f in run_suite(name, 2, 2, 9).failures]
+        assert report.failures == parts
+        # gap-sandwich calls only fail, on a real violation
+        assert {f["suite"] for f in parts} == set(names) - {"gap-sandwich"}
+
+    def test_every_record_serializes_with_its_inputs(self, every_check_fails):
+        for record in run_suite("all", 3, 2, 9).failures:
+            assert list(record) == ["suite", "check", "inputs", "residual", "threshold"]
+            assert record["inputs"]
+            assert json.loads(json.dumps(record)) == record
 
 
 def run_cli(argv, capsys):
