@@ -23,8 +23,7 @@ from .generators import _KINDS, random_instance
 from .grassmann import chart_flat, chart_flat_inv, gap
 from .hypermetrics import AWParams, attouch_wets, aw_origin, hausdorff
 from .projection import metric_projection
-from .serialization import parse_set, serialize_set
-from .sets import Flat, Polytope, Subspace
+from .serialization import _TYPES, parse_set, serialize_set
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -32,21 +31,27 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _load_set(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return parse_set(text)
+
+
+def _load_set(path: str, kind: str | None = None):
+    """The set in the document at path.  Given a document type, the CLI's
+    one kind check: a set not of that type's class (a subspace is a flat)
+    is a SchemaError that names the file and the type."""
+    s = parse_set(_read(path))
+    if kind is not None and not isinstance(s, _TYPES[kind][0]):
+        raise SchemaError(f"{path} must hold a {kind} document")
+    return s
 
 
 def _load_vector(path: str) -> np.ndarray:
     """The numbers of a JSON file; the routine that takes them checks their
     shape and finiteness (sets._point)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    text = _read(path)
     try:
         return np.asarray(json.loads(text), dtype=float)
     except json.JSONDecodeError as exc:
@@ -69,13 +74,12 @@ def _interval_doc(iv) -> dict:
 
 
 def _cmd_dist(args) -> int:
-    a = _load_set(args.a)
-    b = _load_set(args.b)
+    kind = "subspace" if args.metric == "gap" else None
+    a = _load_set(args.a, kind)
+    b = _load_set(args.b, kind)
     if args.metric == "hausdorff":
         _emit(float(hausdorff(a, b)))
     elif args.metric == "gap":
-        if not (isinstance(a, Subspace) and isinstance(b, Subspace)):
-            raise SchemaError("the gap metric needs two subspace documents")
         _emit(float(gap(a, b)))
     else:
         params = AWParams(eps_sup=args.eps)
@@ -92,20 +96,13 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_chart(args) -> int:
-    w = _load_set(args.w)
-    if not isinstance(w, Subspace):
-        raise SchemaError("--w must name a subspace document")
+    w = _load_set(args.w, "subspace")
     if args.inverse is not None:
-        target = _load_set(args.inverse)
         if args.kind == "flat":
-            if not isinstance(target, Flat):
-                raise SchemaError("chart flat --inverse needs a flat document")
-            v, omega = chart_flat_inv(w, target)
+            v, omega = chart_flat_inv(w, _load_set(args.inverse, "flat"))
             _emit({"v": serialize_set(v), "omega": omega.tolist()})
         else:
-            if not isinstance(target, Polytope):
-                raise SchemaError("chart convex --inverse needs a polytope document")
-            triple = chart_convex_inv(w, target)
+            triple = chart_convex_inv(w, _load_set(args.inverse, "polytope"))
             _emit(
                 {
                     "v": serialize_set(triple.direction),
@@ -119,16 +116,12 @@ def _cmd_chart(args) -> int:
         raise SchemaError(
             f"chart {args.kind} --forward takes {expected} files, got {len(args.forward)}"
         )
-    v = _load_set(args.forward[0])
-    if not isinstance(v, Subspace):
-        raise SchemaError("the first --forward file must be a subspace document")
+    v = _load_set(args.forward[0], "subspace")
     omega = _load_vector(args.forward[1])
     if args.kind == "flat":
         _emit(serialize_set(chart_flat(w, v, omega)))
     else:
-        body = _load_set(args.forward[2])
-        if not isinstance(body, Polytope):
-            raise SchemaError("the third --forward file must be a polytope document")
+        body = _load_set(args.forward[2], "polytope")
         _emit(serialize_set(chart_convex(w, ChartTriple(v, omega, body))))
     return 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HyperconvexError
-from .sets import ConvexSet, Flat, Polytope, Subspace, dimension, zero_subspace
+from .sets import ConvexSet, Flat, Polytope, Subspace, _integer, dimension, zero_subspace
 
 # the order is part of every draw: random_instance keys its stream by a
 # kind's position, and the verify suites pick kinds by index
@@ -30,8 +30,10 @@ def random_instance(kind: str, n: int, k: int, seed: int) -> ConvexSet:
     """
     if kind not in _KINDS:
         raise HyperconvexError(f"unknown generator kind {kind!r}")
-    if not (isinstance(n, int) and isinstance(k, int)) or not 0 <= k <= n or n < 1:
+    if not (_integer(n) and _integer(k)) or not 0 <= k <= n or n < 1:
         raise HyperconvexError("need integer dims with 0 <= k <= n and n >= 1")
+    if not _integer(seed):
+        raise HyperconvexError("seed must be an integer")
     rng = np.random.default_rng([_KINDS.index(kind) + 1, n, k, seed & 0x7FFFFFFF])
     if kind == "uniform-subspace":
         return _uniform_subspace(n, k, rng)

@@ -17,7 +17,7 @@ from .errors import ChartDomainError, DimensionMismatchError, HyperconvexError
 from .intervals import Interval
 from .hypermetrics import sup_distance_gap
 from .projection import flat_min_norm_point
-from .sets import Flat, Subspace, _point, check_same_ambient
+from .sets import Flat, Subspace, _point, _row_space, check_same_ambient
 
 _COND_CAP = 1e12
 
@@ -25,19 +25,17 @@ _COND_CAP = 1e12
 def orthonormal_basis(vectors, tol: ToleranceConfig | None = None) -> Subspace:
     """Subspace spanned by the given row vectors.
 
-    Rank detection runs on singular values with cutoff tau_rank times the
-    largest (floored at 1); a numerically zero span is rejected.
+    Rank is decided by sets._row_space's cut, the one affine_hull uses; a
+    numerically zero span is rejected.
     """
     cfg = resolve(tol)
     A = np.asarray(vectors, dtype=float)
     if A.ndim != 2 or A.shape[0] == 0:
         raise HyperconvexError("expected a nonempty 2d array of row vectors")
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    cutoff = cfg.tau_rank * max(float(s[0]) if s.size else 0.0, 1.0)
-    r = int(np.sum(s > cutoff))
-    if r == 0:
+    rows = _row_space(A, cfg.tau_rank)
+    if rows.shape[0] == 0:
         raise HyperconvexError("vectors span a numerically zero subspace")
-    return Subspace(vh[:r])
+    return Subspace(rows)
 
 
 def projection_matrix(v: Subspace) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .config import ToleranceConfig, resolve
 from .errors import HyperconvexError
 from .report import Report
-from .sets import _point
+from .sets import _integer, _point
 
 
 def _family(points) -> np.ndarray:
@@ -91,7 +91,7 @@ def adversarial_independence_check(
     pts = _family(points)
     if not 0.0 < delta < math.inf:
         raise HyperconvexError("delta must be positive and finite")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+    if not _integer(trials) or trials < 0:
         raise HyperconvexError("trials must be a nonnegative integer")
     k = pts.shape[0] - 1
     report = Report(suite="independence-adversarial", trials=trials, seed=seed)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -28,12 +28,5 @@ class Report:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "inconclusive": self.inconclusive,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-            "passed": self.passed,
-        }
+        """The fields in their order, then passed; failures are copied."""
+        return {**asdict(self), "passed": self.passed}

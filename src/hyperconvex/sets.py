@@ -52,6 +52,11 @@ def _point(x, n: int, name: str) -> np.ndarray:
     return x
 
 
+def _integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not one here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_orthonormal_rows(basis: np.ndarray, tau: float) -> None:
     k = basis.shape[0]
     if k == 0:
@@ -183,23 +188,22 @@ def check_same_ambient(*sets: ConvexSet) -> None:
         raise DimensionMismatchError(f"ambient dimensions disagree: {dims}")
 
 
-def affine_hull(p: Polytope, tol: ToleranceConfig | None = None) -> Flat:
-    """Smallest flat containing the polytope.
+def _row_space(a: np.ndarray, tau_rank: float) -> np.ndarray:
+    """Orthonormal rows spanning the row space of a: the right singular
+    vectors whose singular values exceed tau_rank * max(sigma_max, 1)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    cutoff = tau_rank * max(float(s[0]) if s.size else 0.0, 1.0)
+    return vh[: int(np.sum(s > cutoff))]
 
-    Rank is decided on singular values of the matrix of generator
-    differences: values below tau_rank * max(sigma_max, 1) count as zero.
-    """
+
+def affine_hull(p: Polytope, tol: ToleranceConfig | None = None) -> Flat:
+    """Smallest flat containing the polytope: its first generator plus the
+    row space of the generator differences, by _row_space's rank cut."""
     cfg = resolve(tol)
-    pts = p.points
-    base = pts[0]
-    if pts.shape[0] == 1:
+    base = p.points[0]
+    if p.points.shape[0] == 1:
         return Flat(base, np.zeros((0, p.ambient_dim)))
-    diffs = pts[1:] - base
-    # rows of vh spanning the row space of diffs
-    _, s, vh = np.linalg.svd(diffs, full_matrices=False)
-    cutoff = cfg.tau_rank * max(float(s[0]) if s.size else 0.0, 1.0)
-    r = int(np.sum(s > cutoff))
-    return Flat(base, vh[:r])
+    return Flat(base, _row_space(p.points[1:] - base, cfg.tau_rank))
 
 
 def dimension(s: ConvexSet, tol: ToleranceConfig | None = None) -> int:

@@ -54,7 +54,7 @@ from .independence import (
 from .projection import contains, metric_projection, truncated_distance
 from .report import Report
 from .serialization import serialize_set
-from .sets import ConvexSet, Flat, Polytope, Subspace, dimension, translate, zero_subspace
+from .sets import ConvexSet, Flat, Polytope, Subspace, _integer, dimension, translate, zero_subspace
 
 # noise floor for cross-checks between certified bounds: the bounds are
 # sound up to rounding in the evaluated distance functions
@@ -733,10 +733,12 @@ def run_suite(
     up to runtime_ms.
     """
     cfg = resolve(tolerances)
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _integer(n) or n < 1:
         raise HyperconvexError("ambient dimension must be a positive integer")
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
+    if not _integer(trials) or trials < 0:
         raise HyperconvexError("trials must be a nonnegative integer")
+    if not _integer(seed):
+        raise HyperconvexError("seed must be an integer")
     if name != "all" and name not in _SUITES:
         raise HyperconvexError(f"unknown suite: {name!r}")
     n, trials, seed = int(n), int(trials), int(seed)

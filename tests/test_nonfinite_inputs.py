@@ -1,6 +1,6 @@
-"""Non-finite inputs are rejected at the API boundary with HyperconvexError,
-and points that are not vectors of the ambient dimension with
-DimensionMismatchError.
+"""Non-finite inputs, and bools or non-integers where an integer is due, are
+rejected at the API boundary with HyperconvexError, and points that are not
+vectors of the ambient dimension with DimensionMismatchError.
 
 Without a check, each entry point below returns NaN or False for a NaN
 input, or fails inside a solver.  The messages are matched, since
@@ -30,6 +30,8 @@ from hyperconvex import (
     lift_point,
     metric_projection,
     project_hyperplane,
+    random_instance,
+    run_suite,
     sup_distance_gap,
     translate,
     truncated_distance,
@@ -215,3 +217,42 @@ def test_adversarial_independence_check_rejects_a_bad_delta_or_trial_count(delta
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(HyperconvexError, match=message):
         adversarial_independence_check(triangle, delta, trials, 0)
+
+
+@pytest.mark.parametrize(
+    "n, trials, seed, message",
+    [
+        (2, True, 1, "trials must be a nonnegative integer"),
+        (True, 1, 1, "ambient dimension must be a positive integer"),
+        (2, 1, 1.5, "seed must be an integer"),
+        (2, 1, "x", "seed must be an integer"),
+        (2, 1, None, "seed must be an integer"),
+        (2, 1, True, "seed must be an integer"),
+    ],
+)
+def test_run_suite_rejects_a_bool_or_non_integer_argument(n, trials, seed, message):
+    # trials = True ran one trial, n = True ran at n = 1, a seed of 1.5 ran
+    # as seed 1, and "x" or None ended in Python's ValueError or TypeError
+    with pytest.raises(HyperconvexError, match=message):
+        run_suite("gap-complement", n, trials, seed)
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, message",
+    [
+        (True, 1, 0, "integer dims"),
+        (2, True, 0, "integer dims"),
+        (2, 1, 1.5, "seed must be an integer"),
+        (2, 1, "a", "seed must be an integer"),
+    ],
+)
+def test_random_instance_rejects_a_bool_or_non_integer_argument(n, k, seed, message):
+    # each of these ended in numpy's TypeError
+    with pytest.raises(HyperconvexError, match=message):
+        random_instance("uniform-subspace", n, k, seed)
+
+
+def test_run_suite_and_random_instance_take_numpy_integers():
+    i = np.int64
+    assert run_suite("gap-complement", i(2), i(1), i(4)).trials == 1
+    assert random_instance("uniform-subspace", i(3), i(1), i(11)) == random_instance("uniform-subspace", 3, 1, 11)

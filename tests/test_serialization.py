@@ -52,6 +52,19 @@ class TestParseSet:
             ({"type": "polytope", "ambient_dim": 3, "points": [[0, 0]]}, "length 3"),
             ({"type": "flat", "ambient_dim": 2, "basis": [[1, 0]]}, "base"),
             ({"type": "subspace", "ambient_dim": 2, "basis": [[0, 0]]}, "basis"),
+            ({"type": "polytope", "ambient_dim": 2, "points": "0, 0"}, "points"),
+            ({"type": "polytope", "ambient_dim": 2, "points": [[0, "a"]]}, "points"),
+            ({"type": "flat", "ambient_dim": 2, "base": ["a", 0], "basis": [[1, 0]]}, "base"),
+            ({"type": "flat", "ambient_dim": 2, "base": [0, 0, 0], "basis": [[1, 0]]}, "base"),
+            ({"type": "flat", "ambient_dim": 2, "base": [float("nan"), 0], "basis": [[1, 0]]}, "base"),
+            ({"type": "subspace", "ambient_dim": 1, "basis": [[1], [1]]}, "basis"),
+            ('{"type": "polytope", "ambient_dim": 2, "points": [[0, 0]]', "JSON"),
+            ('[{"type": "polytope", "ambient_dim": 1, "points": [[0]]}]', "object"),
+            ({"type": "polytope", "ambient_dim": True, "points": [[0]]}, "ambient_dim"),
+            ({"type": "polytope", "ambient_dim": 0, "points": [[0]]}, "ambient_dim"),
+            ({"type": "polytope", "ambient_dim": "2", "points": [[0, 0]]}, "ambient_dim"),
+            ({"type": "subspace", "ambient_dim": 2}, "basis"),
+            ({"type": ["polytope"], "ambient_dim": 1, "points": [[0]]}, "type"),
         ],
     )
     def test_schema_violations_name_the_field(self, doc, fragment):

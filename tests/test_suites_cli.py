@@ -250,6 +250,24 @@ class TestChartCommand:
             assert code == 2
             assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chart", "flat", "--w", "a", "--inverse", "f"], "{a} must hold a subspace document"),
+            (["chart", "flat", "--w", "w", "--inverse", "a"], "{a} must hold a flat document"),
+            (["chart", "convex", "--w", "w", "--inverse", "f"], "{f} must hold a polytope document"),
+            (["chart", "flat", "--w", "w", "--forward", "a", "omega"], "{a} must hold a subspace document"),
+            (["chart", "convex", "--w", "w", "--forward", "v", "omega", "f"], "{f} must hold a polytope document"),
+            (["chart", "convex", "--w", "w", "--forward", "v", "omega"], "takes 3 files, got 2"),
+            (["dist", "--metric", "gap", "w", "a"], "{a} must hold a subspace document"),
+        ],
+    )
+    def test_a_document_of_the_wrong_kind_or_count_exits_two(self, docs, capsys, argv, message):
+        # the kind check names the file and the kind it needs; nothing is printed
+        code, out, err = run_cli([docs.get(x, x) for x in argv], capsys)
+        assert (code, out) == (2, "")
+        assert message.format(**docs) in err
+
     def test_flat_inverse(self, docs, capsys):
         code, out, _ = run_cli(["chart", "flat", "--w", docs["w"], "--inverse", docs["f"]], capsys)
         assert code == 0
