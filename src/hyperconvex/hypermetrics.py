@@ -26,49 +26,26 @@ set:
 * a pair without a polytope (subspaces, and flats that contain the origin
   up to tau_geom) takes the spectral formula on the direction spans, an
   operator norm; a flat's offset from the origin widens the interval;
-* a pair of polytopes inside the ball is its Hausdorff distance, attained
-  at generators because the distance to a convex set is convex;
+* a pair of polytopes inside the ball, off a line, is its Hausdorff
+  distance, attained at generators as a distance to a convex set is convex;
 * every other pair takes the ambient sup of the lemma (for a set that
   misses the origin by up to tau_geom, the lemma holds to within about
   that much).
 
-Ambient sups (ball_sup) run through a hierarchical branch-and-bound over
-cubes covering the ball (Horst and Tuy, Global Optimization, 1996): cubes
-are evaluated at centers clamped into the domain, bounded above, then
-halved along every axis at once, the 2^k children of a cube in k
-dimensions read off one sign table, until the requested width is
-certified.  A level costs a fixed numpy overhead, about as much as a few
-dozen rows, so children that would number at most _LEVEL_MIN are halved
-again before they are evaluated: up to 6 dimensions a search starts from
-the root cube cut into 16 to 64 cubes, and no level holds a handful of
-rows.  Take a cube with clamped center c and half-diagonal rho.  Three
-facts keep the tree small:
-
-* the search covers only the ball of S, the span of both sets' data: for
-  C inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and the gap
-  |d(., a) - d(., b)| does not grow with |x_perp|, so two segments on a
-  line search an interval and two lines in any R^n at most a 3-ball;
-* the gap d_a - d_b is a difference of convex functions, so on the box it
-  is at most its value at c plus min(L(u_a - u_b) + rho^2 / (2 d_a),
-  rho + L(-u_b)), and its negative likewise with a and b exchanged, with d
-  the distance and u = (c - P(c)) / d the unit residual of each set at c,
-  and L(v) the most v . (y - c) reaches over the box and the ball
-  (_box_bounds, _box_reach).  Convexity bounds the subtracted distance from
-  below to first order, so each side carries one quadratic term, which
-  shrinks with rho^2; a center on a set, where that term is unbounded,
-  still gets rho plus a first-order term rather than the Lipschitz slack
-  2 rho; and a gradient that points out of the ball adds nothing at a sup
-  on the sphere;
-* phi on the box is also at most 1/J(|c| - rho), and at most the largest
-  min(1/j, cap(j)) over the ball indices j that the norms |c| - rho ..
-  |c| + rho span, where cap(j) bounds s_j (_gap_caps).  Once a lower bound
-  lb is known, the shells whose weights cannot beat lb + eps leave the
-  search, which shrinks the ball to radius ceil(1/(lb + eps)) - 1 or less.
-
-The first lower bound comes from one deterministic probe set (_probes), so
-the same pair always searches the same tree, in two stages: the sets'
-points and the origin, then those unit directions of both sets' data on a
-ladder of radii whose shell weights exceed the bound the first stage left.
+Ambient sups (ball_sup) take one of two routes.  A pair whose common span
+(that of both sets' data) is a line takes a closed form (_Line): there each
+set is an interval, a point or the whole line, and the gap is piecewise
+linear and quasiconvex, so a shell's sup is the smaller of its weight and
+the gap's max at plus and minus its outer sphere; it builds no residual
+map and runs no search.  Every other pair runs a branch and bound over
+cubes covering the ball of the span (Horst and Tuy, Global Optimization,
+1996), exact as the gap does not grow off that span: a cube is bounded by
+a one-sided bound on a difference of convex functions (_box_bounds) and by
+the weights of the shells it reaches, and halved along every axis at once,
+until the requested width is certified.  Shells whose weights cannot beat
+the lower bound by eps leave the search, and the first lower bound comes
+from a deterministic probe set (_probes), so a pair always searches the
+same tree.
 
 Every interval returned encloses the true value.  certified=False marks a
 width request missed because an evaluation budget ran out.  The enclosure
@@ -185,10 +162,59 @@ def _common_span(a: ConvexSet, b: ConvexSet, tau_rank: float):
     return B, 2.0 * w0, 2.0 * w1
 
 
+class _Line:
+    """A pair whose common span is the line of the unit vector u.  There a
+    set is an interval of coordinates t (x = t u): [min, max] of P u for a
+    polytope, base . u for a point flat, the whole line for a flat with a
+    basis; d(t u, C) = |t - clip(t, lo, hi)|, of slope s_C rising from -1
+    to 1.  The gap is quasiconvex on the line, so its max over [-r, r] is
+    at -r or r: were it higher at y than at x < y < z, with d_a > d_b at y
+    say, d_a - d_b would rise before y and fall after it, so s_b would climb
+    from -1 to 1 while s_a stayed 0, and b would lie in a, where d_a <= d_b.
+    A computed gap g is within _ROUNDING (scale + g) of the exact one, scale
+    n times both sets' largest data norms: rounded ends move it by n eps |p|,
+    a rounded t only where an end is within that scale or the gap grows with
+    |t|, and past both intervals on one side it is the difference of their
+    ends there, which rounds in no t.  The rank cut moves it by w0 + w1 r.
+    """
+
+    def __init__(self, a: ConvexSet, b: ConvexSet, u: np.ndarray, w0: float, w1: float):
+        rows = [_rows(s) for s in (a, b)]
+        self.ends = np.array([(-np.inf, np.inf) if L.size else ((t := P @ u).min(), t.max()) for P, L in rows])
+        self.scale = u.size * sum(float(_row_norms(P).max()) for P, _ in rows)
+        self.w0, self.w1 = w0, w1
+
+    def gap(self, t: np.ndarray) -> np.ndarray:
+        c = np.clip(t, self.ends[:, :1], self.ends[:, 1:])
+        r = t - c
+        return np.where(np.sign(r[0]) == np.sign(r[1]), np.abs(c[1] - c[0]), np.abs(np.abs(r[0]) - np.abs(r[1])))
+
+    def sup(self, radius: float, eps: float, w: np.ndarray, floor: float) -> SupEstimate:
+        """ball_sup on the line: the largest min(w_l, g_l), g_l the gap's
+        max over shell l and all inside it, at +-s_l, its outer sphere."""
+        s = radius / w.size * np.arange(1.0, w.size + 1.0)
+        g = self.gap(np.append(s, -s)).reshape(2, -1).max(axis=0)
+        e = _ROUNDING * (self.scale + g) + self.w0 + self.w1 * radius
+        lo = max(floor, 0.0, float(np.minimum(w, g - e).max()))
+        hi = max(floor, float(np.minimum(w, g + e).max()))
+        return SupEstimate(lo, hi, hi - lo <= eps, 2 * s.size)
+
+    @cached_property
+    def h(self) -> float:
+        """A bound of every Attouch-Wets term min(1/j, s_j): s_j <= c + w1 j,
+        c being the sup over the ball of radius m, past both intervals (inf
+        if one set alone is the line), and min(1/j, c + w1 j) peaks where
+        they cross."""
+        whole = np.isinf(self.ends[:, 0])
+        m = 1.0 + np.abs(self.ends[~whole]).max(initial=0.0)
+        c = np.inf if whole[0] != whole[1] else self.sup(m, np.inf, np.full(1, np.inf), -np.inf).hi
+        return 0.5 * (c + math.sqrt(c * c + 4.0 * self.w1))
+
+
 class _Pair:
-    """Two sets and the tolerances of one public call; the common span and
-    the gap caps (_gap_caps) are computed on first use.  Each set keeps its
-    own residual map."""
+    """Two sets and the tolerances of one public call; the common span, the
+    pair on it when it is a line (_Line) and the gap caps (_gap_caps) are
+    computed on first use.  Each set keeps its own residual map."""
 
     def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
         self.a, self.b, self.cfg = a, b, cfg
@@ -196,6 +222,12 @@ class _Pair:
     @cached_property
     def span(self):
         return _common_span(self.a, self.b, self.cfg.tau_rank)
+
+    @cached_property
+    def line(self) -> _Line | None:
+        B, w0, w1 = self.span
+        k = self.a.ambient_dim if B is None else B.shape[0]
+        return None if k > 1 else _Line(self.a, self.b, np.ones(1) if B is None else B[0], w0, w1)
 
     @cached_property
     def caps(self):
@@ -429,8 +461,11 @@ def ball_sup(
     Past 16 dimensions a cube's 2^k children overflow a level, so the search
     ends after the probes and the root cube, uncertified, as a spent budget
     ends it.  The estimate counts the rows evaluated (evals, the probes
-    evaluated included) and the levels.
+    evaluated included) and the levels.  A pair whose span is a line takes
+    none of this: _Line.sup gives its sup in closed form.
     """
+    if pair.line:
+        return pair.line.sup(radius, eps, np.asarray(weights, dtype=float), floor)
     B, w0, w1 = pair.span
     k = pair.a.ambient_dim if B is None else B.shape[0]
     w = np.asarray(weights, dtype=float)
@@ -648,21 +683,21 @@ def _spectral(a: ConvexSet, b: ConvexSet, r):
 def _th_estimate(pair: _Pair, r: float, eps: float, budget: int) -> SupEstimate:
     """Hausdorff distance between a∩rB and b∩rB for the pair's sets a and
     b, which contain the origin up to tau_geom (callers check), with
-    cap = pair.caps[1](r).
+    cap = pair.caps[1](r), or inf for a pair on a line (_Line).
 
     Pairs without a polytope take the spectral formula (_spectral).  A
-    polytope pair inside the ball is its Hausdorff distance, which cap
-    holds.  Every other pair takes the ambient identity: the truncated
-    Hausdorff distance of origin-containing sets is sup over the r-ball of
-    |d(., a) - d(., b)|.
+    polytope pair inside the ball and off a line is its Hausdorff distance,
+    which cap holds.  Every other pair takes the ambient identity: the
+    truncated Hausdorff distance of origin-containing sets is sup over the
+    r-ball of |d(., a) - d(., b)|.
     """
     a, b = pair.a, pair.b
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if not (pa or pb):
         lo, hi = _spectral(a, b, r)
         return SupEstimate(float(lo), float(hi), True, 0)
-    cap = pair.caps[1](r)
-    if pa and pb and _reach(a, b) <= r:
+    cap = np.inf if pair.line else pair.caps[1](r)
+    if pa and pb and not pair.line and _reach(a, b) <= r:
         return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
     return ball_sup(pair, r, eps, budget=budget, weights=[min(cap, r + pair.cfg.tau_geom)])
 
@@ -713,7 +748,7 @@ def sup_distance_gap(
     if isinstance(a, Subspace) and isinstance(b, Subspace):
         est = _th_estimate(pair, radius, eps, budget)
     else:
-        est = ball_sup(pair, radius, eps, budget=budget, weights=[pair.caps[1](radius)])
+        est = ball_sup(pair, radius, eps, budget=budget, weights=[np.inf if pair.line else pair.caps[1](radius)])
     return Interval(est.lo, est.hi, est.certified)
 
 
@@ -724,12 +759,12 @@ def sup_distance_gap(
 def _aw_scan(pair: _Pair, p: AWParams, radius: int, floor=-np.inf) -> Interval:
     """The Attouch-Wets metric of the pair from one ball_sup over the
     radius-ball with weights min(1/j, cap(j)) on its unit shells, with
-    (h, cap) = pair.caps; floor is a known lower bound of the terms past
-    radius, h bounds every term, and the terms past j_cap add
-    min(1/(j_cap+1), h).  A scan that ran out of budget leaves the result
-    certified while its width meets eps_sup.
+    (h, cap) = pair.caps, or (_Line.h, inf) on a line; floor is a known
+    lower bound of the terms past radius, h bounds every term, and those
+    past j_cap add min(1/(j_cap+1), h).  A scan that ran out of budget
+    leaves the result certified while its width meets eps_sup.
     """
-    h, cap = pair.caps
+    h, cap = (pair.line.h, lambda r: np.inf) if pair.line else pair.caps
     j = np.arange(1.0, radius + 1.0)
     weights = np.minimum(1.0 / j, cap(j))
     est = ball_sup(pair, float(radius), p.eps_sup, budget=p.budget, floor=floor, weights=weights)

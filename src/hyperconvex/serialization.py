@@ -5,9 +5,10 @@ row-major.  One table, _TYPES, gives each type t its set class and its
 fields in the order the class takes them, each with its loader: a
 polytope's "points" are a nonempty list of rows, a flat's "base" a vector,
 and a "basis" a list of rows, orthonormalized on load (an adjustment beyond
-tau_orth is reported on stderr).  parse_set and serialize_set read only the
-table.  Parsing is idempotent: parse(serialize(parse(doc))) == parse(doc)
-exactly, as an already-orthonormal basis is kept bit for bit.
+tau_orth is reported on stderr); a field the table does not name is an
+error.  parse_set and serialize_set read only the table.  Parsing is
+idempotent: parse(serialize(parse(doc))) == parse(doc) exactly, as an
+already-orthonormal basis is kept bit for bit.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def parse_set(doc) -> ConvexSet:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("set document must be a JSON object")
@@ -102,6 +103,8 @@ def parse_set(doc) -> ConvexSet:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("field 'ambient_dim' must be a positive integer")
     cls, fields = _TYPES[kind]
+    if unknown := [key for key in doc if key not in ("type", "ambient_dim", *fields)]:
+        raise SchemaError(f"unknown fields for {kind}s: {', '.join(map(repr, unknown))}")
     for field in fields:
         if field not in doc:
             raise SchemaError(f"field '{field}' is required for {kind}s")

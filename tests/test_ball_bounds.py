@@ -42,6 +42,12 @@ CFG = ToleranceConfig()
 KINDS = ("flat", "subspace", "polytope", "wolfe")
 
 
+def tilted_segments():
+    """README's segment pair with the far end of the longer segment lifted
+    by 1, as new sets: their span is the plane, so its sups search cubes."""
+    return Polytope(np.array([[0.0, 0.0], [10.0, 0.0]])), Polytope(np.array([[0.0, 0.0], [20.0, 1.0]]))
+
+
 def _frame(rng, n, k):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q[:, :k].T.copy()
@@ -318,13 +324,13 @@ def _count_sup_evals(monkeypatch):
     return total
 
 
-def test_readme_segment_pair_takes_few_evaluations(monkeypatch):
+def test_tilted_segment_pair_takes_few_evaluations(monkeypatch):
+    # the value is 1/5: the gap reaches |x| sin(atan(1/20)) on the sphere
+    # of radius |x|, 0.1997 on the 4-sphere and 0.2494 on the 5-sphere
     evals = _count_sup_evals(monkeypatch)
-    a = Polytope(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    b = Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))
-    iv = attouch_wets(a, b)
-    assert iv.contains(1.0 / 11.0, slack=1e-12) and iv.width <= 1e-3 and iv.certified
-    assert sum(evals) <= 10_000
+    iv = attouch_wets(*tilted_segments())
+    assert iv.contains(0.2, slack=1e-12) and iv.width <= 1e-3 and iv.certified
+    assert sum(evals) <= 1_000
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -476,6 +482,7 @@ def test_weighted_sup_covers_dense_samples(seed, kinds, n, ordered):
 
 COUNT_PAIRS = {
     "segments": (Polytope(np.array([[0.0, 0.0], [10.0, 0.0]])), Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))),
+    "tilted segments": tilted_segments(),
     "triangles": (
         Polytope(np.array([[-1.0, -1.0], [2.0, 0.0], [0.0, 3.0]])),
         Polytope(np.array([[-1.1, -1.1], [2.2, 0.0], [0.0, 3.3]])),

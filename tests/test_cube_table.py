@@ -11,7 +11,7 @@ import hyperconvex.hypermetrics as hm
 from hyperconvex import AWParams, Polytope, attouch_wets
 from hyperconvex.hypermetrics import _Pair
 
-from test_ball_bounds import CFG
+from test_ball_bounds import CFG, tilted_segments
 from test_level_split import _record_sups
 
 # path rows appended to the table: one sign-table column index per halving
@@ -19,14 +19,15 @@ from test_level_split import _record_sups
 DEPTH = 48
 
 
-def test_readme_pair_takes_its_pinned_path(monkeypatch):
+def test_tilted_segment_pair_takes_its_pinned_path(monkeypatch):
+    # README's segments with the far end of the longer one lifted by 1, so
+    # that their span is the plane and the cubes, not the line, find the sup
     ests = _record_sups(monkeypatch)
-    a = Polytope(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    b = Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))
+    a, b = tilted_segments()
     iv = attouch_wets(a, b, AWParams())
-    assert iv.lo.hex() == iv.hi.hex() == "0x1.745d1745d1746p-4" and iv.certified
+    assert (iv.lo.hex(), iv.hi.hex(), iv.certified) == ("0x1.999999999999ap-3", "0x1.9b962c13b64e0p-3", True)
     (est,) = ests
-    assert (est.evals, est.levels, est.certified) == (292, 3, True)
+    assert (est.evals, est.levels, est.certified) == (726, 8, True)
 
 
 def test_seven_point_polytopes_in_r4_take_their_pinned_path():

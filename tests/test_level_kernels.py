@@ -23,7 +23,7 @@ from hyperconvex import (
 import hyperconvex.projection as projection
 from hyperconvex.projection import _row_norms
 
-from test_ball_bounds import _count_sup_evals
+from test_level_split import _record_sups
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -147,11 +147,13 @@ def test_sets_without_data_directions_are_at_distance_zero():
         assert (iv.lo, iv.hi) == (0.0, 0.0) and iv.certified
 
 
-def test_readme_pair_certifies_in_few_evaluations(monkeypatch):
-    # README's segment pair, whose value 1/11 is exact in floating point
-    evals = _count_sup_evals(monkeypatch)
+def test_readme_pair_takes_the_line_route(monkeypatch):
+    # README's segment pair, whose value 1/11 is exact in floating point:
+    # its span is a line, so one closed-form sup evaluates the gap at plus
+    # and minus the outer sphere of each of its 64 shells and runs no level
+    ests = _record_sups(monkeypatch)
     a = Polytope(np.array([[0.0, 0.0], [10.0, 0.0]]))
     b = Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))
     iv = attouch_wets(a, b, AWParams())
     assert (iv.lo, iv.hi) == (1.0 / 11.0, 1.0 / 11.0) and iv.certified
-    assert sum(evals) <= 400
+    assert [(e.evals, e.levels, e.certified) for e in ests] == [(2 * 64, 0, True)]

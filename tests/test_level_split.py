@@ -13,11 +13,11 @@ from hyperconvex import AWParams, Flat, Polytope, attouch_wets
 from hyperconvex.hypermetrics import _Pair
 from hyperconvex.projection import _row_norms
 
-from test_ball_bounds import CFG, _frame, _gap, _shell_samples
+from test_ball_bounds import CFG, _frame, _gap, _shell_samples, tilted_segments
 
-# levels of the README pair's search when each level split its cubes once:
-# the root cube, then 2, 4, 8, 14, 18, 29, 56 and 107 rows
-ONE_SPLIT_LEVELS = 9
+# levels of the tilted segment pair's search when each level split its
+# cubes once
+ONE_SPLIT_LEVELS = 12
 
 
 def _record_sups(monkeypatch):
@@ -33,15 +33,21 @@ def _record_sups(monkeypatch):
     return ests
 
 
-def test_readme_pair_takes_fewer_levels(monkeypatch):
+def test_tilted_segment_pair_takes_fewer_levels(monkeypatch):
     ests = _record_sups(monkeypatch)
-    a = Polytope(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    b = Polytope(np.array([[0.0, 0.0], [20.0, 0.0]]))
-    iv = attouch_wets(a, b, AWParams())
-    assert (iv.lo, iv.hi) == (1.0 / 11.0, 1.0 / 11.0) and iv.certified
+    iv = attouch_wets(*tilted_segments(), AWParams())
+    assert iv.lo == 0.2 and iv.hi - iv.lo <= 1e-3 and iv.certified
     (est,) = ests
-    assert est.certified and est.evals <= 400
+    assert est.certified and est.evals <= 800
     assert 0 < est.levels < ONE_SPLIT_LEVELS
+
+
+def test_one_split_levels_is_the_search_without_the_deeper_split(monkeypatch):
+    monkeypatch.setattr(hm, "_LEVEL_MIN", 0)
+    ests = _record_sups(monkeypatch)
+    attouch_wets(*tilted_segments(), AWParams())
+    (est,) = ests
+    assert est.levels == ONE_SPLIT_LEVELS
 
 
 def test_positional_estimates_count_no_levels():
@@ -69,10 +75,11 @@ def _record_levels(monkeypatch):
     return events
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(2, 7))
 def test_small_levels_split_again_within_the_caps(monkeypatch, k):
-    # a segment against a point (k = 1) or a flat of dimension k - 1 in R^k,
-    # whose data span all of it; a tight width keeps the search going
+    # a segment against a flat of dimension k - 1 in R^k, whose data span
+    # all of it (in R^1 the span is a line, which the cubes never search);
+    # a tight width keeps the search going
     rng = np.random.default_rng(40 + k)
     a = Polytope(rng.normal(size=(2, k)))
     b = Flat(rng.normal(size=k), _frame(rng, k, k - 1))

@@ -14,7 +14,7 @@ from hyperconvex import AWParams, Flat, Polytope, attouch_wets, sup_distance_gap
 from hyperconvex.hypermetrics import _Pair
 from hyperconvex.projection import _clamp_rows
 
-from test_ball_bounds import CFG, KINDS, _draw, _library_gap, _shell_samples
+from test_ball_bounds import CFG, KINDS, _draw, _library_gap, _shell_samples, tilted_segments
 from test_level_split import _record_sups
 
 
@@ -44,11 +44,9 @@ def _data_count(a, b):
 
 
 STAGED_CASES = {
-    # a segment pair on a line: its far end leaves 20 of 64 shells live
-    "readme segments": lambda: (
-        Polytope(np.array([[0.0, 0.0], [10.0, 0.0]])),
-        Polytope(np.array([[0.0, 0.0], [20.0, 0.0]])),
-    ),
+    # a segment pair in the plane: the data rows leave the lower bound 1/10
+    # (at the point (10, 0)), which keeps the ladder rows at radii 1 to 8
+    "tilted segments": tilted_segments,
     "triangles": lambda: (
         Polytope(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]])),
         Polytope(np.array([[1.0, 1.0], [4.0, 1.5], [2.0, 5.0]])),
@@ -101,7 +99,7 @@ def test_only_ladder_rows_that_can_raise_the_lower_bound_are_evaluated(monkeypat
             assert np.array_equal(X2, X[:-data][keep]), name
         kept.append((keep.sum(), keep.size))
     # the cases skip the whole ladder, and cut it in part (the AW segment
-    # pair: 60 of 100 rows) or keep it whole (the plain sups)
+    # pair: 50 of 100 rows) or keep it whole (the plain sups)
     assert any(k == 0 for k, size in kept)
     if metric == "attouch_wets":
         assert any(0 < k < size for k, size in kept)

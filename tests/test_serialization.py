@@ -65,6 +65,10 @@ class TestParseSet:
             ({"type": "polytope", "ambient_dim": "2", "points": [[0, 0]]}, "ambient_dim"),
             ({"type": "subspace", "ambient_dim": 2}, "basis"),
             ({"type": ["polytope"], "ambient_dim": 1, "points": [[0]]}, "type"),
+            # a field the table does not name, such as the rays of a cone
+            ({"type": "polytope", "ambient_dim": 2, "points": [[0, 0]], "rays": [[1, 0]]}, "'rays'"),
+            ({"type": "subspace", "ambient_dim": 2, "basis": [[1, 0]], "base": [0, 0]}, "'base'"),
+            (b"\xff\xfe{", "JSON"),
         ],
     )
     def test_schema_violations_name_the_field(self, doc, fragment):
