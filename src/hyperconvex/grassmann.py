@@ -17,7 +17,7 @@ from .errors import ChartDomainError, DimensionMismatchError, HyperconvexError
 from .intervals import Interval
 from .hypermetrics import sup_distance_gap
 from .projection import flat_min_norm_point
-from .sets import Flat, Subspace, _point, _row_space, check_same_ambient
+from .sets import Flat, Subspace, _direction_gap, _point, _row_space, check_same_ambient
 
 _COND_CAP = 1e12
 
@@ -53,18 +53,11 @@ def orthogonal_complement(v: Subspace) -> Subspace:
 
 
 def gap(v: Subspace, w: Subspace) -> float:
-    """Gap distance max(||(I-P_V) P_W||, ||(I-P_W) P_V||), in [0, 1].
-
-    Dimensions may differ; unequal dimensions force a gap of 1.
-    """
+    """Gap distance ||P_V - P_W||_2 (sets._direction_gap), capped at 1, so
+    1 for unequal dimensions.  The gap-oracle suite holds it against
+    principal angles (suites._principal_angle_gap)."""
     check_same_ambient(v, w)
-    n = v.ambient_dim
-    pv = projection_matrix(v)
-    pw = projection_matrix(w)
-    eye = np.eye(n)
-    a = float(np.linalg.norm((eye - pv) @ pw, 2))
-    b = float(np.linalg.norm((eye - pw) @ pv, 2))
-    return float(np.clip(max(a, b), 0.0, 1.0))
+    return min(_direction_gap(v, w), 1.0)
 
 
 def gap_direct(
@@ -76,13 +69,11 @@ def gap_direct(
     """Interval for the gap as the Hausdorff distance between the unit-ball
     slices of the two subspaces, through sup_distance_gap at radius 1.
 
-    On a subspace pair sup_distance_gap evaluates the closed-form operator
-    norm ||B_v (I - P_w)||, the larger of both orders, not the ball_sup
-    estimator; the interval is that one value.  It forms no projector
-    difference, unlike gap(), but it is a second spectral formula rather
-    than an independent numerical oracle.  eps is not used on this route.
+    On subspaces that is the spectral route, which reads gap()'s own
+    ||P_v - P_w|| (sets._direction_gap), not ball_sup: the interval is that
+    one value and checks the routing, not the formula, whose independent
+    oracle is suites._principal_angle_gap.  eps is not used on this route.
     """
-    check_same_ambient(v, w)
     return sup_distance_gap(v, w, 1.0, eps, tol)
 
 

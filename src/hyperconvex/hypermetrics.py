@@ -24,8 +24,8 @@ aw_origin) therefore takes one of three routes, none of which truncates a
 set:
 
 * a pair without a polytope (subspaces, and flats that contain the origin
-  up to tau_geom) takes the spectral formula on the direction spans, an
-  operator norm; a flat's offset from the origin widens the interval;
+  up to tau_geom) takes the spectral formula, the radius times the gap of
+  the direction spans (sets._direction_gap); a flat's offset widens it;
 * a pair of polytopes inside the ball, off a line, is its Hausdorff
   distance, attained at generators as a distance to a convex set is convex;
 * every other pair takes the ambient sup of the lemma (for a set that
@@ -71,7 +71,7 @@ from .projection import (
     flat_min_norm_point,
     nearest_point,
 )
-from .sets import ConvexSet, Polytope, Subspace, check_same_ambient
+from .sets import ConvexSet, Polytope, Subspace, _direction_gap, check_same_ambient
 
 
 def _check_budget(budget) -> None:
@@ -244,7 +244,7 @@ def _pair(
     budget: int = 1000,
 ) -> _Pair | None:
     """The front door of the four estimators: the _Pair of a and b, or None
-    when they are equal sets (a == b), whose distance is exactly 0.
+    when they are one set (a == b, or flats with equal bases and projectors).
 
     Checks that the ambient dimensions agree, that radius and eps are
     finite and positive, and that budget passes _check_budget (the defaults
@@ -259,7 +259,9 @@ def _pair(
     _check_budget(budget)
     if origin and any(nearest_point(s, cfg)[1] > cfg.tau_geom for s in (a, b)):
         raise HyperconvexError(origin)
-    return None if a == b else _Pair(a, b, cfg)
+    flats = not (isinstance(a, Polytope) or isinstance(b, Polytope))
+    same = a == b or flats and np.array_equal(a.base, b.base) and np.array_equal(a.basis.T @ a.basis, b.basis.T @ b.basis)
+    return None if same else _Pair(a, b, cfg)
 
 
 _CHUNK = 1 << 17
@@ -270,14 +272,14 @@ _LEVEL_ROWS = 1 << 16
 # numpy calls plus 0.2-1.5 us a row, so levels of a few rows waste their
 # fixed cost, and past a few hundred rows the deeper split evaluates
 # children that an evaluated parent would have pruned.  aw-sweep round 0 of
-# seed 1 (benchmarks/), per value: levels, evals, and the median over six
-# runs of the sum of per-slot minima over 10 rounds, on one core of a
-# shared 2-vCPU Xeon VM:
-#     0 (no deeper split)  106 levels  25,916 evals  43.0 ms
-#    32                     68         25,923        38.0 ms
-#    64                     59         26,149        36.7 ms
-#   128                     55         26,745        36.5 ms
-#   256                     53         27,798        36.7 ms
+# seed 1 (benchmarks/, 27 ball_sup calls), per value: levels, evals, and the
+# median over 12 runs of the sum of per-slot minima over 10 rounds, pinned
+# to one core of a shared 2-vCPU VM (0 costs aw-sweep 6% of ops_per_s):
+#     0 (no deeper split)   68 levels  23,010 evals  31.1 ms
+#    32                     58         22,989        30.1 ms
+#    64                     51         23,046        29.0 ms
+#   128                     48         23,222        28.8 ms
+#   256                     46         23,379        28.7 ms
 # The time is flat from 64 to 256; 64 takes the fewest evaluations there.
 _LEVEL_MIN = 64
 
@@ -605,22 +607,18 @@ def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], floa
     """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
 
     h holds for every radius at once (inf when none is known): the Hausdorff
-    distance of a polytope pair, the offset of two translate flats.  cap(r)
-    holds for one radius; for flats with different directions it is the
-    offset plus ||Pa - Pb|| (r + |b.base|).  Callers compute both once.
+    distance of a polytope pair, the offset of flats with bit-equal direction
+    projectors.  cap(r) holds for one radius; for flats it is the offset plus
+    _direction_gap times (r + |b.base|).  Callers compute both once.
     """
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if pa or pb:
         h = hausdorff(a, b) if pa and pb else np.inf
         return h, lambda r: h
     Pa = a.basis.T @ a.basis
-    Pb = b.basis.T @ b.basis
     off = float(np.linalg.norm((b.base - a.base) - Pa @ (b.base - a.base)))
-    if np.array_equal(a.basis, b.basis):
-        return off, lambda r: off
-    eta = float(np.linalg.norm(Pa - Pb, 2))
-    reach = float(np.linalg.norm(b.base))
-    return np.inf, lambda r: off + eta * (r + reach)
+    eta, reach = _direction_gap(a, b), float(np.linalg.norm(b.base))
+    return (off if eta == 0.0 else np.inf), lambda r: off + eta * (r + reach)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +637,8 @@ def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
 
     The data are the P and L rows of both sets (_rows), and the differences
     P_a - P_b when neither set has L rows.  The ladder stays because the
-    probes set the first lower bound, which prunes shells and boxes: from
-    the origin alone an aw-sweep round took about 1.5x as long.
+    probes set the first lower bound, which prunes shells and boxes: with no
+    _LADDER radii aw-sweep's op_ms_p50 read 0.46 against 0.32 ms (seed 1).
     """
     (Pa, La), (Pb, Lb) = _rows(a), _rows(b)
     data = [Pa, La, Pb, Lb]
@@ -665,16 +663,11 @@ def _spectral(a: ConvexSet, b: ConvexSet, r):
     flats that contain the origin up to tau_geom, at a radius r or an array
     of them.  For subspaces the projection onto one stays inside the ball,
     so the distance is r times the larger operator norm ||B_src (I -
-    P_dst)||.  The r-ball slice of a flat at distance nu from the origin
-    lies within Hausdorff distance nu (1 + nu / r) of its direction span's
-    slice, which widens the interval by that much per flat.
+    P_dst)||, the gap of _direction_gap.  The r-ball slice of a flat at
+    distance nu from the origin lies within Hausdorff distance nu (1 + nu / r)
+    of its direction span's slice, which widens the interval by that much.
     """
-    n = a.ambient_dim
-    theta = 0.0
-    for src, dst in ((a, b), (b, a)):
-        if src.dim:
-            N = src.basis @ (np.eye(n) - dst.basis.T @ dst.basis)
-            theta = max(theta, float(np.linalg.norm(N, 2)))
+    theta = _direction_gap(a, b)
     nus = [float(np.linalg.norm(flat_min_norm_point(s))) for s in (a, b)]
     slack = sum(nu * (1.0 + nu / r) for nu in nus)
     return np.maximum(r * theta - slack, 0.0), r * theta + slack

@@ -196,6 +196,12 @@ def _row_space(a: np.ndarray, tau_rank: float) -> np.ndarray:
     return vh[: int(np.sum(s > cutoff))]
 
 
+def _direction_gap(a: Flat, b: Flat) -> float:
+    """The gap ||P_a - P_b||_2 (P = B^T B) between two flats' direction
+    spaces: 0 exactly for bit-equal projectors, 1 for unequal dimensions."""
+    return float(np.linalg.norm(a.basis.T @ a.basis - b.basis.T @ b.basis, 2))
+
+
 def affine_hull(p: Polytope, tol: ToleranceConfig | None = None) -> Flat:
     """Smallest flat containing the polytope: its first generator plus the
     row space of the generator differences, by _row_space's rank cut."""

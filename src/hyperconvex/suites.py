@@ -389,6 +389,15 @@ def _aw_origin_equivalence(rng, n, t, cfg, rec):
 # gap oracle, complement isometry, sandwich
 
 
+def _principal_angle_gap(v: Subspace, w: Subspace) -> float:
+    """The gap from principal angles (Bjorck and Golub, 1973), sharing no
+    formula with gap or gap_direct: 1 for unequal dimensions, else sqrt(1 -
+    s^2), s the smallest singular value of B_v B_w^T (about sqrt(eps) off)."""
+    if v.dim != w.dim or not v.dim:
+        return float(v.dim != w.dim)
+    return math.sqrt(max(0.0, 1.0 - np.linalg.svd(v.basis @ w.basis.T, compute_uv=False)[-1] ** 2))
+
+
 def _gap_oracle(rng, n, t, cfg, rec):
     eps = 1e-3
     v = _random_set(rng, n, "uniform-subspace", int(rng.integers(0, n + 1)))
@@ -397,6 +406,7 @@ def _gap_oracle(rng, n, t, cfg, rec):
     g = gap(v, w)
     gd = gap_direct(v, w, eps, cfg)
     rec.require("oracle-agreement", abs(g - gd.mid), eps + gd.width + _SLACK, v=v, w=w)
+    rec.require("principal-angles", abs(g - _principal_angle_gap(v, w)), 1e-6, v=v, w=w)
     rec.require("symmetry", abs(g - gap(w, v)), _SLACK, v=v, w=w)
     rec.require("triangle", gap(v, u) - (g + gap(w, u)), cfg.tau_geom, v=v, w=w, u=u)
 

@@ -40,6 +40,7 @@ from hyperconvex import (
     truncated_hausdorff,
     zero_subspace,
 )
+from hyperconvex.suites import _principal_angle_gap
 
 MARGIN = 1e-9  # float rounding allowance on certified interval endpoints
 
@@ -154,20 +155,22 @@ def test_c02_truncation_identity():
 def test_c03_gap_oracle_equivalence():
     rng = np.random.default_rng(103)
     budget, t0 = 60.0, time.perf_counter()
-    worst = 0.0
+    worst = angles = 0.0
     for i in range(300):
         n = 2 + i % 5
         v = random_subspace(rng, n, int(rng.integers(0, n + 1)))
         w = random_subspace(rng, n, int(rng.integers(0, n + 1)))
         iv = gap_direct(v, w, 1e-3)
         worst = max(worst, abs(gap(v, w) - iv.mid))
+        # gap_direct reads gap's own formula; principal angles share none
+        angles = max(angles, abs(gap(v, w) - _principal_angle_gap(v, w)))
     elapsed = time.perf_counter() - t0
     conclude(
         "gap oracle equivalence (300 pairs, n<=6)",
         elapsed,
         budget,
-        worst <= 2e-3,
-        f"max |gap - mid(direct estimate)| = {worst:.2e}",
+        worst <= 2e-3 and angles <= 1e-6,
+        f"max |gap - mid(direct estimate)| = {worst:.2e}, max |gap - principal-angle gap| = {angles:.2e}",
     )
 
 

@@ -148,16 +148,25 @@ def test_line_route_tail_is_the_gap_over_the_whole_line():
     # past it min(1/j, 1e-3), which the tail must hold
     iv = attouch_wets(Polytope(np.array([[0.0], [100.0]]) * u), Polytope(np.array([[0.0], [100.001]]) * u))
     assert iv.lo == 0.0 and abs(iv.hi - 1e-3) <= 1e-10 and iv.certified
-    # two descriptions of one line: no gap on it, and a rank cut of 2e-16
+    # one line through two bases: no gap on it, and a rank cut of 2e-16
     # whose widening grows with the radius, so that the terms past j_cap add
     # at most about its square root
-    iv = attouch_wets(Subspace(u), Flat(np.zeros(2), u))
-    assert 0.0 < hm._common_span(Subspace(u), Flat(np.zeros(2), u), CFG.tau_rank)[2] < 1e-15
+    iv = attouch_wets(Subspace(u), Flat(0.5 * u[0], u))
+    assert 0.0 < hm._common_span(Subspace(u), Flat(0.5 * u[0], u), CFG.tau_rank)[2] < 1e-15
     assert iv.lo == 0.0 and iv.hi < 1e-7 and iv.certified
     # a line and a segment on it, whose gap grows without bound past the
     # segment: zero up to j_cap, and the tail 1/(j_cap + 1) past it
     iv = attouch_wets(Subspace(u), Polytope(np.array([[-100.0], [100.0]]) * u))
     assert (iv.lo, iv.hi) == (0.0, 1.0 / 65.0)
+
+
+def test_two_descriptions_of_one_line_are_at_distance_zero():
+    # equal bases and bit-equal projectors: the same set, whatever the class
+    # and the sign of the basis, so no rank cut of the span widens it
+    u = np.array([[0.6, 0.8, 0.0]])
+    for a, b in ((Subspace(u), Flat(np.zeros(3), u)), (Flat(np.zeros(3), u), Flat(np.zeros(3), -u))):
+        for iv in (attouch_wets(a, b), sup_distance_gap(a, b, 2.0), aw_origin(a, b)):
+            assert (iv.lo, iv.hi) == (0.0, 0.0) and iv.certified
 
 
 def test_points_at_the_origin_are_at_distance_zero():
