@@ -71,8 +71,9 @@ def gap_direct(
 
     On subspaces that is the spectral route, which reads gap()'s own
     ||P_v - P_w|| (sets._direction_gap), not ball_sup: the interval is that
-    one value and checks the routing, not the formula, whose independent
-    oracle is suites._principal_angle_gap.  eps is not used on this route.
+    value widened by its rounding allowance (hypermetrics._spectral), and
+    checks the routing, not the formula, whose independent oracle is
+    suites._principal_angle_gap.  eps is not used on this route.
     """
     return sup_distance_gap(v, w, 1.0, eps, tol)
 

@@ -32,20 +32,21 @@ set:
   misses the origin by up to tau_geom, the lemma holds to within about
   that much).
 
-Ambient sups (ball_sup) take one of two routes.  A pair whose common span
-(that of both sets' data) is a line takes a closed form (_Line): there each
-set is an interval, a point or the whole line, and the gap is piecewise
-linear and quasiconvex, so a shell's sup is the smaller of its weight and
-the gap's max at plus and minus its outer sphere; it builds no residual
-map and runs no search.  Every other pair runs a branch and bound over
-cubes covering the ball of the span (Horst and Tuy, Global Optimization,
-1996), exact as the gap does not grow off that span: a cube is bounded by
-a one-sided bound on a difference of convex functions (_box_bounds) and by
-the weights of the shells it reaches, and halved along every axis at once,
-until the requested width is certified.  Shells whose weights cannot beat
-the lower bound by eps leave the search, and the first lower bound comes
-from a deterministic probe set (_probes), so a pair always searches the
-same tree.
+Ambient sups (ball_sup) take one of two routes, both resting on one fact:
+the sup of the gap over a ball is reached on its sphere (proof in ball_sup).
+A pair whose common span (that of both sets' data) is a line takes a closed
+form (_Line): there each set is an interval, a point or the whole line, so
+a shell's sup is the smaller of its weight and the gap at plus and minus
+its outer sphere; it builds no residual map and runs no search.  Every
+other pair runs a branch and bound over the cubes that cover the ball of
+the span and meet a shell's outer sphere (Horst and Tuy, Global
+Optimization, 1996), exact as the gap does not grow off that span: a cube
+is bounded by a one-sided bound on a difference of convex functions
+(_box_bounds) and by the weights of the shells it reaches, and halved along
+every axis at once, until the requested width is certified.  Shells whose
+weights cannot beat the lower bound by eps leave the search, and the first
+lower bound comes from a deterministic probe set (_probes), so a pair
+always searches the same tree.
 
 Every interval returned encloses the true value.  certified=False marks a
 width request missed because an evaluation budget ran out.  The enclosure
@@ -167,10 +168,8 @@ class _Line:
     set is an interval of coordinates t (x = t u): [min, max] of P u for a
     polytope, base . u for a point flat, the whole line for a flat with a
     basis; d(t u, C) = |t - clip(t, lo, hi)|, of slope s_C rising from -1
-    to 1.  The gap is quasiconvex on the line, so its max over [-r, r] is
-    at -r or r: were it higher at y than at x < y < z, with d_a > d_b at y
-    say, d_a - d_b would rise before y and fall after it, so s_b would climb
-    from -1 to 1 while s_a stayed 0, and b would lie in a, where d_a <= d_b.
+    to 1.  The gap's max over [-r, r] is at -r or r: this is the 1-D case
+    of ball_sup's lemma that a sup over a ball is reached on its sphere.
     A computed gap g is within _ROUNDING (scale + g) of the exact one, scale
     n times both sets' largest data norms: rounded ends move it by n eps |p|,
     a rounded t only where an end is within that scale or the gap grows with
@@ -274,13 +273,13 @@ _LEVEL_ROWS = 1 << 16
 # children that an evaluated parent would have pruned.  aw-sweep round 0 of
 # seed 1 (benchmarks/, 27 ball_sup calls), per value: levels, evals, and the
 # median over 12 runs of the sum of per-slot minima over 10 rounds, pinned
-# to one core of a shared 2-vCPU VM (0 costs aw-sweep 6% of ops_per_s):
-#     0 (no deeper split)   68 levels  23,010 evals  31.1 ms
-#    32                     58         22,989        30.1 ms
-#    64                     51         23,046        29.0 ms
-#   128                     48         23,222        28.8 ms
-#   256                     46         23,379        28.7 ms
-# The time is flat from 64 to 256; 64 takes the fewest evaluations there.
+# to one core of a shared 2-vCPU VM (0 costs 15% more time than 64):
+#     0 (no deeper split)   65 levels  11,559 evals  22.6 ms
+#    32                     55         11,542        20.8 ms
+#    64                     48         11,520        19.6 ms
+#   128                     45         11,517        19.6 ms
+#   256                     42         11,556        19.3 ms
+# The time is flat from 64 to 256, within the runs' spread; 64 stays.
 _LEVEL_MIN = 64
 
 
@@ -402,9 +401,20 @@ def _children(T: np.ndarray, k: int) -> np.ndarray:
     return T
 
 
-def _inside(T: np.ndarray, k: int, r: float) -> np.ndarray:
-    """Mask of the cubes in the table T (as in _split) that meet the r-ball."""
-    return _row_norms(np.maximum(np.abs(T[:k]) - T[k], 0.0).T) <= r
+def _inside(T: np.ndarray, k: int, r: float, shell: float) -> np.ndarray:
+    """Mask of the cubes in the table T (as in _split) that meet a sphere
+    |x| = l shell with l >= 1 and l shell <= r, the live spheres of ball_sup,
+    on which its sup is reached.  A cube's norms fill [near, far], so it
+    meets the first such sphere from near on if and only if that sphere's
+    radius is at most far.  A sphere can pass exactly through a face where
+    two cubes meet, the outer cube's nearest and the inner cube's farthest
+    (on a line, where a sphere is two points, it may meet no cube's
+    inside), and far rounds by a few k eps relative, so it widens by
+    _ROUNDING relative: the inner cube stays."""
+    A = np.abs(T[:k])
+    near = _row_norms(np.maximum(A - T[k], 0.0).T)
+    s = np.maximum(np.ceil(near / shell), 1.0) * shell
+    return (s <= r) & (s <= _row_norms((A + T[k]).T) * (1.0 + _ROUNDING))
 
 
 def ball_sup(
@@ -440,6 +450,22 @@ def ball_sup(
     lies in the shell of x or an inner one, so phi(x_S) >= phi(x).  A rank
     cut adds _common_span's w0 + w1 radius to every upper bound.
 
+    The sup is reached on spheres.  Lemma: for closed convex A and B, the
+    sup of |d_A - d_B| over a closed ball is reached on its sphere.  Let x*
+    maximize f = d_A - d_B over the r-ball, with f(x*) = max |f| > 0 and
+    |x*| < r.  Stepping from x* toward P_B(x*) lowers d_B at rate 1 and d_A
+    at rate at most 1, so f does not fall until the step meets the sphere
+    or reaches a point p of B.  At p, f = d_A > 0, and p maximizes d_A over
+    B near p; as d_A is convex, u_A(p) = (p - P_A(p)) / d_A(p) then lies in
+    B's normal cone at p.  Along p + t u_A, d_B = t and d_A = d_A(p) + t,
+    so f keeps its max out to the sphere.  For -f, swap A and B.  A point
+    of shell l lies in the ball of that shell's outer sphere |x| = l shell,
+    where phi = min(w_l, gap), so phi is at most the sup of phi on that
+    sphere, and the sup of phi is the largest of those sups over l.  The
+    search therefore keeps only the cubes that meet a live sphere (_inside).
+    On a rank-cut span the lemma holds for the sets projected onto S, inside
+    the chain that gives the widening, so no allowance grows.
+
     The boxes are cubes, evaluated at their centers c clamped into the live
     ball; _box_bounds bounds the gap over a cube in that ball with the reach
     of _box_reach, and phi is also at most min(tail[i], head[l]) for the
@@ -453,7 +479,7 @@ def ball_sup(
     The search starts from one cube, and each level halves the cubes of
     highest upper bound along every axis (_split), as many as keep the level
     within _LEVEL_ROWS rows; the others wait with their bounds.  After the
-    split every cube that misses the live ball leaves, waiting ones too
+    split every cube that meets no live sphere leaves, waiting ones too
     (_inside).  Children that number at most _LEVEL_MIN are halved again
     (_children), the root cube's too, so the first levels of a search,
     which would hold a few rows each, are one level; those children cover
@@ -543,7 +569,7 @@ def ball_sup(
     # dimensions).
     T = np.append(np.zeros(k), (r, np.inf))[:, None]
     T = _children(T, k) if 1 << k <= _LEVEL_MIN else T
-    T = T[:, _inside(T, k, r)]
+    T = T[:, _inside(T, k, r, shell)]
     fresh, split = T.shape[1], _LEVEL_ROWS >> k
     while T.shape[1]:
         if fresh:
@@ -568,8 +594,8 @@ def ball_sup(
             T = T[:, np.argsort(-T[k + 1], kind="stable")]
         kids = _children(T[:, :split], k)
         T = np.concatenate((kids, T[:, split:]), axis=1)
-        # drop the cubes, waiting ones too, that miss the live ball
-        keep = _inside(T, k, r)
+        # drop the cubes, waiting ones too, that miss every live sphere
+        keep = _inside(T, k, r, shell)
         fresh = int(np.count_nonzero(keep[: kids.shape[1]]))
         T = T[:, keep]
     return SupEstimate(lb, max(resolved, lb), True, evals, levels)
@@ -663,13 +689,25 @@ def _spectral(a: ConvexSet, b: ConvexSet, r):
     flats that contain the origin up to tau_geom, at a radius r or an array
     of them.  For subspaces the projection onto one stays inside the ball,
     so the distance is r times the larger operator norm ||B_src (I -
-    P_dst)||, the gap of _direction_gap.  The r-ball slice of a flat at
-    distance nu from the origin lies within Hausdorff distance nu (1 + nu / r)
-    of its direction span's slice, which widens the interval by that much.
+    P_dst)||, the gap of _direction_gap.  Spans of unequal dimension are
+    exactly 1 apart: the larger holds a unit vector orthogonal to the
+    smaller.  For equal dimensions theta is computed from B^T B, which is
+    within dev = ||B B^T - I||_F of the exact projector of a basis B whose
+    rows are orthonormal only to rounding (both have the eigenvectors of
+    B^T B; its eigenvalues are those of B B^T, the projector's are 1), and
+    theta rounds by a few n^2 eps (two products of at most n terms and an
+    SVD): the interval widens by r (_ROUNDING n^2 + dev_a + dev_b).  The
+    r-ball slice of a flat at distance nu from the origin lies within
+    Hausdorff distance nu (1 + nu / r) of its direction span's slice, which
+    widens it by that much more.
     """
-    theta = _direction_gap(a, b)
+    theta, e = 1.0, 0.0
+    if a.dim == b.dim:
+        theta = _direction_gap(a, b)
+        e = _ROUNDING * a.ambient_dim**2
+        e += sum(float(np.linalg.norm(s.basis @ s.basis.T - np.eye(s.dim))) for s in (a, b))
     nus = [float(np.linalg.norm(flat_min_norm_point(s))) for s in (a, b)]
-    slack = sum(nu * (1.0 + nu / r) for nu in nus)
+    slack = r * e + sum(nu * (1.0 + nu / r) for nu in nus)
     return np.maximum(r * theta - slack, 0.0), r * theta + slack
 
 

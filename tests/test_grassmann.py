@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconvex import (
+    AWParams,
     ChartDomainError,
     HyperconvexError,
     Subspace,
+    aw_origin,
     chart_flat,
     chart_flat_inv,
     gap,
@@ -23,9 +25,11 @@ from hyperconvex import (
     parallel_subspace,
     projection_matrix,
     random_instance,
+    truncated_hausdorff,
     zero_subspace,
 )
 from hyperconvex.hypermetrics import _gap_caps, _spectral
+from hyperconvex.projection import _ROUNDING
 from hyperconvex.suites import _principal_angle_gap
 
 from conftest import flat, span
@@ -312,6 +316,49 @@ def test_gap_is_one_formula_held_to_principal_angles(n, kv, kw, tilt, seed):
         # the SVD's backward error: 1 - 1.3e-15 was seen at n = 3
         assert abs(g - 1.0) <= 4 * n * np.finfo(float).eps
     elif g < 1.0:
-        # the flat caps and the spectral route read the same number
+        # the flat caps read the same number, and the spectral route
+        # encloses it, widened for rounding and for bases orthonormal only
+        # to rounding (QR frames here) by no more than rounding
         assert _gap_caps(v, w)[1](1.0) == g
-        assert _spectral(v, w, 1.0)[1] == g
+        lo, hi = _spectral(v, w, 1.0)
+        assert lo <= g <= hi
+        assert hi - lo <= 2 * _ROUNDING * (n * n + 2 * n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_spectral_intervals_hold_both_formulas_of_the_gap(n, k, seed):
+    # ||P_v - P_w|| and the larger of ||B_v (I - P_w)||, ||B_w (I - P_v)||
+    # are one number, but round apart by a few ulps; the intervals of the
+    # spectral route hold both, times the radius
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    v, w = (Subspace(np.linalg.qr(rng.normal(size=(n, k)))[0].T) for _ in range(2))
+    sides = [s.basis @ (np.eye(n) - t.basis.T @ t.basis) for s, t in ((v, w), (w, v))]
+    two_products = max(float(np.linalg.norm(m, 2)) for m in sides)
+    r = float(rng.uniform(0.5, 4.0))
+    th, direct, aw = truncated_hausdorff(v, w, r), gap_direct(v, w), aw_origin(v, w, AWParams(j_cap=1))
+    for value in (two_products, gap(v, w)):
+        assert th.lo <= r * value <= th.hi
+        assert direct.lo <= value <= direct.hi
+        # the j = 1 term, min(1, gap), and at most 1/2 past j_cap
+        assert aw.lo <= min(1.0, value) <= aw.hi
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_equal_subspaces_read_zero_on_the_spectral_route(k):
+    basis = np.linalg.qr(np.random.default_rng(k).normal(size=(3, 3)))[0].T[:k]
+    for v, w in ((Subspace(basis), Subspace(basis)), (Subspace(basis), Subspace(-basis))):
+        for iv in (truncated_hausdorff(v, w, 2.0), gap_direct(v, w), aw_origin(v, w)):
+            assert (iv.lo, iv.hi) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unequal_dimensions_read_the_radius_exactly(seed):
+    # a line and a plane in R^3, or a plane and R^3: the gap is exactly 1
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+    k = 1 + seed % 2
+    v, w = Subspace(frame[:k]), Subspace(np.linalg.qr(rng.normal(size=(3, k + 1)))[0].T)
+    th, direct = truncated_hausdorff(v, w, 2.5), gap_direct(v, w)
+    assert (th.lo, th.hi, direct.lo, direct.hi) == (2.5, 2.5, 1.0, 1.0)

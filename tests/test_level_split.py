@@ -161,9 +161,9 @@ def test_waiting_cubes_leave_with_the_live_ball(monkeypatch, seed):
         events.append(("split", T[:k].T.copy(), T[k].copy(), kids.shape[1]))
         return kids
 
-    def inside(T, k, r):
+    def inside(T, k, r, shell):
         events.append(("inside", T.shape[1], r))
-        return real_inside(T, k, r)
+        return real_inside(T, k, r, shell)
 
     monkeypatch.setattr(hm, "_split", split)
     monkeypatch.setattr(hm, "_inside", inside)

@@ -7,7 +7,7 @@ replaces, and for building nothing the cube search builds.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperconvex.hypermetrics as hm
@@ -72,6 +72,9 @@ def _samples(rng, pair, radius, shells):
     nearly=st.booleans(),
     weighted=st.booleans(),
 )
+# spheres on the ends of the cube search's first cubes, where a sphere meets
+# no cube's inside
+@example(seed=756309745, n=2, scale=1.0, family="segments", nearly=False, weighted=True)
 def test_line_sup_encloses_dense_samples_and_the_cube_search(seed, n, scale, family, nearly, weighted):
     rng = np.random.default_rng(seed)
     a, b = _collinear_pair(rng, n, scale, family, 1e-13 if nearly else 0.0)
