@@ -212,8 +212,10 @@ class _Line:
 
 class _Pair:
     """Two sets and the tolerances of one public call; the common span, the
-    pair on it when it is a line (_Line) and the gap caps (_gap_caps) are
-    computed on first use.  Each set keeps its own residual map."""
+    pair on it when it is a line (_Line), a polytope pair's Hausdorff
+    enclosure (_hausdorff) and the gap caps (_gap_caps, or that distance
+    for two polytopes) are computed on first use.  Each set keeps its own
+    residual map."""
 
     def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
         self.a, self.b, self.cfg = a, b, cfg
@@ -229,7 +231,14 @@ class _Pair:
         return None if k > 1 else _Line(self.a, self.b, np.ones(1) if B is None else B[0], w0, w1)
 
     @cached_property
+    def hausdorff(self) -> tuple[float, float]:
+        return _hausdorff(self.a, self.b)
+
+    @cached_property
     def caps(self):
+        if isinstance(self.a, Polytope) and isinstance(self.b, Polytope):
+            h = self.hausdorff[1]
+            return h, lambda r: h
         return _gap_caps(self.a, self.b)
 
 
@@ -289,8 +298,8 @@ def _box_bounds(a: ConvexSet, b: ConvexSet, X: np.ndarray, rho: np.ndarray | Non
 
     The box is any set of points within rho[i] of x_i; reach(V) bounds
     max over the box of v . (y - x_i) for the direction rows v = V[..., i, :]
-    and defaults to rho[i] |v|, the bound over the whole rho-ball.  With
-    rho None only lo is computed, and hi is None.
+    (rho[i] |v| bounds it over the whole rho-ball).  With rho None only lo
+    is computed, hi is None, and reach and scale go unread.
 
     With R = x - P(x), d = |R|, u = R / d (u = 0 where d = 0) and
     delta = y - x, every distance function satisfies
@@ -305,7 +314,7 @@ def _box_bounds(a: ConvexSet, b: ConvexSet, X: np.ndarray, rho: np.ndarray | Non
 
     A residual is known to within e: the batched Wolfe route's error, plus
     for every route a rounding allowance of 64 eps (s + d_a + d_b), s being
-    scale[i], by default 1 + |x_i| (ball_sup passes 1 plus the largest
+    scale[i], at least 1 + |x_i| (ball_sup passes 1 plus the largest
     coordinate of the sets' data plus |x_i|).  A row with d <= e counts as
     on the set (u = 0, no quadratic term).  Otherwise |R + delta| moves by
     at most e and u by at most 2 e / (d - e), which widens the convexity
@@ -322,8 +331,6 @@ def _box_bounds(a: ConvexSet, b: ConvexSet, X: np.ndarray, rho: np.ndarray | Non
     lo = np.abs(g) - (ea + eb)
     if rho is None:
         return lo, None
-    if scale is None:
-        scale = 1.0 + _row_norms(X)
     tiny = _ROUNDING * (scale + d[0] + d[1])
     e = np.empty(d.shape)
     np.add(ea, tiny, out=e[0])
@@ -339,7 +346,7 @@ def _box_bounds(a: ConvexSet, b: ConvexSet, X: np.ndarray, rho: np.ndarray | Non
     np.subtract(u[0], u[1], out=V[0])
     np.negative(V[0], out=V[1])
     np.negative(u[::-1], out=V[2:])
-    L = rho * _row_norms(V) if reach is None else reach(V)
+    L = reach(V)
     # up = g + t_b + min(L(u_a - u_b) + q_a, rho + L(-u_b)), down likewise
     side = np.minimum(L[:2] + quad, rho + L[2:])
     up = g + turn[1] + side[0]
@@ -425,7 +432,6 @@ def ball_sup(
     budget: int,
     weights=(np.inf,),
     floor: float = -np.inf,
-    probes: np.ndarray | None = None,
 ) -> SupEstimate:
     """Certified estimate of the sup over the closed radius-ball of
 
@@ -439,10 +445,10 @@ def ball_sup(
     when none is known) gives the plain sup of the gap; unit shells with
     c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  floor is
     a known lower bound of the result; the estimate then encloses the max
-    of floor and the sup.  The search starts from the probe rows, which only
-    raise the lower bound: rows passed as probes at once, by default those
-    of _probes in two stages, the data rows and then the ladder rows whose
-    weights, which cap their scores, exceed the lower bound they leave.
+    of floor and the sup.  The search starts from the rows of _probes, which
+    only raise the lower bound, in the two stages that _probes splits them
+    into: the data rows, then the ladder rows whose weights, which cap their
+    scores, exceed the lower bound the data rows leave.
 
     The search runs over the ball of S, the pair's common span: for sets
     inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
@@ -508,7 +514,7 @@ def ball_sup(
         # lower bounds take the outer shell at a tie
         return w[np.minimum(t // shell, L - 1).astype(int)] if L > 1 else np.full(t.shape, w[0])
 
-    Y = _probes(pair.a, pair.b, radius) if probes is None else probes
+    Y, ladder = _probes(pair.a, pair.b, radius)
     if B is not None:
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
     Y, t = _clamp_rows(Y, radius)
@@ -532,9 +538,8 @@ def ball_sup(
             resolved = max(resolved, float(tail[live]))
         return live * shell
 
-    # the data rows of _probes (its last) first, then the ladder rows whose
-    # weights exceed the lower bound they leave; rows passed as probes at once
-    ladder = Y.shape[0] - 1 - sum(_rows(s)[0].shape[0] for s in (pair.a, pair.b)) if probes is None else 0
+    # the data rows first, then the ladder rows whose weights exceed the
+    # lower bound they leave
     probe(X[ladder:], top[ladder:])
     if ladder and tail[0] > lb:
         keep = top[:ladder] > lb
@@ -622,25 +627,37 @@ def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
     for bit.  It takes no tolerances: the routes run at their own fixed
     ones.
     """
+    return _hausdorff(a, b)[1]
+
+
+def _hausdorff(a: ConvexSet, b: ConvexSet) -> tuple[float, float]:
+    """(lo, h): hausdorff's value h, an upper bound, and its certified lower
+    end lo, the largest |R_i| - err_i over the same residual rows (a row's
+    norm bounds its distance from above, within err_i).  The face route has
+    no error, so there lo = h."""
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
         raise HyperconvexError("hausdorff takes polytope pairs only")
     check_same_ambient(a, b)
-    h = float(np.linalg.norm(b._residuals(a.unique_points, 0.0)[0], axis=1).max())
-    return max(h, float(np.linalg.norm(a._residuals(b.unique_points, h)[0], axis=1).max()))
+    lo = h = 0.0
+    for src, dst in ((a, b), (b, a)):
+        R, err = dst._residuals(src.unique_points, h)
+        d = np.linalg.norm(R, axis=1)
+        h = max(h, float(d.max()))
+        lo = max(lo, float((d if err is None else d - err).max()))
+    return lo, h
 
 
 def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], float]]:
     """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
 
-    h holds for every radius at once (inf when none is known): the Hausdorff
-    distance of a polytope pair, the offset of flats with bit-equal direction
-    projectors.  cap(r) holds for one radius; for flats it is the offset plus
-    _direction_gap times (r + |b.base|).  Callers compute both once.
+    h holds for every radius at once (inf when none is known): the offset of
+    flats with bit-equal direction projectors.  cap(r) holds for one radius;
+    for flats it is the offset plus _direction_gap times (r + |b.base|).  A
+    pair with a polytope gets none here (_Pair.caps gives two polytopes
+    their Hausdorff distance).  Callers compute both once.
     """
-    pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
-    if pa or pb:
-        h = hausdorff(a, b) if pa and pb else np.inf
-        return h, lambda r: h
+    if isinstance(a, Polytope) or isinstance(b, Polytope):
+        return np.inf, lambda r: np.inf
     Pa = a.basis.T @ a.basis
     off = float(np.linalg.norm((b.base - a.base) - Pa @ (b.base - a.base)))
     eta, reach = _direction_gap(a, b), float(np.linalg.norm(b.base))
@@ -654,30 +671,31 @@ def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], floa
 _LADDER = (1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
-def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> np.ndarray:
-    """The rows a ball_sup search starts from: plus and minus the unit
-    directions of the pair's data at the _LADDER radii below radius and at
-    radius, each 1e-12 inside its sphere so that it scores in the shell
-    that sphere closes, then the P rows of both sets and the origin, the
-    data rows, which ball_sup evaluates first (see there).
+def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> tuple[np.ndarray, int]:
+    """(Y, ladder): the rows a ball_sup search starts from, and the index
+    where the ladder rows among them end.  The ladder rows are plus and
+    minus the unit P and L rows of both sets (_rows) at the _LADDER radii
+    below radius and at radius, each 1e-12 inside its sphere so that it
+    scores in the shell that sphere closes: 2 (m_a + m_b) rows a radius for
+    polytopes of m_a and m_b points.  The data rows after them are the P
+    rows of both sets and the origin, which ball_sup evaluates first.
 
-    The data are the P and L rows of both sets (_rows), and the differences
-    P_a - P_b when neither set has L rows.  The ladder stays because the
-    probes set the first lower bound, which prunes shells and boxes: with no
-    _LADDER radii aw-sweep's op_ms_p50 read 0.46 against 0.32 ms (seed 1).
+    The ladder stays because the probes set the first lower bound, which
+    prunes shells and boxes: with no _LADDER radii aw-sweep's op_ms_p50 read
+    0.46 against 0.32 ms (seed 1).  The differences P_a - P_b, which made
+    it quadratic in the points, are left out: without them aw-sweep's
+    outputs (seeds 1-2, rounds 0-2) kept their certified flags and
+    overlapping intervals, on 67,316 rows evaluated against 68,810.
     """
     (Pa, La), (Pb, Lb) = _rows(a), _rows(b)
-    data = [Pa, La, Pb, Lb]
-    if not (La.size or Lb.size):
-        data.append((Pa[:, None, :] - Pb[None, :, :]).reshape(-1, Pa.shape[1]))
-    V = np.concatenate(data)
+    V = np.concatenate([Pa, La, Pb, Lb])
     nrm = _row_norms(V)
     big = nrm > 1e-12
     U = V[big] / nrm[big, None]
     radii = [j for j in _LADDER if j < radius] + [radius]
     s = np.array([sign * (1.0 - 1e-12) * r for sign in (1.0, -1.0) for r in radii])
     rows = (s[:, None, None] * U).reshape(-1, U.shape[1])
-    return np.concatenate([rows, Pa, Pb, np.zeros((1, Pa.shape[1]))])
+    return np.concatenate([rows, Pa, Pb, np.zeros((1, Pa.shape[1]))]), rows.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +736,9 @@ def _th_estimate(pair: _Pair, r: float, eps: float, budget: int) -> SupEstimate:
 
     Pairs without a polytope take the spectral formula (_spectral).  A
     polytope pair inside the ball and off a line is its Hausdorff distance,
-    which cap holds.  Every other pair takes the ambient identity: the
-    truncated Hausdorff distance of origin-containing sets is sup over the
-    r-ball of |d(., a) - d(., b)|.
+    enclosed by _Pair.hausdorff.  Every other pair takes the ambient
+    identity: the truncated Hausdorff distance of origin-containing sets is
+    sup over the r-ball of |d(., a) - d(., b)|.
     """
     a, b = pair.a, pair.b
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
@@ -729,7 +747,8 @@ def _th_estimate(pair: _Pair, r: float, eps: float, budget: int) -> SupEstimate:
         return SupEstimate(float(lo), float(hi), True, 0)
     cap = np.inf if pair.line else pair.caps[1](r)
     if pa and pb and not pair.line and _reach(a, b) <= r:
-        return SupEstimate(cap, cap, True, a.points.shape[0] + b.points.shape[0])
+        lo, h = pair.hausdorff
+        return SupEstimate(lo, h, h - lo <= eps, a.points.shape[0] + b.points.shape[0])
     return ball_sup(pair, r, eps, budget=budget, weights=[min(cap, r + pair.cfg.tau_geom)])
 
 
@@ -787,19 +806,19 @@ def sup_distance_gap(
 # the Attouch-Wets metric as one weighted sup
 
 
-def _aw_scan(pair: _Pair, p: AWParams, radius: int, floor=-np.inf) -> Interval:
+def _aw_scan(pair: _Pair, p: AWParams, radius: int, past=None) -> Interval:
     """The Attouch-Wets metric of the pair from one ball_sup over the
     radius-ball with weights min(1/j, cap(j)) on its unit shells, with
-    (h, cap) = pair.caps, or (_Line.h, inf) on a line; floor is a known
-    lower bound of the terms past radius, h bounds every term, and those
-    past j_cap add min(1/(j_cap+1), h).  A scan that ran out of budget
-    leaves the result certified while its width meets eps_sup.
+    (h, cap) = pair.caps, or (_Line.h, inf) on a line.  past = (lo, hi)
+    encloses the largest of the terms past radius; as h bounds every term,
+    it defaults to (-inf, min(1/(radius+1), h)).  A scan that ran out of
+    budget leaves the result certified while its width meets eps_sup.
     """
     h, cap = (pair.line.h, lambda r: np.inf) if pair.line else pair.caps
+    floor, tail = past or (-np.inf, min(1.0 / (radius + 1), h))
     j = np.arange(1.0, radius + 1.0)
     weights = np.minimum(1.0 / j, cap(j))
     est = ball_sup(pair, float(radius), p.eps_sup, budget=p.budget, floor=floor, weights=weights)
-    tail = min(1.0 / (p.j_cap + 1), h)
     return Interval(est.lo, max(est.hi, tail), est.certified or est.hi - est.lo <= p.eps_sup)
 
 
@@ -837,28 +856,28 @@ def aw_origin(
     For origin-containing sets this equals attouch_wets (module
     docstring).  Pairs without a polytope take the spectral formula at every
     j up to j_cap.  A polytope pair's terms with both polytopes inside the
-    j-ball are min(1/j, hausdorff(a, b)), the floor of the scan of its
-    ball-cut terms.  The spectral formula and the Hausdorff distance share
-    no estimation route with attouch_wets, which keeps their agreement a
-    meaningful cross-check; ball-cut terms take the same weighted scan.
+    j-ball are min(1/j, hausdorff(a, b)), whose enclosure (_Pair.hausdorff)
+    joins the scan of its ball-cut terms.  The spectral formula and the
+    Hausdorff distance share no estimation route with attouch_wets, which
+    keeps their agreement a meaningful cross-check; ball-cut terms take the
+    same weighted scan.
     """
     p = params or AWParams()
     pair = _pair(a, b, tol, "aw_origin requires both sets to contain the origin")
     if pair is None:
         return Interval(0.0, 0.0)
-    h = pair.caps[0]
     pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
     if not (pa or pb):
         j = np.arange(1.0, p.j_cap + 1.0)
         lo, hi = (float(np.minimum(1.0 / j, s).max()) for s in _spectral(a, b, j))
-        return Interval(lo, max(hi, min(1.0 / (p.j_cap + 1), h)))
-    radius, floor = p.j_cap, -np.inf
+        return Interval(lo, max(hi, min(1.0 / (p.j_cap + 1), pair.caps[0])))
+    radius, past = p.j_cap, None
     if pa and pb:
         # from j0 on both polytopes lie inside the j-ball, so the largest of
-        # those terms is min(1/j0, h) exactly
+        # those terms is min(1/j0, H), H the Hausdorff distance
         j0 = max(1, math.ceil(_reach(a, b)))
         if j0 <= p.j_cap:
-            radius, floor = j0 - 1, min(1.0 / j0, h)
+            radius, past = j0 - 1, tuple(min(1.0 / j0, v) for v in pair.hausdorff)
         if radius == 0:
-            return Interval(floor, floor)
-    return _aw_scan(pair, p, radius, floor)
+            return Interval(*past, past[1] - past[0] <= p.eps_sup)
+    return _aw_scan(pair, p, radius, past)

@@ -94,7 +94,7 @@ def adversarial_independence_check(
     if not _integer(trials) or trials < 0:
         raise HyperconvexError("trials must be a nonnegative integer")
     k = pts.shape[0] - 1
-    report = Report(suite="independence-adversarial", trials=trials, seed=seed)
+    report = Report(suite="independence-adversarial", trials=trials, seed=seed, dim=pts.shape[1])
     if trials == 0 or k == 0:
         report.runtime_ms = int(round((time.perf_counter() - t0) * 1000))
         return report

@@ -12,7 +12,8 @@ class Report:
     failures holds one dict per violated check with the offending inputs,
     the measured residual, and the threshold it broke.  inconclusive counts
     trials whose estimator gave up inside its budget (wide but still valid
-    enclosures); those are not failures.  Two runs with the same arguments
+    enclosures); those are not failures.  dim is the ambient dimension the
+    suite ran in.  Two runs with the same arguments
     produce identical reports except for runtime_ms.
     """
 
@@ -22,6 +23,7 @@ class Report:
     inconclusive: int = 0
     seed: int = 0
     runtime_ms: int = 0
+    dim: int = 0
 
     @property
     def passed(self) -> bool:

@@ -151,20 +151,20 @@ def _point_on(rng, s: ConvexSet) -> np.ndarray:
     return s.base + coords @ s.basis
 
 
-def _tilted_subspace(rng, w: Subspace, lo: float = 0.05, hi: float = 0.7) -> Subspace:
+def _tilted_subspace(rng, w: Subspace) -> Subspace:
     # bounded tilt keeps the chart linear systems well conditioned
     if w.dim == 0:
         return w
     for _ in range(32):
-        t = float(rng.uniform(lo, hi))
+        t = float(rng.uniform(0.05, 0.7))
         cand = orthonormal_basis(w.basis + t * rng.normal(size=w.basis.shape))
         if cand.dim == w.dim and in_chart_domain(w, cand):
             return cand
     return w
 
 
-def _complement_vector(rng, w: Subspace, scale: float = 1.5) -> np.ndarray:
-    g = rng.normal(size=w.basis.shape[1]) * scale
+def _complement_vector(rng, w: Subspace) -> np.ndarray:
+    g = rng.normal(size=w.basis.shape[1]) * 1.5
     if w.dim:
         g = g - (w.basis @ g) @ w.basis
         g = g - (w.basis @ g) @ w.basis
@@ -563,8 +563,7 @@ def _convex_charts(rng, n, t, cfg, rec):
                 10 * tau,
                 w=w, v=v, v2=v2, omega=omega, omega2=omega2,
             )
-    back2 = chart_convex_inv(w, lifted, cfg)
-    again = chart_convex(w, back2, cfg)
+    again = chart_convex(w, back, cfg)
     rec.require("reverse-round-trip", hausdorff(lifted, again), tau, w=w, body=body)
 
 
@@ -765,4 +764,4 @@ def run_suite(
         inconclusive += rec.inconclusive
         failures += [{"suite": sub, **f} for f in rec.failures] if name == "all" else rec.failures
     ms = int(round((time.perf_counter() - start) * 1000))
-    return Report(name, len(subs) * trials, failures, inconclusive, seed, ms)
+    return Report(name, len(subs) * trials, failures, inconclusive, seed, ms, n)

@@ -8,6 +8,7 @@ The checks of the weighted scan against dense samples take their gaps from
 distance_evaluator instead: they test the scan, not the distances.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -35,6 +36,7 @@ from hyperconvex.projection import (
     _face_pieces,
     _min_norm_rows,
     _residual_rows,
+    _row_norms,
     _wolfe_cap,
 )
 
@@ -46,6 +48,15 @@ def tilted_segments():
     """README's segment pair with the far end of the longer segment lifted
     by 1, as new sets: their span is the plane, so its sups search cubes."""
     return Polytope(np.array([[0.0, 0.0], [10.0, 0.0]])), Polytope(np.array([[0.0, 0.0], [20.0, 1.0]]))
+
+
+@contextlib.contextmanager
+def origin_probe(n):
+    """ball_sup starts from one probe at the origin, so that the cubes, not
+    the probes, must find the sup."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_probes", lambda a, b, radius: (np.zeros((1, n)), 0))
+        yield
 
 
 def _frame(rng, n, k):
@@ -147,7 +158,7 @@ def test_box_bound_covers_dense_samples(seed, kinds, n, log_size):
     half = rng.uniform(0.1, 1.0, size=n) * radius * 10.0**log_size
     c = projection._clamp_rows(center[None, :], radius)[0]
     rho = np.array([np.linalg.norm(half)])
-    lo, hi = _box_bounds(a, b, c, rho)
+    lo, hi = _box_bounds(a, b, c, rho, lambda V: rho * _row_norms(V), 1.0 + _row_norms(c))
     g_c = float(_gap(a, b, c)[0])
     assert lo[0] <= g_c + 1e-9
     # the bound covers every point within rho of the clamped center, so
@@ -165,10 +176,11 @@ def test_box_bound_is_second_order_away_from_the_sets():
     b = Flat(np.array([0.0, 0.0, 0.05]), np.array([[np.cos(0.05), np.sin(0.05), 0.0]]))
     c = np.array([[0.0, 0.0, 3.0]])
     rho = np.array([0.01])
-    lo, hi = _box_bounds(a, b, c, rho)
+    reach = lambda V: rho * _row_norms(V)
+    lo, hi = _box_bounds(a, b, c, rho, reach, 1.0 + _row_norms(c))
     assert hi[0] - lo[0] < 0.1 * 2 * rho[0]
     # and on both sets (d = 0) each side keeps its Lipschitz slack rho
-    lo, hi = _box_bounds(a, b, np.zeros((1, 3)), rho)
+    lo, hi = _box_bounds(a, b, np.zeros((1, 3)), rho, reach, np.ones(1))
     assert hi[0] - lo[0] == pytest.approx(rho[0])
 
 
@@ -226,7 +238,7 @@ def test_directional_box_bound_covers_dense_samples(seed, kinds, n, log_size, wh
         C = _in_ball(rng, n, boxes, 1.2 * radius)
     c = projection._clamp_rows(C, radius)[0]
     reach = hm._box_reach(c, C, h, radius, None, rho)
-    lo, hi = _box_bounds(a, b, c, rho, reach)
+    lo, hi = _box_bounds(a, b, c, rho, reach, 1.0 + _row_norms(c))
     assert (lo <= _gap(a, b, c) + 1e-9).all()
     # the reach bounds v . (y - c) over the cube and the ball for any v, and
     # the bound covers the gap, at samples of both
@@ -351,7 +363,8 @@ def test_sup_inside_a_set_certifies_in_few_evaluations():
     a, b = _draw(rng, "subspace", 3), _draw(rng, "wolfe", 3)
     radius = float(rng.uniform(0.5, 4.0))
     w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(1, 6))))[::-1]
-    est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w, probes=np.zeros((1, 3)))
+    with origin_probe(3):
+        est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w)
     assert est.certified and est.hi - est.lo <= 1e-2
     assert est.lo == pytest.approx(radius) and est.evals < 20_000
 
@@ -387,8 +400,9 @@ def test_spans_past_16_dimensions_end_after_the_root():
     assert pair.span[0] is None
     est = hm.ball_sup(pair, 1.0, 1e-2, budget=300_000)
     assert not est.certified and est.lo <= est.hi
-    assert est.evals <= hm._probes(a, b, 1.0).shape[0] + 1
-    X = np.concatenate([_in_ball(rng, 17, 2000, 1.0), hm._probes(a, b, 1.0)])
+    Y = hm._probes(a, b, 1.0)[0]
+    assert est.evals <= Y.shape[0] + 1
+    X = np.concatenate([_in_ball(rng, 17, 2000, 1.0), Y])
     assert (_library_gap(a, b, projection._clamp_rows(X, 1.0)[0]) <= est.hi + 1e-6).all()
 
 
@@ -474,7 +488,8 @@ def test_weighted_sup_covers_dense_samples(seed, kinds, n, ordered):
     if ordered:
         w = np.sort(w)[::-1]
     # the enclosure holds whether or not the budget lets the width certify
-    est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w, probes=np.zeros((1, n)))
+    with origin_probe(n):
+        est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w)
     X = _shell_samples(rng, n, radius, len(w))
     shells = np.clip(np.ceil(np.linalg.norm(X, axis=1) * len(w) / radius) - 1, 0, len(w) - 1).astype(int)
     assert (np.minimum(w[shells], _library_gap(a, b, X)) <= est.hi + 1e-6).all()

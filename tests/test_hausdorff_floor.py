@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import hyperconvex.hypermetrics as hm
 import hyperconvex.projection as projection
-from hyperconvex import Polytope, distance_evaluator, hausdorff, metric_projection, sup_distance_gap
+from hyperconvex import (
+    Polytope,
+    aw_origin,
+    distance_evaluator,
+    hausdorff,
+    metric_projection,
+    sup_distance_gap,
+    truncated_hausdorff,
+)
 from hyperconvex.projection import _BLOCK_ROWS, _ENUM_MAX_PIECES, _face_pieces
 
 KINDS = ("disjoint", "translated", "nested", "equal", "duplicated")
@@ -183,3 +191,48 @@ def test_ball_sup_reads_every_row(seed, n):
     assert all(floor is None for within, floor in calls if within)
     # the Hausdorff cap of the pair is a max query
     assert [floor is None for within, floor in calls if not within] == [False, False]
+
+
+def _loose_maps(delta: float):
+    """A stand-in for _residual_rows whose maps declare every residual known
+    only to within its error plus delta, as a coarser solver would."""
+    real = projection._residual_rows
+
+    def rows(s):
+        r = real(s)
+
+        def loose(X, floor=None):
+            R, err = r(X, floor)
+            return R, (0.0 if err is None else err) + delta
+
+        return loose
+
+    return rows
+
+
+@pytest.mark.parametrize("route", ["enum", "wolfe"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_shortcuts_inside_the_ball_carry_the_residual_error(route, seed):
+    # two centred polytopes inside the unit ball: truncated_hausdorff reads
+    # their Hausdorff distance H, and aw_origin its one term min(1, H) = H
+    # (j0 = 1).  With every residual known to within delta, H is known only
+    # to within delta, and both intervals must reach down that far.
+    rng = np.random.default_rng(seed)
+    n = 4
+    m = _sizes(n, route, rng)
+    A, B = (P - P.mean(axis=0) for P in rng.standard_normal((2, m, n)))
+    A, B = (P / (1.5 * np.linalg.norm(P, axis=1).max()) for P in (A, B))
+    exact = hausdorff(Polytope(A), Polytope(B))
+    assert exact < 1.0
+    delta = 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_residual_rows", _loose_maps(delta))
+        h = hausdorff(Polytope(A), Polytope(B))
+        ivs = [truncated_hausdorff(Polytope(A), Polytope(B), 1.0), aw_origin(Polytope(A), Polytope(B))]
+    assert h == exact
+    for iv in ivs:
+        assert iv.lo <= h - 0.5 * delta and h <= iv.hi <= h + 1e-12
+    # with the maps as they are, the face route is exact: a point
+    if route == "enum":
+        for iv in (truncated_hausdorff(Polytope(A), Polytope(B), 1.0), aw_origin(Polytope(A), Polytope(B))):
+            assert iv.lo == iv.hi == exact

@@ -74,6 +74,7 @@ class TestAdversarialCheck:
     def test_zero_trials(self):
         report = adversarial_independence_check(TRIANGLE, 0.1, 0, 7)
         assert report.passed and report.trials == 0
+        assert report.dim == 2
 
     def test_deterministic(self):
         a = adversarial_independence_check(TRIANGLE, 0.6, 2_000, 3)

@@ -114,30 +114,40 @@ def test_probe_rows_are_the_data_directions_on_the_ladder(n):
     rng = np.random.default_rng(n)
     for a, b in _probe_pairs(rng, n):
         for radius in (0.5, 4.0, 64.0):
-            probes = hm._probes(a, b, radius)
+            probes, ladder = hm._probes(a, b, radius)
             # the same rows on every call, whatever numpy's global state
             np.random.seed(n)
             np.random.standard_normal(5)
-            assert np.array_equal(_bits(hm._probes(a, b, radius)), _bits(probes))
+            again, split = hm._probes(a, b, radius)
+            assert np.array_equal(_bits(again), _bits(probes)) and split == ladder
             (Pa, La), (Pb, Lb) = hm._rows(a), hm._rows(b)
-            data = [Pa, La, Pb, Lb]
-            if not (La.size or Lb.size):
-                data += [p - q for p in Pa for q in Pb]
-            U = [u / np.linalg.norm(u) for u in np.vstack(data) if np.linalg.norm(u) > 1e-12]
+            U = [u / np.linalg.norm(u) for u in np.vstack([Pa, La, Pb, Lb]) if np.linalg.norm(u) > 1e-12]
             radii = [r for r in hm._LADDER if r < radius] + [radius]
             expected = [s * (1.0 - 1e-12) * r * u for s in (1.0, -1.0) for r in radii for u in U]
-            expected += list(Pa) + list(Pb) + [np.zeros(n)]
-            # each row once: a basis row L enters as +L and -L, not twice each
-            assert probes.shape == (len(expected), n)
+            # each row once: a basis row L enters as +L and -L, not twice each;
+            # the ladder is linear in the data, 2 (m_a + m_b) rows a radius
+            # for two polytopes
+            assert ladder == len(expected) <= 2 * (len(Pa) + len(La) + len(Pb) + len(Lb)) * len(radii)
             for row in expected:
-                assert np.isclose(probes, row, rtol=1e-14, atol=1e-14).all(axis=1).any()
+                assert np.isclose(probes[:ladder], row, rtol=1e-14, atol=1e-14).all(axis=1).any()
+            # after the ladder, the data rows: both sets' P rows and the origin
+            assert np.array_equal(probes[ladder:], np.vstack([Pa, Pb, np.zeros((1, n))]))
+
+
+def test_two_polytopes_probe_a_ladder_linear_in_their_points():
+    # 24 + 24 points in R^8 at radius 64: ten radii (the nine _LADDER radii
+    # below 64, and 64), two signs, 48 directions, then the 49 data rows
+    rng = np.random.default_rng(24)
+    a, b = (Polytope(rng.normal(size=(24, 8))) for _ in range(2))
+    probes, ladder = hm._probes(a, b, 64.0)
+    assert (ladder, probes.shape[0]) == (960, 1009)
 
 
 def test_sets_without_data_directions_are_at_distance_zero():
     # both sets are {0}: the pair has no data direction, and its probes are
     # the origin rows alone
     a, b = Flat(np.zeros(3), np.zeros((0, 3))), zero_subspace(3)
-    assert not hm._probes(a, b, 2.0).any()
+    assert not hm._probes(a, b, 2.0)[0].any()
     for iv in (
         truncated_hausdorff(a, b, 2.0),
         sup_distance_gap(a, b, 2.0),

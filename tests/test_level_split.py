@@ -13,7 +13,7 @@ from hyperconvex import AWParams, Flat, Polytope, attouch_wets
 from hyperconvex.hypermetrics import _Pair
 from hyperconvex.projection import _row_norms
 
-from test_ball_bounds import CFG, _frame, _gap, _shell_samples, tilted_segments
+from test_ball_bounds import CFG, _frame, _gap, _shell_samples, origin_probe, tilted_segments
 
 # levels of the tilted segment pair's search when each level split its
 # cubes once
@@ -90,7 +90,7 @@ def test_small_levels_split_again_within_the_caps(monkeypatch, k):
 
     levels = [e[1] for e in events if e[0] == "level"]
     assert len(levels) == est.levels >= 2
-    assert sum(levels) == est.evals - hm._probes(a, b, 2.0).shape[0]
+    assert sum(levels) == est.evals - hm._probes(a, b, 2.0)[0].shape[0]
     assert max(levels) <= hm._LEVEL_ROWS
     # the splits before each level: the first halves the chosen cubes (the
     # root's are all second splits), every later one halves cubes whose
@@ -139,7 +139,8 @@ def test_deeper_split_sup_covers_dense_samples(seed, family, weighted):
     a, b, n = _family_pair(rng, family)
     radius = float(rng.uniform(0.5, 4.0))
     w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(1, 6))))[::-1] if weighted else np.array([np.inf])
-    est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-3, budget=100_000, weights=w, probes=np.zeros((1, n)))
+    with origin_probe(n):
+        est = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-3, budget=100_000, weights=w)
     assert est.lo <= est.hi
     X = _shell_samples(rng, n, radius, len(w))
     shells = np.clip(np.ceil(np.linalg.norm(X, axis=1) * len(w) / radius) - 1, 0, len(w) - 1).astype(int)
@@ -173,7 +174,8 @@ def test_waiting_cubes_leave_with_the_live_ball(monkeypatch, seed):
     assert pair.span[0] is None
     w = np.sort(rng.uniform(0.0, 1.5, int(rng.integers(2, 9))))[::-1]
     radius = float(rng.uniform(1.0, 4.0))
-    hm.ball_sup(pair, radius, 1e-4, budget=20_000, weights=w, probes=np.zeros((1, 4)))
+    with origin_probe(4):
+        hm.ball_sup(pair, radius, 1e-4, budget=20_000, weights=w)
 
     r, kids, prev, waited = None, 0, None, 0
     for event in events:

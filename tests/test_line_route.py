@@ -131,7 +131,7 @@ def _forbid(monkeypatch, *names):
 
 def test_line_route_builds_no_map_and_runs_no_search(monkeypatch):
     gap_caps = hm._gap_caps
-    _forbid(monkeypatch, "hausdorff", "_gap_caps", "_box_bounds", "_probes", "_split")
+    _forbid(monkeypatch, "hausdorff", "_hausdorff", "_gap_caps", "_box_bounds", "_probes", "_split")
     seg = lambda *t: Polytope(np.array(t)[:, None] * np.array([[0.6, 0.8]]))
     assert attouch_wets(seg(0.0, 10.0), seg(0.0, 20.0)).lo == 1.0 / 11.0
     assert sup_distance_gap(seg(0.0, 1.0), seg(0.5, 3.0), 2.0).certified

@@ -80,26 +80,26 @@ def test_only_ladder_rows_that_can_raise_the_lower_bound_are_evaluated(monkeypat
         # every _probes row as ball_sup sees it: sliced by the common span,
         # clamped into the ball, scored at most the weight of its shell
         B = pair.span[0]
-        Y = hm._probes(a, b, radius)
+        Y, split = hm._probes(a, b, radius)
+        assert Y.shape[0] - split == _data_count(a, b), name
         Y, t = _clamp_rows(Y if B is None else Y @ B.T, radius)
         X = Y if B is None else Y @ B
         w = np.asarray(kw["weights"], dtype=float)
         top = w[np.minimum(t // (radius / w.size), w.size - 1).astype(int)]
-        data = _data_count(a, b)
         # the data rows first, and the lower bound they leave
         (X1, lo), *ladder = probes
-        assert np.array_equal(X1, X[-data:]), name
-        lb = max(kw.get("floor", -np.inf), float(np.minimum(lo, top[-data:]).max()))
+        assert np.array_equal(X1, X[split:]), name
+        lb = max(kw.get("floor", -np.inf), float(np.minimum(lo, top[split:]).max()))
         # then exactly the ladder rows whose weights exceed it
-        keep = top[:-data] > lb
+        keep = top[:split] > lb
         if not keep.any():
             assert not ladder, name
         else:
             ((X2, _),) = ladder
-            assert np.array_equal(X2, X[:-data][keep]), name
+            assert np.array_equal(X2, X[:split][keep]), name
         kept.append((keep.sum(), keep.size))
     # the cases skip the whole ladder, and cut it in part (the AW segment
-    # pair: 50 of 100 rows) or keep it whole (the plain sups)
+    # pair: 20 of 40 rows) or keep it whole (the plain sups)
     assert any(k == 0 for k, size in kept)
     if metric == "attouch_wets":
         assert any(0 < k < size for k, size in kept)
@@ -143,7 +143,26 @@ def test_a_ladder_row_past_the_live_ball_still_raises_the_lower_bound(monkeypatc
     iv = attouch_wets(a, b, AWParams())
     (est,) = ests
     assert (iv.lo, iv.hi, iv.certified) == (1.0, 1.0, True)
-    assert (est.evals, est.levels) == (9, 0) and hm._probes(a, b, 64.0).shape[0] == 63
+    assert (est.evals, est.levels) == (9, 0) and hm._probes(a, b, 64.0)[0].shape[0] == 63
+
+
+@pytest.mark.parametrize("shift", [-3, 0, 3])
+def test_the_two_stages_are_the_split_that_probes_returns(monkeypatch, shift):
+    # ball_sup counts no rows of the sets: it splits the probes where
+    # _probes says the ladder ends, so a split moved by a few rows moves
+    # its stages with it.  A plain sup keeps every ladder row.
+    a, b = tilted_segments()
+    real = hm._probes
+    Y, split = real(a, b, 6.0)
+    split += shift
+    monkeypatch.setattr(hm, "_probes", lambda a_, b_, radius: (real(a_, b_, radius)[0], split))
+    _, probes = _record(monkeypatch)
+    pair = _Pair(a, b, CFG)
+    assert pair.span[0] is None
+    hm.ball_sup(pair, 6.0, 1e-2, budget=200_000)
+    X = _clamp_rows(Y, 6.0)[0]
+    (X1, _), (X2, _), *_ = probes
+    assert np.array_equal(X1, X[split:]) and np.array_equal(X2, X[:split])
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +184,11 @@ def test_staged_search_returns_the_one_stage_interval(seed, kinds, n, weighted):
         radius, w = float(rng.uniform(0.5, 4.0)), np.array([np.inf])
     pair = _Pair(a, b, CFG)
     staged = hm.ball_sup(pair, radius, 1e-2, budget=200_000, weights=w)
-    one = hm.ball_sup(pair, radius, 1e-2, budget=200_000, weights=w, probes=hm._probes(a, b, radius))
+    rows = hm._probes(a, b, radius)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        # every row in the first stage
+        mp.setattr(hm, "_probes", lambda a, b, radius: (rows, 0))
+        one = hm.ball_sup(pair, radius, 1e-2, budget=200_000, weights=w)
     assert (staged.lo, staged.hi, staged.certified, staged.levels) == (one.lo, one.hi, one.certified, one.levels)
     assert staged.evals <= one.evals
     X = _shell_samples(rng, n, radius, w.size)

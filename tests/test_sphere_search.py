@@ -18,7 +18,7 @@ from hyperconvex import AWParams, Flat, Polytope, Subspace, attouch_wets, sup_di
 import hyperconvex.hypermetrics as hm
 from hyperconvex.hypermetrics import _Pair
 
-from test_ball_bounds import CFG, _frame, _in_ball, _library_gap
+from test_ball_bounds import CFG, _frame, _in_ball, _library_gap, origin_probe
 
 KINDS = ("polytope", "flat", "subspace")
 # distances on the face-enumeration route and the flat closed forms are
@@ -72,7 +72,8 @@ def test_no_interior_sample_scores_above_the_sup(seed, kinds, n, inside, metric)
         # weights in any order on 1-5 shells and one probe at the origin, so
         # that the cubes must find the sup on whichever sphere holds it
         w = rng.uniform(0.0, 1.5, int(rng.integers(1, 6)))
-        hi = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w, probes=np.zeros((1, n))).hi
+        with origin_probe(n):
+            hi = hm.ball_sup(_Pair(a, b, CFG), radius, 1e-2, budget=200_000, weights=w).hi
     else:
         # one shell: the plain sup of the gap, which the truncated Hausdorff
         # distance of origin-containing sets equals

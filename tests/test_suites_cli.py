@@ -57,8 +57,9 @@ class TestRunSuite:
     def test_report_shape(self):
         report = run_suite("gap-complement", 3, 3, 1)
         doc = report.to_dict()
-        assert set(doc) >= {"suite", "trials", "failures", "inconclusive", "seed", "runtime_ms", "passed"}
+        assert set(doc) >= {"suite", "trials", "failures", "inconclusive", "seed", "runtime_ms", "dim", "passed"}
         assert isinstance(doc["runtime_ms"], int)
+        assert doc["dim"] == 3
         json.dumps(doc)  # must be serializable as-is
 
     def test_all_is_a_known_name(self):
@@ -329,7 +330,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         doc = json.loads(out_path.read_text())
-        assert doc["passed"] is True
+        assert doc["passed"] is True and doc["dim"] == 3
         assert doc == json.loads(out)
 
     def test_failures_exit_one(self, monkeypatch, capsys):
