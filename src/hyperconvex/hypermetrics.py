@@ -20,17 +20,17 @@ so, for a pair A, B of such sets,
     hausdorff(A ∩ rB, B ∩ rB) = sup over the r-ball of |d(., A) - d(., B)|.
 
 The truncated Hausdorff distance (truncated_hausdorff, and the j-terms of
-aw_origin) therefore takes one of three routes, none of which truncates a
-set:
+aw_origin) therefore takes one of two routes, neither of which truncates a
+set, and one function picks the route of every certified estimate
+(_estimate):
 
 * a pair without a polytope (subspaces, and flats that contain the origin
   up to tau_geom) takes the spectral formula, the radius times the gap of
   the direction spans (sets._direction_gap); a flat's offset widens it;
-* a pair of polytopes inside the ball, off a line, is its Hausdorff
-  distance, attained at generators as a distance to a convex set is convex;
 * every other pair takes the ambient sup of the lemma (for a set that
   misses the origin by up to tau_geom, the lemma holds to within about
-  that much).
+  that much).  Two polytopes cap it with their Hausdorff distance, which
+  the search reaches at their generators once both lie inside the ball.
 
 Ambient sups (ball_sup) take one of two routes, both resting on one fact:
 the sup of the gap over a ball is reached on its sphere (proof in ball_sup).
@@ -188,14 +188,14 @@ class _Line:
         r = t - c
         return np.where(np.sign(r[0]) == np.sign(r[1]), np.abs(c[1] - c[0]), np.abs(np.abs(r[0]) - np.abs(r[1])))
 
-    def sup(self, radius: float, eps: float, w: np.ndarray, floor: float) -> SupEstimate:
+    def sup(self, radius: float, eps: float, w: np.ndarray) -> SupEstimate:
         """ball_sup on the line: the largest min(w_l, g_l), g_l the gap's
         max over shell l and all inside it, at +-s_l, its outer sphere."""
         s = radius / w.size * np.arange(1.0, w.size + 1.0)
         g = self.gap(np.append(s, -s)).reshape(2, -1).max(axis=0)
         e = _ROUNDING * (self.scale + g) + self.w0 + self.w1 * radius
-        lo = max(floor, 0.0, float(np.minimum(w, g - e).max()))
-        hi = max(floor, float(np.minimum(w, g + e).max()))
+        lo = max(0.0, float(np.minimum(w, g - e).max()))
+        hi = float(np.minimum(w, g + e).max())
         return SupEstimate(lo, hi, hi - lo <= eps, 2 * s.size)
 
     @cached_property
@@ -206,19 +206,18 @@ class _Line:
         they cross."""
         whole = np.isinf(self.ends[:, 0])
         m = 1.0 + np.abs(self.ends[~whole]).max(initial=0.0)
-        c = np.inf if whole[0] != whole[1] else self.sup(m, np.inf, np.full(1, np.inf), -np.inf).hi
+        c = np.inf if whole[0] != whole[1] else self.sup(m, np.inf, np.full(1, np.inf)).hi
         return 0.5 * (c + math.sqrt(c * c + 4.0 * self.w1))
 
 
 class _Pair:
     """Two sets and the tolerances of one public call; the common span, the
-    pair on it when it is a line (_Line), a polytope pair's Hausdorff
-    enclosure (_hausdorff) and the gap caps (_gap_caps, or that distance
-    for two polytopes) are computed on first use.  Each set keeps its own
-    residual map."""
+    pair on it when it is a line (_Line) and the caps are computed on first
+    use.  origin is True where the estimator checked that both sets contain
+    the origin up to tau_geom.  Each set keeps its own residual map."""
 
-    def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig):
-        self.a, self.b, self.cfg = a, b, cfg
+    def __init__(self, a: ConvexSet, b: ConvexSet, cfg: ToleranceConfig, origin: bool = False):
+        self.a, self.b, self.cfg, self.origin = a, b, cfg, origin
 
     @cached_property
     def span(self):
@@ -231,15 +230,19 @@ class _Pair:
         return None if k > 1 else _Line(self.a, self.b, np.ones(1) if B is None else B[0], w0, w1)
 
     @cached_property
-    def hausdorff(self) -> tuple[float, float]:
-        return _hausdorff(self.a, self.b)
-
-    @cached_property
-    def caps(self):
-        if isinstance(self.a, Polytope) and isinstance(self.b, Polytope):
-            h = self.hausdorff[1]
+    def caps(self) -> tuple[float, Callable]:
+        """(h, cap): h bounds every Attouch-Wets term, cap(r) the gap over
+        the r-ball, r a radius or an array of them (inf where none is
+        known): _Line.h and no cap on a line, the Hausdorff distance for
+        both for two polytopes, none for a polytope and a flat, _gap_caps
+        for two flats."""
+        if self.line:
+            return self.line.h, lambda r: np.inf
+        pa, pb = isinstance(self.a, Polytope), isinstance(self.b, Polytope)
+        if pa and pb:
+            h = hausdorff(self.a, self.b)
             return h, lambda r: h
-        return _gap_caps(self.a, self.b)
+        return (np.inf, lambda r: np.inf) if pa or pb else _gap_caps(self.a, self.b)
 
 
 def _pair(
@@ -257,7 +260,8 @@ def _pair(
     Checks that the ambient dimensions agree, that radius and eps are
     finite and positive, and that budget passes _check_budget (the defaults
     pass, for callers without them).  A non-empty origin is the error raised
-    when either set misses the origin by more than tau_geom.
+    when either set misses the origin by more than tau_geom; the pair then
+    records that both contain it (_Pair.origin).
     """
     cfg = resolve(tol)
     check_same_ambient(a, b)
@@ -269,7 +273,7 @@ def _pair(
         raise HyperconvexError(origin)
     flats = not (isinstance(a, Polytope) or isinstance(b, Polytope))
     same = a == b or flats and np.array_equal(a.base, b.base) and np.array_equal(a.basis.T @ a.basis, b.basis.T @ b.basis)
-    return None if same else _Pair(a, b, cfg)
+    return None if same else _Pair(a, b, cfg, bool(origin))
 
 
 _CHUNK = 1 << 17
@@ -431,7 +435,6 @@ def ball_sup(
     *,
     budget: int,
     weights=(np.inf,),
-    floor: float = -np.inf,
 ) -> SupEstimate:
     """Certified estimate of the sup over the closed radius-ball of
 
@@ -443,12 +446,11 @@ def ball_sup(
     with l, and u_l bounds the gap out to the outer sphere of shell l, so
     phi(x) = min(c_l(x), gap(x)).  One shell with c = inf and a cap u (inf
     when none is known) gives the plain sup of the gap; unit shells with
-    c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  floor is
-    a known lower bound of the result; the estimate then encloses the max
-    of floor and the sup.  The search starts from the rows of _probes, which
-    only raise the lower bound, in the two stages that _probes splits them
-    into: the data rows, then the ladder rows whose weights, which cap their
-    scores, exceed the lower bound the data rows leave.
+    c_j = 1/j and u_j = cap(j) the Attouch-Wets metric (_aw_scan).  The
+    search starts from the rows of _probes, which only raise the lower
+    bound, in the two stages that _probes splits them into: the data rows,
+    then the ladder rows whose weights, which cap their scores, exceed the
+    lower bound the data rows leave.
 
     The search runs over the ball of S, the pair's common span: for sets
     inside S, d(x, C)^2 = d(x_S, C)^2 + |x_perp|^2, and
@@ -499,7 +501,7 @@ def ball_sup(
     none of this: _Line.sup gives its sup in closed form.
     """
     if pair.line:
-        return pair.line.sup(radius, eps, np.asarray(weights, dtype=float), floor)
+        return pair.line.sup(radius, eps, np.asarray(weights, dtype=float))
     B, w0, w1 = pair.span
     k = pair.a.ambient_dim if B is None else B.shape[0]
     w = np.asarray(weights, dtype=float)
@@ -519,7 +521,7 @@ def ball_sup(
         Y = Y @ B.T  # a probe's slice by S scores as high, up to the rank cut
     Y, t = _clamp_rows(Y, radius)
     X, top = (Y if B is None else Y @ B), weight(t)
-    lb, evals, levels, resolved = floor, 0, 0, -np.inf
+    lb, evals, levels, resolved = -np.inf, 0, 0, -np.inf
 
     def probe(X: np.ndarray, top: np.ndarray) -> None:
         # raise lb by the rows X, whose scores are capped at top
@@ -624,40 +626,28 @@ def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
     Wolfe row whose distance bound falls below the floor stops early below
     it, while the rows that can hold the maximum run to their end, so the
     value is the largest distance_evaluator value at the generators, bit
-    for bit.  It takes no tolerances: the routes run at their own fixed
-    ones.
+    for bit, and bounds the distance from above, as a residual's norm is a
+    distance to a point of the set.  It takes no tolerances: the routes run
+    at their own fixed ones.
     """
-    return _hausdorff(a, b)[1]
-
-
-def _hausdorff(a: ConvexSet, b: ConvexSet) -> tuple[float, float]:
-    """(lo, h): hausdorff's value h, an upper bound, and its certified lower
-    end lo, the largest |R_i| - err_i over the same residual rows (a row's
-    norm bounds its distance from above, within err_i).  The face route has
-    no error, so there lo = h."""
     if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
         raise HyperconvexError("hausdorff takes polytope pairs only")
     check_same_ambient(a, b)
-    lo = h = 0.0
+    h = 0.0
     for src, dst in ((a, b), (b, a)):
-        R, err = dst._residuals(src.unique_points, h)
-        d = np.linalg.norm(R, axis=1)
-        h = max(h, float(d.max()))
-        lo = max(lo, float((d if err is None else d - err).max()))
-    return lo, h
+        R, _ = dst._residuals(src.unique_points, h)
+        h = max(h, float(np.linalg.norm(R, axis=1).max()))
+    return h
 
 
 def _gap_caps(a: ConvexSet, b: ConvexSet) -> tuple[float, Callable[[float], float]]:
     """(h, cap): bounds for sup over the r-ball of |d(.,a) - d(.,b)|.
 
-    h holds for every radius at once (inf when none is known): the offset of
-    flats with bit-equal direction projectors.  cap(r) holds for one radius;
-    for flats it is the offset plus _direction_gap times (r + |b.base|).  A
-    pair with a polytope gets none here (_Pair.caps gives two polytopes
-    their Hausdorff distance).  Callers compute both once.
+    a and b are flats.  h holds for every radius at once (inf when none is
+    known): the offset of flats with bit-equal direction projectors.  cap(r)
+    holds for one radius; it is the offset plus _direction_gap times (r +
+    |b.base|).  Callers compute both once (_Pair.caps).
     """
-    if isinstance(a, Polytope) or isinstance(b, Polytope):
-        return np.inf, lambda r: np.inf
     Pa = a.basis.T @ a.basis
     off = float(np.linalg.norm((b.base - a.base) - Pa @ (b.base - a.base)))
     eta, reach = _direction_gap(a, b), float(np.linalg.norm(b.base))
@@ -699,7 +689,7 @@ def _probes(a: ConvexSet, b: ConvexSet, radius: float) -> tuple[np.ndarray, int]
 
 
 # ---------------------------------------------------------------------------
-# truncated Hausdorff distance of origin-containing sets
+# the route of every estimate, and the truncated Hausdorff distance
 
 
 def _spectral(a: ConvexSet, b: ConvexSet, r):
@@ -729,32 +719,28 @@ def _spectral(a: ConvexSet, b: ConvexSet, r):
     return np.maximum(r * theta - slack, 0.0), r * theta + slack
 
 
-def _th_estimate(pair: _Pair, r: float, eps: float, budget: int) -> SupEstimate:
-    """Hausdorff distance between a∩rB and b∩rB for the pair's sets a and
-    b, which contain the origin up to tau_geom (callers check), with
-    cap = pair.caps[1](r), or inf for a pair on a line (_Line).
+def _estimate(pair: _Pair, radius: float, eps: float, budget: int, weights=(np.inf,)) -> SupEstimate:
+    """The route of every certified estimate: the sup over the radius-ball
+    of min(weights[l], |d(., a) - d(., b)|) for the pair's sets a and b, the
+    ball cut into len(weights) shells of equal width as in ball_sup.
 
-    Pairs without a polytope take the spectral formula (_spectral).  A
-    polytope pair inside the ball and off a line is its Hausdorff distance,
-    enclosed by _Pair.hausdorff.  Every other pair takes the ambient
-    identity: the truncated Hausdorff distance of origin-containing sets is
-    sup over the r-ball of |d(., a) - d(., b)|.
+    Where the estimator checked that both sets contain the origin
+    (_Pair.origin), the largest gap over shell l and all inside it is the
+    truncated Hausdorff distance at its outer sphere s_l (module docstring),
+    and a pair without a polytope takes the spectral formula (_spectral) at
+    every s_l.  Every other pair is one ball_sup, each weight capped by
+    pair.caps at s_l and, with the origin checked, by s_l + tau_geom, as on
+    the s_l-ball a set within tau_geom of the origin is within s_l +
+    tau_geom of every point.
     """
-    a, b = pair.a, pair.b
-    pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
-    if not (pa or pb):
-        lo, hi = _spectral(a, b, r)
-        return SupEstimate(float(lo), float(hi), True, 0)
-    cap = np.inf if pair.line else pair.caps[1](r)
-    if pa and pb and not pair.line and _reach(a, b) <= r:
-        lo, h = pair.hausdorff
-        return SupEstimate(lo, h, h - lo <= eps, a.points.shape[0] + b.points.shape[0])
-    return ball_sup(pair, r, eps, budget=budget, weights=[min(cap, r + pair.cfg.tau_geom)])
-
-
-def _reach(a: Polytope, b: Polytope) -> float:
-    """The radius of the smallest origin-centred ball holding both polytopes."""
-    return max(float(np.linalg.norm(s.points, axis=1).max()) for s in (a, b))
+    w = np.asarray(weights, dtype=float)
+    s = radius / w.size * np.arange(1.0, w.size + 1.0)
+    if pair.origin:
+        if not (isinstance(pair.a, Polytope) or isinstance(pair.b, Polytope)):
+            lo, hi = _spectral(pair.a, pair.b, s)
+            return SupEstimate(float(np.minimum(w, lo).max()), float(np.minimum(w, hi).max()), True, 0)
+        w = np.minimum(w, s + pair.cfg.tau_geom)
+    return ball_sup(pair, radius, eps, budget=budget, weights=np.minimum(w, pair.caps[1](s)))
 
 
 def truncated_hausdorff(
@@ -771,7 +757,7 @@ def truncated_hausdorff(
     pair = _pair(a, b, tol, "truncated_hausdorff requires origin-containing sets", radius, eps, budget)
     if pair is None:
         return Interval(0.0, 0.0)
-    est = _th_estimate(pair, radius, eps, budget)
+    est = _estimate(pair, radius, eps, budget)
     return Interval(est.lo, min(est.hi, max(est.lo, 2 * radius)), est.certified)
 
 
@@ -789,16 +775,15 @@ def sup_distance_gap(
 ) -> Interval:
     """Certified interval for sup over the radius-ball of |d(.,a) - d(.,b)|.
 
-    Subspace pairs ride the truncated-Hausdorff identity (origin sets), all
-    other pairs are estimated directly on the ambient grid.
+    Two subspaces contain the origin, so they ride the truncated-Hausdorff
+    identity (the spectral route of _estimate); every other pair takes the
+    ambient search.
     """
     pair = _pair(a, b, tol, radius=radius, eps=eps, budget=budget)
     if pair is None:
         return Interval(0.0, 0.0)
-    if isinstance(a, Subspace) and isinstance(b, Subspace):
-        est = _th_estimate(pair, radius, eps, budget)
-    else:
-        est = ball_sup(pair, radius, eps, budget=budget, weights=[np.inf if pair.line else pair.caps[1](radius)])
+    pair.origin = isinstance(a, Subspace) and isinstance(b, Subspace)
+    est = _estimate(pair, radius, eps, budget)
     return Interval(est.lo, est.hi, est.certified)
 
 
@@ -806,19 +791,15 @@ def sup_distance_gap(
 # the Attouch-Wets metric as one weighted sup
 
 
-def _aw_scan(pair: _Pair, p: AWParams, radius: int, past=None) -> Interval:
-    """The Attouch-Wets metric of the pair from one ball_sup over the
-    radius-ball with weights min(1/j, cap(j)) on its unit shells, with
-    (h, cap) = pair.caps, or (_Line.h, inf) on a line.  past = (lo, hi)
-    encloses the largest of the terms past radius; as h bounds every term,
-    it defaults to (-inf, min(1/(radius+1), h)).  A scan that ran out of
-    budget leaves the result certified while its width meets eps_sup.
+def _aw_scan(pair: _Pair, p: AWParams) -> Interval:
+    """The Attouch-Wets metric of the pair: one estimate (_estimate) over
+    the j_cap-ball with weights 1/j on its unit shells, and the terms past
+    j_cap, at most min(1/(j_cap+1), h) with h from pair.caps.  A scan that
+    ran out of budget leaves the result certified while its width meets
+    eps_sup.
     """
-    h, cap = (pair.line.h, lambda r: np.inf) if pair.line else pair.caps
-    floor, tail = past or (-np.inf, min(1.0 / (radius + 1), h))
-    j = np.arange(1.0, radius + 1.0)
-    weights = np.minimum(1.0 / j, cap(j))
-    est = ball_sup(pair, float(radius), p.eps_sup, budget=p.budget, floor=floor, weights=weights)
+    est = _estimate(pair, float(p.j_cap), p.eps_sup, p.budget, 1.0 / np.arange(1.0, p.j_cap + 1.0))
+    tail = min(1.0 / (p.j_cap + 1), pair.caps[0])
     return Interval(est.lo, max(est.hi, tail), est.certified or est.hi - est.lo <= p.eps_sup)
 
 
@@ -839,7 +820,7 @@ def attouch_wets(
     """
     p = params or AWParams()
     pair = _pair(a, b, tol)
-    return Interval(0.0, 0.0) if pair is None else _aw_scan(pair, p, p.j_cap)
+    return Interval(0.0, 0.0) if pair is None else _aw_scan(pair, p)
 
 
 def aw_origin(
@@ -855,29 +836,11 @@ def aw_origin(
 
     For origin-containing sets this equals attouch_wets (module
     docstring).  Pairs without a polytope take the spectral formula at every
-    j up to j_cap.  A polytope pair's terms with both polytopes inside the
-    j-ball are min(1/j, hausdorff(a, b)), whose enclosure (_Pair.hausdorff)
-    joins the scan of its ball-cut terms.  The spectral formula and the
-    Hausdorff distance share no estimation route with attouch_wets, which
-    keeps their agreement a meaningful cross-check; ball-cut terms take the
-    same weighted scan.
+    j up to j_cap; its gap and attouch_wets' flat caps both read
+    sets._direction_gap, so the two agree on such pairs by that one
+    formula.  Every pair with a polytope takes the weighted scan of
+    attouch_wets and returns its interval bit for bit.
     """
     p = params or AWParams()
     pair = _pair(a, b, tol, "aw_origin requires both sets to contain the origin")
-    if pair is None:
-        return Interval(0.0, 0.0)
-    pa, pb = isinstance(a, Polytope), isinstance(b, Polytope)
-    if not (pa or pb):
-        j = np.arange(1.0, p.j_cap + 1.0)
-        lo, hi = (float(np.minimum(1.0 / j, s).max()) for s in _spectral(a, b, j))
-        return Interval(lo, max(hi, min(1.0 / (p.j_cap + 1), pair.caps[0])))
-    radius, past = p.j_cap, None
-    if pa and pb:
-        # from j0 on both polytopes lie inside the j-ball, so the largest of
-        # those terms is min(1/j0, H), H the Hausdorff distance
-        j0 = max(1, math.ceil(_reach(a, b)))
-        if j0 <= p.j_cap:
-            radius, past = j0 - 1, tuple(min(1.0 / j0, v) for v in pair.hausdorff)
-        if radius == 0:
-            return Interval(*past, past[1] - past[0] <= p.eps_sup)
-    return _aw_scan(pair, p, radius, past)
+    return Interval(0.0, 0.0) if pair is None else _aw_scan(pair, p)

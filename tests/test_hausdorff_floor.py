@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hyperconvex.hypermetrics as hm
 import hyperconvex.projection as projection
 from hyperconvex import (
+    AWParams,
     Polytope,
     aw_origin,
     distance_evaluator,
@@ -212,11 +213,13 @@ def _loose_maps(delta: float):
 
 @pytest.mark.parametrize("route", ["enum", "wolfe"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_the_shortcuts_inside_the_ball_carry_the_residual_error(route, seed):
+def test_polytopes_inside_the_ball_carry_the_residual_error(route, seed):
     # two centred polytopes inside the unit ball: truncated_hausdorff reads
-    # their Hausdorff distance H, and aw_origin its one term min(1, H) = H
-    # (j0 = 1).  With every residual known to within delta, H is known only
-    # to within delta, and both intervals must reach down that far.
+    # their Hausdorff distance H, and aw_origin its one term min(1, H) = H,
+    # both from a search capped at H.  With every residual known to within
+    # delta, H is known only to within delta, and both intervals must reach
+    # down that far.  The search cannot certify eps under that error, so a
+    # small budget ends it.
     rng = np.random.default_rng(seed)
     n = 4
     m = _sizes(n, route, rng)
@@ -228,7 +231,10 @@ def test_the_shortcuts_inside_the_ball_carry_the_residual_error(route, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projection, "_residual_rows", _loose_maps(delta))
         h = hausdorff(Polytope(A), Polytope(B))
-        ivs = [truncated_hausdorff(Polytope(A), Polytope(B), 1.0), aw_origin(Polytope(A), Polytope(B))]
+        ivs = [
+            truncated_hausdorff(Polytope(A), Polytope(B), 1.0, budget=20_000),
+            aw_origin(Polytope(A), Polytope(B), AWParams(budget=20_000)),
+        ]
     assert h == exact
     for iv in ivs:
         assert iv.lo <= h - 0.5 * delta and h <= iv.hi <= h + 1e-12

@@ -130,15 +130,13 @@ def _forbid(monkeypatch, *names):
 
 
 def test_line_route_builds_no_map_and_runs_no_search(monkeypatch):
-    gap_caps = hm._gap_caps
-    _forbid(monkeypatch, "hausdorff", "_hausdorff", "_gap_caps", "_box_bounds", "_probes", "_split")
+    _forbid(monkeypatch, "hausdorff", "_gap_caps", "_box_bounds", "_probes", "_split")
     seg = lambda *t: Polytope(np.array(t)[:, None] * np.array([[0.6, 0.8]]))
     assert attouch_wets(seg(0.0, 10.0), seg(0.0, 20.0)).lo == 1.0 / 11.0
     assert sup_distance_gap(seg(0.0, 1.0), seg(0.5, 3.0), 2.0).certified
     assert truncated_hausdorff(seg(0.0, 1.0), seg(0.0, 3.0), 2.0).certified
-    # aw_origin reads the caps for its floor, which for a subspace and a
-    # segment compute no Hausdorff distance
-    monkeypatch.setattr(hm, "_gap_caps", gap_caps)
+    # a pair on a line takes its caps from the line route, a subspace and
+    # a segment too
     assert aw_origin(Subspace(np.array([[0.6, 0.8]])), seg(-1.0, 2.0)).certified
 
 

@@ -17,6 +17,7 @@ from hyperconvex import (
     AWParams,
     Flat,
     HyperconvexError,
+    Interval,
     Polytope,
     Subspace,
     ToleranceConfig,
@@ -145,6 +146,134 @@ def test_line_against_polytope_truncated_hausdorff_bounds_sampled_distances(r):
         float(truncated_distance_evaluator(line, r)(in_tri).max()),
     )
     assert lower <= iv.hi + 10 * MOVE_TOL
+
+
+# ---------------------------------------------------------------------------
+# polytope pairs: one search, held to plane geometry
+
+
+def test_polytope_pair_inside_the_ball_certifies_a_tight_width():
+    # two centred 7-point polytopes in R^3 inside the unit ball, whose
+    # residuals come from the batched Wolfe solver: the search certifies a
+    # width of 1e-9, below the 1e-8 to which the generator rows alone know
+    # their Hausdorff distance
+    rng = np.random.default_rng(1)
+    A, B = (P - P.mean(axis=0) for P in rng.standard_normal((2, 7, 3)))
+    A, B = (P / (1.5 * np.linalg.norm(P, axis=1).max()) for P in (A, B))
+    a, b = Polytope(A), Polytope(B)
+    h = hausdorff(a, b)
+    th = truncated_hausdorff(a, b, 1.0, eps=1e-9, budget=200_000)
+    ao = aw_origin(a, b, AWParams(eps_sup=1e-9, budget=200_000))
+    for iv in (th, ao):
+        assert iv.certified and iv.width <= 1e-9
+        assert iv.lo <= h <= iv.hi
+
+
+def _cross(u, v):
+    # by hand: numpy 2 deprecates np.cross on 2-vectors
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _hull(P):
+    """The vertices of conv(P) in counterclockwise order (monotone chain)."""
+    P = np.unique(P, axis=0)
+
+    def chain(pts):
+        out = []
+        for p in pts:
+            while len(out) >= 2 and _cross(out[-1] - out[-2], p - out[-2]) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return np.array(chain(P) + chain(P[::-1]))
+
+
+def _in_polygon(V, X):
+    E = np.roll(V, -1, axis=0) - V
+    return (_cross(E, X[:, None, :] - V) >= -1e-12).all(axis=1)
+
+
+def _boundary_projection(V, X):
+    """The nearest point of the polygon's boundary to each row: its nearest
+    point in the polygon for a row outside."""
+    E = np.roll(V, -1, axis=0) - V
+    t = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - V, E) / (E * E).sum(axis=1), 0.0, 1.0)
+    Q = V + t[..., None] * E
+    i = np.linalg.norm(X[:, None, :] - Q, axis=2).argmin(axis=1)
+    return Q[np.arange(len(X)), i]
+
+
+def _circle_corners(V, r):
+    """The points where the polygon's boundary crosses the circle |x| = r."""
+    E = np.roll(V, -1, axis=0) - V
+    a, b, c = (E * E).sum(axis=1), 2.0 * (V * E).sum(axis=1), (V * V).sum(axis=1) - r * r
+    disc = b * b - 4.0 * a * c
+    out = []
+    for sign in (-1.0, 1.0):
+        t = (-b + sign * np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
+        ok = (disc >= 0.0) & (t >= 0.0) & (t <= 1.0)
+        out.append(V[ok] + t[ok, None] * E[ok])
+    return np.concatenate(out)
+
+
+def _distance_to_cut(V, r, X):
+    """d(x, conv(V) ∩ rD) for each row x: the nearest point is x itself, the
+    polygon's nearest point, the circle's, or a corner, whichever lies in
+    both sets and is nearest."""
+    n = np.linalg.norm(X, axis=1, keepdims=True)
+    radial = r * X / np.where(n > 0.0, n, 1.0)
+    K = _circle_corners(V, r)
+    C = np.concatenate([np.stack([X, _boundary_projection(V, X), radial], axis=1), np.broadcast_to(K, (len(X),) + K.shape)], axis=1)
+    rows = C.reshape(-1, 2)
+    ok = (np.linalg.norm(rows, axis=1) <= r * (1.0 + 1e-12)) & _in_polygon(V, rows)
+    d = np.where(ok.reshape(C.shape[:2]), np.linalg.norm(X[:, None, :] - C, axis=2), np.inf)
+    return d.min(axis=1)
+
+
+def _truncated_hausdorff_bracket(VA, VB, r, dt=1e-4):
+    """(lo, hi) enclosing H(A ∩ rD, B ∩ rD) by plane geometry.  A distance
+    to a convex set is convex, so its sup over A ∩ rD is reached at an
+    extreme point: a vertex of A inside the disk, a corner, or a point of a
+    circle arc inside A.  The arcs are sampled every dt radians, and the
+    distance is 1-Lipschitz, so the sup is at most r dt / 2 above the
+    largest value found."""
+    t = np.arange(0.0, 2.0 * np.pi, dt)
+    circle = r * np.stack([np.cos(t), np.sin(t)], axis=1)
+    lo = 0.0
+    for V, W in ((VA, VB), (VB, VA)):
+        inside = V[np.linalg.norm(V, axis=1) <= r]
+        X = np.concatenate([inside, _circle_corners(V, r), circle[_in_polygon(V, circle)]])
+        lo = max(lo, float(_distance_to_cut(W, r, X).max()))
+    return lo, lo + r * dt / 2.0
+
+
+def _centred_plane_pair(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 8))
+    return [P - P.mean(axis=0) for P in rng.standard_normal((2, m, 2))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polytope_truncations_match_plane_geometry(seed):
+    A, B = _centred_plane_pair(seed)
+    VA, VB = _hull(A), _hull(B)
+    a, b = Polytope(A), Polytope(B)
+    for r in (1.0, 2.0):
+        lo, hi = _truncated_hausdorff_bracket(VA, VB, r)
+        iv = truncated_hausdorff(a, b, r, eps=1e-4)
+        assert iv.certified and iv.overlaps(Interval(lo, hi), slack=1e-9), (r, iv, lo, hi)
+    # past J both polygons lie inside the j-disk, where every term is
+    # min(1/j, H(A, B)) = min(1/j, H_J) <= the J-th term
+    J = int(np.ceil(max(np.linalg.norm(V, axis=1).max() for V in (VA, VB))))
+    terms = [_truncated_hausdorff_bracket(VA, VB, float(j)) for j in range(1, J + 1)]
+    lo = max(min(1.0 / j, t[0]) for j, t in enumerate(terms, 1))
+    hi = max(min(1.0 / j, t[1]) for j, t in enumerate(terms, 1))
+    p = AWParams(eps_sup=1e-4)
+    iv = aw_origin(a, b, p)
+    assert iv.certified and iv.overlaps(Interval(lo, hi), slack=1e-9), (iv, lo, hi)
+    # a polytope pair takes the one weighted search of attouch_wets
+    assert attouch_wets(a, b, p) == iv
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_only_ladder_rows_that_can_raise_the_lower_bound_are_evaluated(monkeypat
         # the data rows first, and the lower bound they leave
         (X1, lo), *ladder = probes
         assert np.array_equal(X1, X[split:]), name
-        lb = max(kw.get("floor", -np.inf), float(np.minimum(lo, top[split:]).max()))
+        lb = float(np.minimum(lo, top[split:]).max())
         # then exactly the ladder rows whose weights exceed it
         keep = top[:split] > lb
         if not keep.any():
